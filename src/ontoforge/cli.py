@@ -3,7 +3,9 @@
 Commands load a namespace from a source tree of .ont files and either emit a
 serialization, run the embedded tests, classify, or manage label/identifier
 side files. Exit codes: 0 success, 1 failing tests or an incoherent ontology
-under `test`, 2 syntax or semantic errors, 3 I/O errors.
+under `test`, 2 syntax or semantic errors (a .ont or read-external file that
+is not valid UTF-8 is a syntax error, located at its first bad byte), 3 I/O
+errors.
 """
 
 from __future__ import annotations
@@ -105,16 +107,15 @@ def _cmd_test(args) -> int:
     report = run_tests(env)
     for line in tap_lines(env, report):
         print(line)
-    unsatisfiable = sorted(classify(env.axiom_closure()).unsatisfiable)
     prefixes = prefix_map(env.ontology)
-    for iri_text in unsatisfiable:
+    for iri_text in report.unsatisfiable:
         name = shorten(IRI(iri_text), prefixes) or f"<{iri_text}>"
         _print_diagnostic(Diagnostic("warning", f"unsatisfiable class {name}"))
     print(
         f"# {report.tests} tests, {report.assertions} assertions, "
         f"{len(report.failures)} failures"
     )
-    return 1 if report.failures or unsatisfiable else 0
+    return 1 if report.failures or report.unsatisfiable else 0
 
 
 def _cmd_classify(args) -> int:

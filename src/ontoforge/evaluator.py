@@ -49,6 +49,7 @@ from .sexpr import (
     Identifier,
     Keyword,
     ListForm,
+    ParseError,
     Text,
     is_valid_identifier,
     is_valid_namespace,
@@ -583,8 +584,7 @@ class Evaluator:
         path = Path(children[1].value)
         if not path.is_absolute():
             path = (self.env.source_dir or Path.cwd()) / path
-        text = path.read_text(encoding="utf-8")
-        external = parse_functional(text, str(path))
+        external = parse_functional(_read_source(path), str(path))
         return intern_external(self.env, external, naming=naming, prefix=prefix)
 
     def _deftest(self, form: ListForm) -> TestDef:
@@ -618,6 +618,26 @@ def eval_text(
     return eval_forms(env, read_forms(text, file), loader)
 
 
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_source(path: Path) -> str:
+    """A UTF-8 source file's text, newlines translated as a text-mode read does.
+
+    A byte sequence that is not UTF-8 is a ParseError located at its first byte.
+    """
+    data = path.read_bytes()
+    try:
+        return _universal_newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        before = _universal_newlines(data[: err.start].decode("utf-8"))
+        location = Location(str(path), before.count("\n") + 1, len(before) - before.rfind("\n"))
+        raise ParseError(
+            f"not valid UTF-8: {err.reason} (byte 0x{data[err.start]:02x})", location
+        ) from None
+
+
 class Loader:
     """Loads namespaces from .ont files under a source root, memoized."""
 
@@ -636,7 +656,7 @@ class Loader:
         path = self.root.joinpath(*namespace.split(".")).with_suffix(".ont")
         if not path.is_file():
             raise NamespaceNotFound(f"no source file for namespace '{namespace}' at {path}")
-        text = path.read_text(encoding="utf-8")
+        text = _read_source(path)
         env = Environment(namespace)
         env.source_file = str(path)
         env.source_dir = path.parent
@@ -648,8 +668,3 @@ class Loader:
         self.cache[namespace] = env
         return env
 
-
-def load_namespace(source_root, namespace: str, cache: Loader | None = None) -> Environment:
-    """Load one namespace (and its dependencies) from a source tree."""
-    loader = cache if cache is not None else Loader(source_root)
-    return loader.load(namespace)

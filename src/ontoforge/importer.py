@@ -206,7 +206,7 @@ class _FunctionalParser:
         self.expect("name", "Ontology")
         self.expect("open")
         iri_token = self.expect("iriref")
-        ontology = Ontology(IRI(iri_token.text[1:-1]))
+        ontology = Ontology(self._iri(iri_token))
         ontology.prefixes = {
             label: base
             for label, base in self.prefixes.items()
@@ -248,14 +248,19 @@ class _FunctionalParser:
 
     def _iri(self, token: _Token) -> IRI:
         if token.type == "iriref":
-            return IRI(token.text[1:-1])
-        if token.type == "name" and ":" in token.text:
+            text = token.text[1:-1]
+        elif token.type == "name" and ":" in token.text:
             label, local = token.text.split(":", 1)
             base = self.prefixes.get(label)
             if base is None:
                 raise ParseError(f"unknown prefix '{label}'", self._loc(token))
-            return IRI(base + local)
-        raise ParseError(f"expected an IRI or CURIE, found {token.text!r}", self._loc(token))
+            text = base + local
+        else:
+            raise ParseError(f"expected an IRI or CURIE, found {token.text!r}", self._loc(token))
+        try:
+            return IRI(text)
+        except ValueError as err:
+            raise ParseError(str(err), self._loc(token)) from None
 
     def _entity(self, kind: Kind) -> Entity:
         return Entity(kind, self._iri(self.next()))
@@ -381,7 +386,7 @@ class _FunctionalParser:
             self.expect("close")
             return AnnotationAssertion(subject, prop, value)
         assert name == "Import"
-        iri = IRI(self.expect("iriref").text[1:-1])
+        iri = self._iri(self.expect("iriref"))
         self.expect("close")
         return Import(iri)
 

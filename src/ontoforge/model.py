@@ -3,7 +3,8 @@
 Everything except Ontology is an immutable value with structural equality, so
 axioms can live in sets and duplicate assertions collapse to no-ops. An
 Ontology keeps its axioms in insertion order next to a set index, which is
-what makes serialization deterministic and removal cheap.
+what makes serialization deterministic. The store only grows; `mark` and
+`rollback` undo everything added since a mark, most recent first.
 """
 
 from __future__ import annotations
@@ -325,8 +326,9 @@ class Ontology:
 
     `entities` holds this ontology's own declarations in declaration order;
     `imported` holds entities brought in from elsewhere, which axioms may
-    mention but which are not serialized as declarations here. `revision`
-    counts successful mutations, so callers can key caches on it.
+    mention but which are not serialized as declarations here. All three only
+    grow at their ends, so a `mark` of their lengths is a complete snapshot and
+    `rollback` to it is exact.
     """
 
     def __init__(self, iri: IRI):
@@ -336,7 +338,6 @@ class Ontology:
         self.entities: dict[IRI, Entity] = {}
         self.imported: dict[IRI, Entity] = {}
         self.prefixes: dict[str, str] = {}
-        self.revision = 0
 
     def __contains__(self, axiom: Axiom) -> bool:
         return axiom in self._axiom_set
@@ -393,31 +394,24 @@ class Ontology:
                 self._check_mentioned(entity)
         self.axioms.append(axiom)
         self._axiom_set.add(axiom)
-        self.revision += 1
         return True
 
     def add_axioms(self, axioms) -> int:
         return sum(1 for a in axioms if self.add_axiom(a))
 
-    def remove_axiom(self, axiom: Axiom) -> bool:
-        if axiom not in self._axiom_set:
-            return False
-        self.axioms.remove(axiom)
-        self._axiom_set.discard(axiom)
-        if isinstance(axiom, Declaration):
-            self.entities.pop(axiom.entity.iri, None)
-        self.revision += 1
-        return True
+    def mark(self) -> tuple[int, int, int]:
+        """The current lengths of axioms, entities and imported, for `rollback`."""
+        return len(self.axioms), len(self.entities), len(self.imported)
 
-    def axioms_referencing(self, entity: Entity) -> list[Axiom]:
-        """Axioms whose signature includes the entity, plus its annotations."""
-        hits = []
-        for axiom in self.axioms:
-            if entity in axiom_signature(axiom):
-                hits.append(axiom)
-            elif isinstance(axiom, AnnotationAssertion) and axiom.subject == entity.iri:
-                hits.append(axiom)
-        return hits
+    def rollback(self, mark: tuple[int, int, int]) -> None:
+        """Drop every axiom, declaration and import registered since mark."""
+        n_axioms, n_entities, n_imported = mark
+        self._axiom_set.difference_update(self.axioms[n_axioms:])
+        del self.axioms[n_axioms:]
+        while len(self.entities) > n_entities:
+            self.entities.popitem()
+        while len(self.imported) > n_imported:
+            self.imported.popitem()
 
     def signature(self) -> set[Entity]:
         out: set[Entity] = set()

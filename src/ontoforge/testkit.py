@@ -2,18 +2,23 @@
 
 `deftest` bodies are lists of `(is ...)` assertions over the classified
 ontology. Probe blocks add throwaway entities, evaluate one assertion against
-the mutated ontology, and then strip every axiom that mentions a probe, so
-the ontology is structurally identical before and after, even on error.
+the probed ontology, and then roll the ontology back to its mark from before
+the block, so it is structurally identical before and after, even on error.
+
+Each ontology state is classified at most once, on first use: the base
+ontology once per `run_tests`, and each probed state once per probe block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable
 
 from .errors import Location, OntoforgeError
 from .evaluator import Environment, Evaluator, TestDef
 from .model import IRI, Kind
-from .reasoner import Taxonomy, classify, inferred_superclass
+from .reasoner import Taxonomy, classify, coherence_report, inferred_superclass
 from .sexpr import BracketForm, Form, Identifier, ListForm, Text, is_valid_identifier
 
 
@@ -21,24 +26,13 @@ class TestSyntax(OntoforgeError):
     pass
 
 
-class TaxonomyCache:
-    """Classification results memoized by the ontology's revision counter."""
+def lazy_taxonomy(env: Environment) -> Callable[[], Taxonomy]:
+    """The taxonomy of env's current ontology state, classified on first call.
 
-    def __init__(self):
-        self._by_revision: dict[int, Taxonomy] = {}
-
-    def taxonomy(self, env: Environment) -> Taxonomy:
-        revision = env.ontology.revision
-        taxonomy = self._by_revision.get(revision)
-        if taxonomy is None:
-            taxonomy = classify(env.axiom_closure())
-            self._by_revision[revision] = taxonomy
-        return taxonomy
-
-    def drop_above(self, marker: int) -> None:
-        """Forget results computed for revisions newer than marker."""
-        for revision in [r for r in self._by_revision if r > marker]:
-            del self._by_revision[revision]
+    Valid only while that state lasts: probe blocks roll back before they
+    return, so a taxonomy made outside a block stays valid after it.
+    """
+    return cache(lambda: classify(env.axiom_closure()))
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,8 @@ class TestReport:
     tests: int = 0
     assertions: int = 0
     failures: list[TestFailure] = field(default_factory=list)
+    # sorted IRIs of the unprobed ontology's unsatisfiable classes
+    unsatisfiable: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -71,11 +67,11 @@ def _assertion_head(form: Form) -> tuple[Identifier, tuple[Form, ...]]:
 
 def eval_assertion(
     env: Environment,
-    cache: TaxonomyCache,
+    taxonomy: Callable[[], Taxonomy],
     form: Form,
     _evaluator: Evaluator | None = None,
 ) -> bool:
-    """Evaluate one assertion against the (possibly probed) ontology."""
+    """Evaluate one assertion; taxonomy yields the current state's taxonomy."""
     ev = _evaluator if _evaluator is not None else Evaluator(env)
     head, args = _assertion_head(form)
     if head.name == "isuperclass?":
@@ -83,22 +79,22 @@ def eval_assertion(
             raise TestSyntax("isuperclass? takes a subclass and a superclass", form.location)
         sub = ev.resolve_class(args[0])
         sup = ev.resolve_class(args[1])
-        return inferred_superclass(cache.taxonomy(env), sub, sup)
+        return inferred_superclass(taxonomy(), sub, sup)
     if head.name == "coherent?":
         if args:
             raise TestSyntax("coherent? takes no arguments", form.location)
-        return not cache.taxonomy(env).unsatisfiable
+        return not taxonomy().unsatisfiable
     if head.name == "not":
         if len(args) != 1:
             raise TestSyntax("not takes exactly one assertion", form.location)
-        return not eval_assertion(env, cache, args[0], ev)
+        return not eval_assertion(env, taxonomy, args[0], ev)
     if head.name == "with-probe-entities":
         if len(args) != 2 or not isinstance(args[0], BracketForm):
             raise TestSyntax(
                 "with-probe-entities takes a bracket of bindings and one assertion",
                 form.location,
             )
-        return run_probe_block(env, args[0].children, args[1], cache, ev)
+        return run_probe_block(env, args[0].children, args[1], ev)
     raise TestSyntax(f"unknown assertion '{head.name}'", head.location)
 
 
@@ -126,17 +122,13 @@ def run_probe_block(
     env: Environment,
     bindings,
     body: Form,
-    cache: TaxonomyCache | None = None,
     _evaluator: Evaluator | None = None,
 ) -> bool:
-    """Evaluate body with probe entities present, then restore the ontology."""
+    """Evaluate body with probe entities present, then roll the ontology back."""
     ev = _evaluator if _evaluator is not None else Evaluator(env)
-    if cache is None:
-        cache = TaxonomyCache()
     ontology = env.ontology
-    marker = ontology.revision
+    mark = ontology.mark()
     saved_locals = dict(ev.locals)
-    probes = []
     try:
         for binding in bindings:
             name, maker, text = _probe_binding(binding)
@@ -148,21 +140,16 @@ def run_probe_block(
                     )
             entity = ev.eval_owlclass(maker)
             assert entity.kind is Kind.CLASS
-            probes.append(entity)
             ev.locals[name.name] = entity
-        return eval_assertion(env, cache, body, ev)
+        return eval_assertion(env, lazy_taxonomy(env), body, ev)
     finally:
-        for entity in probes:
-            for axiom in ontology.axioms_referencing(entity):
-                ontology.remove_axiom(axiom)
+        ontology.rollback(mark)
         ev.locals = saved_locals
-        ontology.revision = marker
-        cache.drop_above(marker)
 
 
 def run_tests(env: Environment) -> TestReport:
     """Run every deftest of the namespace in source order."""
-    cache = TaxonomyCache()
+    taxonomy = lazy_taxonomy(env)
     ev = Evaluator(env)
     report = TestReport(tests=len(env.tests))
     for test in env.tests:
@@ -171,8 +158,9 @@ def run_tests(env: Environment) -> TestReport:
             if head.name != "is" or len(args) != 1:
                 raise TestSyntax("test bodies are (is assertion) forms", form.location)
             report.assertions += 1
-            if not eval_assertion(env, cache, args[0], ev):
+            if not eval_assertion(env, taxonomy, args[0], ev):
                 report.failures.append(TestFailure(test.name, index, form.location))
+    report.unsatisfiable = coherence_report(taxonomy()).unsatisfiable
     return report
 
 

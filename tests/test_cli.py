@@ -348,6 +348,42 @@ def test_syntax_errors_exit_two_with_position(tmp_path, capsys):
     assert stderr.strip() == expected
 
 
+def assert_one_located_error(stderr: str, path, line: int, column: int) -> None:
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    assert lines[0].startswith(f"{path}:{line}:{column}: error: "), stderr
+
+
+def test_non_utf8_source_exits_two_at_the_bad_byte(tmp_path, capsys):
+    (tmp_path / "bad.ont").write_bytes(
+        b'(defontology bad :iri "https://example.org/bad#")\n(defclass Caf\xc3\xa9\xff)\n'
+    )
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
+    assert code == 2
+    assert stdout == ""
+    assert_one_located_error(stderr, tmp_path / "bad.ont", 2, 15)
+    assert "not valid UTF-8" in stderr
+
+
+def test_non_utf8_external_file_exits_two_at_the_bad_byte(interning_tree, capsys):
+    (interning_tree / "ext.ofn").write_bytes(EXT_OFN.encode("utf-8") + b"\xff\n")
+    code, _, stderr = run_cli(capsys, "check", "--src", str(interning_tree))
+    assert code == 2
+    assert_one_located_error(stderr, interning_tree / "ext.ofn", 6, 1)
+    assert "not valid UTF-8" in stderr
+
+
+def test_relative_iri_in_external_file_exits_two(interning_tree, capsys):
+    (interning_tree / "ext.ofn").write_text(
+        EXT_OFN.replace("Declaration(Class(e:Whole))", "Declaration(Class(<foo>))"),
+        encoding="utf-8",
+    )
+    code, _, stderr = run_cli(capsys, "check", "--src", str(interning_tree))
+    assert code == 2
+    assert_one_located_error(stderr, interning_tree / "ext.ofn", 4, 19)
+    assert "not an absolute IRI: 'foo'" in stderr
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys)[0] == 2

@@ -12,7 +12,6 @@ from ontoforge.evaluator import (
     UnboundIdentifier,
     UnknownOption,
     eval_text,
-    load_namespace,
     resolve,
 )
 from ontoforge.model import (
@@ -345,7 +344,7 @@ def test_use_brings_in_qualified_bindings(tmp_path):
             ),
         },
     )
-    env = load_namespace(tmp_path, "menu")
+    env = Loader(tmp_path).load("menu")
     assert env.bindings["base/Food"].iri == IRI("https://example.org/base#Food")
     assert Import(IRI("https://example.org/base#")) in env.ontology
     assert IRI("https://example.org/base#Food") in env.ontology.imported
@@ -370,7 +369,7 @@ def test_use_does_not_reexport_transitive_names(tmp_path):
             ),
         },
     )
-    env = load_namespace(tmp_path, "c")
+    env = Loader(tmp_path).load("c")
     assert "b/Bread" in env.bindings
     assert "a/Food" not in env.bindings
     assert "b/a/Food" not in env.bindings
@@ -387,7 +386,7 @@ def test_use_merges_prefixes_with_suffixes_on_collision(tmp_path):
             ),
         },
     )
-    env = load_namespace(tmp_path, "main")
+    env = Loader(tmp_path).load("main")
     assert env.ontology.prefixes["piz"] == "https://example.org/main#"
     assert env.ontology.prefixes["piz2"] == "https://example.org/dep#"
 
@@ -404,7 +403,7 @@ def test_use_axiom_closure_spans_dependencies(tmp_path):
             ),
         },
     )
-    env = load_namespace(tmp_path, "menu")
+    env = Loader(tmp_path).load("menu")
     closure = env.axiom_closure()
     assert Declaration(env.bindings["base/Food"]) in closure
     assert any(isinstance(a, SubClassOf) for a in closure)
@@ -417,7 +416,7 @@ def test_loader_resolves_dotted_namespaces(tmp_path):
             "take/away.ont": '(defontology away :iri "https://example.org/ta#")\n',
         },
     )
-    env = load_namespace(tmp_path, "take.away")
+    env = Loader(tmp_path).load("take.away")
     assert env.namespace == "take.away"
     assert env.ontology_name == "away"
 
@@ -430,7 +429,7 @@ def test_loader_caches_by_namespace(tmp_path):
 
 def test_loader_missing_namespace(tmp_path):
     with pytest.raises(NamespaceNotFound) as err:
-        load_namespace(tmp_path, "nowhere")
+        Loader(tmp_path).load("nowhere")
     assert "nowhere" in str(err.value)
 
 
@@ -443,7 +442,7 @@ def test_loader_reports_cycles(tmp_path):
         },
     )
     with pytest.raises(CycleError) as err:
-        load_namespace(tmp_path, "a")
+        Loader(tmp_path).load("a")
     assert "cyclic use: a -> b -> a" in str(err.value)
 
 
@@ -478,7 +477,7 @@ def test_read_external_defaults_to_fragment_naming(tmp_path):
             ),
         },
     )
-    env = load_namespace(tmp_path, "menu")
+    env = Loader(tmp_path).load("menu")
     assert env.bindings["Part"].iri == IRI("https://example.org/ext#Part")
     assert "https://example.org/ext" in env.interned
 
@@ -494,7 +493,7 @@ def test_read_external_label_naming(tmp_path):
             ),
         },
     )
-    env = load_namespace(tmp_path, "menu")
+    env = Loader(tmp_path).load("menu")
     assert env.bindings["spare_part"].iri == IRI("https://example.org/ext#Part")
 
 
@@ -509,7 +508,7 @@ def test_read_external_prefix_filter(tmp_path):
             ),
         },
     )
-    env = load_namespace(tmp_path, "menu")
+    env = Loader(tmp_path).load("menu")
     assert "Part" in env.bindings
     assert "Whole" not in env.bindings
 
@@ -525,7 +524,7 @@ def test_read_external_paths_resolve_against_the_source_file(tmp_path):
             ),
         },
     )
-    env = load_namespace(tmp_path, "sub.menu")
+    env = Loader(tmp_path).load("sub.menu")
     assert "Part" in env.bindings
 
 

@@ -150,6 +150,20 @@ def test_parse_functional_error_locations_point_at_tokens():
     assert err.value.location == Location("dep.ofn", 3, 14)
 
 
+def test_relative_iris_are_located_parse_errors():
+    cases = {
+        "Ontology(<ext>\n)\n": (1, 10),
+        functional("Declaration(Class(<foo>))"): (3, 19),
+        functional("Import(<other.ofn>)"): (3, 8),
+        "Prefix(p:=<rel/>)\nOntology(<https://x.org/a>\nDeclaration(Class(p:A)))\n": (3, 19),
+    }
+    for text, (line, column) in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_functional(text, file="dep.ofn")
+        assert "not an absolute IRI" in err.value.message
+        assert err.value.location == Location("dep.ofn", line, column), text
+
+
 # --- label derivation ----------------------------------------------------------
 
 
@@ -175,13 +189,13 @@ def test_label_to_identifier_rejects_empty_results():
 # --- interning -------------------------------------------------------------------
 
 
-def external_ontology() -> Ontology:
+def external_ontology(part_label: str = "spare part") -> Ontology:
     onto = Ontology(IRI(EXT[:-1]))
     onto.prefixes["e"] = EXT
     part = onto.declare(Kind.CLASS, IRI(EXT + "Part"))
     onto.declare(Kind.CLASS, IRI(EXT + "Whole"))
     prop = onto.declare(Kind.OBJECT_PROPERTY, IRI(EXT + "hasPart"))
-    onto.add_axiom(AnnotationAssertion(part.iri, RDFS_LABEL, AnnotationValue("spare part", "en")))
+    onto.add_axiom(AnnotationAssertion(part.iri, RDFS_LABEL, AnnotationValue(part_label, "en")))
     onto.add_axiom(AnnotationAssertion(prop.iri, RDFS_LABEL, AnnotationValue("has part", "en")))
     return onto
 
@@ -304,13 +318,7 @@ def test_memorise_check_turns_renames_into_deprecated_aliases():
     table = memorise_save(old_env, EXT[:-1])
 
     # same source, but Part's label changed upstream
-    changed = external_ontology()
-    changed.remove_axiom(
-        AnnotationAssertion(IRI(EXT + "Part"), RDFS_LABEL, AnnotationValue("spare part", "en"))
-    )
-    changed.add_axiom(
-        AnnotationAssertion(IRI(EXT + "Part"), RDFS_LABEL, AnnotationValue("replacement part", "en"))
-    )
+    changed = external_ontology(part_label="replacement part")
     env = fresh_env()
     intern_external(env, changed, naming="label")
     report = memorise_check(env, table)

@@ -244,45 +244,49 @@ def test_axioms_keep_insertion_order():
     assert declared == names
 
 
-def test_revision_counts_successful_mutations_only():
+def test_rollback_restores_the_store_to_its_mark():
     onto = make_ontology()
-    base = onto.revision
     a, b = cls(onto, "A"), cls(onto, "B")
-    assert onto.revision == base + 2
-    ax = SubClassOf(Named(a), Named(b))
-    onto.add_axiom(ax)
-    assert onto.revision == base + 3
-    onto.add_axiom(ax)  # duplicate: no change
-    assert onto.revision == base + 3
-    onto.remove_axiom(ax)
-    assert onto.revision == base + 4
-    onto.remove_axiom(ax)  # already gone: no change
-    assert onto.revision == base + 4
+    kept = SubClassOf(Named(a), Named(b))
+    onto.add_axiom(kept)
+    ext = onto.register_imported(Entity(Kind.CLASS, IRI("http://other.org/x#E")))
+    before = (list(onto.axioms), dict(onto.entities), dict(onto.imported))
+    mark = onto.mark()
+
+    c = cls(onto, "C")
+    onto.register_imported(Entity(Kind.CLASS, IRI("http://other.org/x#F")))
+    added = [
+        SubClassOf(Named(c), Named(ext)),
+        AnnotationAssertion(c.iri, RDFS_LABEL, AnnotationValue("c", "en")),
+        AnnotationAssertion(a.iri, RDFS_LABEL, AnnotationValue("a", "en")),
+    ]
+    assert onto.add_axioms(added + [kept]) == 3  # kept is already present
+    onto.rollback(mark)
+
+    assert (onto.axioms, onto.entities, onto.imported) == before
+    assert kept in onto
+    assert all(ax not in onto for ax in added + [Declaration(c)])
+    assert onto.mark() == mark
+    with pytest.raises(UndeclaredEntity):
+        onto.add_axiom(SubClassOf(Named(c), Named(a)))
 
 
-def test_remove_axiom_unregisters_declarations():
+def test_nested_marks_unwind_innermost_first():
     onto = make_ontology()
     a = cls(onto, "A")
-    onto.remove_axiom(Declaration(a))
-    assert a.iri not in onto.entities
+    outer = onto.mark()
     b = cls(onto, "B")
-    with pytest.raises(UndeclaredEntity):
-        onto.add_axiom(SubClassOf(Named(b), Named(a)))
-
-
-def test_axioms_referencing_includes_annotation_subjects():
-    onto = make_ontology()
-    a, b = cls(onto, "A"), cls(onto, "B")
-    rel = SubClassOf(Named(a), Named(b))
-    note = AnnotationAssertion(a.iri, RDFS_LABEL, AnnotationValue("a", "en"))
-    other = AnnotationAssertion(b.iri, RDFS_LABEL, AnnotationValue("b", "en"))
-    for ax in (rel, note, other):
-        onto.add_axiom(ax)
-    hits = onto.axioms_referencing(a)
-    assert Declaration(a) in hits
-    assert rel in hits
-    assert note in hits
-    assert other not in hits
+    onto.add_axiom(SubClassOf(Named(b), Named(a)))
+    middle = onto.mark()
+    middle_axioms = list(onto.axioms)
+    c = cls(onto, "C")
+    onto.add_axiom(SubClassOf(Named(c), Named(b)))
+    onto.rollback(middle)
+    assert onto.axioms == middle_axioms
+    assert c.iri not in onto.entities and b.iri in onto.entities
+    onto.rollback(outer)
+    assert onto.axioms == [Declaration(a)]
+    assert list(onto.entities) == [a.iri]
 
 
 def test_add_axioms_counts_new_ones():

@@ -1,16 +1,18 @@
-"""Tests for assertions, probe blocks, the taxonomy cache, and TAP output."""
+"""Tests for assertions, probe blocks, per-state taxonomies, and TAP output."""
 
 import random
 
 import pytest
 
-from ontoforge.evaluator import Evaluator, eval_text
+from ontoforge import cli, testkit
+from ontoforge.evaluator import eval_text
+from ontoforge.reasoner import classify
 from ontoforge.serializer import render_functional
 from ontoforge.sexpr import read_forms
 from ontoforge.testkit import (
-    TaxonomyCache,
     TestSyntax,
     eval_assertion,
+    lazy_taxonomy,
     run_probe_block,
     run_tests,
     tap_lines,
@@ -31,8 +33,8 @@ def one_form(text: str):
     return forms[0]
 
 
-def check(env, text: str, cache=None) -> bool:
-    return eval_assertion(env, cache or TaxonomyCache(), one_form(text))
+def check(env, text: str, taxonomy=None) -> bool:
+    return eval_assertion(env, taxonomy or lazy_taxonomy(env), one_form(text))
 
 
 SMALL = """
@@ -116,15 +118,16 @@ def test_probe_block_detects_incoherence_without_keeping_it():
 def test_probe_block_restores_ontology_bytes_and_revision():
     env = run(SMALL)
     before_text = render_functional(env.ontology)
-    before_revision = env.ontology.revision
+    before_mark = env.ontology.mark()
     check(
         env,
         '(with-probe-entities [(a (owlclass "ProbeA" :subclass Pizza))'
-        ' (b (owlclass "ProbeB" :subclass Margherita))]'
+        ' (b (owlclass "ProbeB" :subclass Margherita (owlclass "Inner" :subclass Pizza)))]'
         " (isuperclass? b Pizza))",
     )
+    # classes declared inside a binding's own expression are dropped too
     assert render_functional(env.ontology) == before_text
-    assert env.ontology.revision == before_revision
+    assert env.ontology.mark() == before_mark
 
 
 def test_probe_block_restores_on_body_errors():
@@ -188,11 +191,11 @@ def test_probe_binding_shape_is_checked():
 def test_probe_blocks_leave_no_trace_on_random_inputs():
     env = pizza_env()
     rng = random.Random(321)
-    cache = TaxonomyCache()
+    taxonomy = lazy_taxonomy(env)
     before = render_functional(env.ontology)
     for _ in range(25):
         text = random_probe_text(rng, env)
-        eval_assertion(env, cache, one_form(text))
+        eval_assertion(env, taxonomy, one_form(text))
         assert render_functional(env.ontology) == before
 
 
@@ -203,43 +206,56 @@ def test_run_probe_block_function_directly():
     assert run_probe_block(env, bracket.children, body) is True
 
 
-# --- the taxonomy cache ---------------------------------------------------------
-
-
-def test_cache_reuses_results_per_revision():
-    env = run(SMALL)
-    cache = TaxonomyCache()
-    first = cache.taxonomy(env)
-    assert cache.taxonomy(env) is first
-    env.ontology.add_axioms([])
-    assert cache.taxonomy(env) is first  # no mutation, same revision
-
-
-def test_cache_recomputes_after_mutation():
-    env = run(SMALL)
-    cache = TaxonomyCache()
-    first = cache.taxonomy(env)
-    ev = Evaluator(env)
-    ev.eval_top(one_form("(defclass Fresh :subclass Pizza)"))
-    second = cache.taxonomy(env)
-    assert second is not first
-    assert BASE + "Fresh" in second.subsumers
+# --- one taxonomy per ontology state -------------------------------------------
 
 
 def test_probe_results_never_leak_through_the_cache():
     env = run(SMALL)
-    cache = TaxonomyCache()
-    check(env, "(coherent?)", cache)
+    taxonomy = lazy_taxonomy(env)
+    check(env, "(coherent?)", taxonomy)
     assert check(
         env,
         '(not (with-probe-entities [(p (owlclass "Probe" :subclass Pizza IceCream))]'
         " (coherent?)))",
-        cache,
+        taxonomy,
     )
-    # same revision as before the probe, but the cached taxonomy must be clean
-    taxonomy = cache.taxonomy(env)
-    assert not taxonomy.unsatisfiable
-    assert BASE + "Probe" not in taxonomy.subsumers
+    # the base taxonomy was classified before the probe and stays clean
+    assert not taxonomy().unsatisfiable
+    assert BASE + "Probe" not in taxonomy().subsumers
+
+
+PROBED_SUITE = SMALL + """
+(deftest Plain
+  (is (isuperclass? Margherita Pizza))
+  (is (coherent?))
+  (is (not (isuperclass? Pizza Margherita))))
+(deftest Probed
+  (is (with-probe-entities [(p (owlclass "P1" :subclass Margherita))] (isuperclass? p Pizza)))
+  (is (coherent?))
+  (is (not (with-probe-entities [(p (owlclass "P2" :subclass Pizza IceCream))] (coherent?))))
+  (is (with-probe-entities [(p (owlclass "P3"))] (not (isuperclass? p Pizza)))))
+"""
+
+
+def test_each_ontology_state_is_classified_once(monkeypatch, tmp_path, capsys):
+    probe_blocks = 3
+    calls = []
+
+    def counted(axioms):
+        calls.append(1)
+        return classify(axioms)
+
+    monkeypatch.setattr(testkit, "classify", counted)
+    monkeypatch.setattr(cli, "classify", counted)
+    report = run_tests(run(PROBED_SUITE))
+    assert report.ok and report.assertions == 7
+    assert len(calls) == 1 + probe_blocks
+
+    calls.clear()
+    (tmp_path / "piz.ont").write_text(HEADER + PROBED_SUITE, encoding="utf-8")
+    assert cli.main(["test", "--src", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith("# 2 tests, 7 assertions, 0 failures\n")
+    assert len(calls) == 1 + probe_blocks
 
 
 # --- run_tests and TAP -------------------------------------------------------------
