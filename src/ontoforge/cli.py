@@ -3,9 +3,9 @@
 Commands load a namespace from a source tree of .ont files and either emit a
 serialization, run the embedded tests, classify, or manage label/identifier
 side files. Exit codes: 0 success, 1 failing tests or an incoherent ontology
-under `test`, 2 syntax or semantic errors (a .ont or read-external file that
-is not valid UTF-8 is a syntax error, located at its first bad byte), 3 I/O
-errors.
+under `test`, 2 syntax or semantic errors (a .ont, read-external, label or
+memo file that is not valid UTF-8 is a syntax error, located at its first bad
+byte), 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import Diagnostic, OntoforgeError
-from .evaluator import Environment, Loader, resolve
+from .evaluator import Environment, Loader, _read_source, resolve
 from .importer import MemoTable, memorise_check, memorise_save
 from .model import AnnotationAssertion, IRI, Kind, RDFS_COMMENT, RDFS_LABEL
 from .polyglot import apply_labels, emit_skeleton, parse_properties
@@ -159,7 +159,7 @@ def _cmd_labels_skeleton(args) -> int:
 def _cmd_labels_apply(args) -> int:
     env = _load(args)
     path = Path(args.file) if args.file else _labels_default_path(env, args.lang)
-    table = parse_properties(path.read_text(encoding="utf-8"), str(path))
+    table = parse_properties(_read_source(path), str(path))
     report = apply_labels(env, table, args.lang)
     _print_warnings(env)
     for key in report.unknown:
@@ -190,7 +190,7 @@ def _cmd_memorise_save(args) -> int:
 
 def _cmd_memorise_check(args) -> int:
     env = _load(args)
-    saved = MemoTable.from_text(Path(args.file).read_text(encoding="utf-8"), args.file)
+    saved = MemoTable.from_text(_read_source(Path(args.file)), args.file)
     report = memorise_check(env, saved)
     _print_warnings(env)
     for old, new, iri in report.deprecated:

@@ -321,6 +321,13 @@ class _FunctionalParser:
                 f"unsupported construct '{name}' at line {head.line}", self._loc(head)
             )
         self.expect("open")
+        try:
+            return self._axiom_body(head)
+        except ValueError as err:  # a model constructor rejected the operands
+            raise ParseError(str(err), self._loc(head)) from None
+
+    def _axiom_body(self, head: _Token) -> Axiom:
+        name = head.text
         if name == "Declaration":
             kind_token = self.expect("name")
             kind = _KIND_BY_KEYWORD.get(kind_token.text)

@@ -412,9 +412,3 @@ class Ontology:
             self.entities.popitem()
         while len(self.imported) > n_imported:
             self.imported.popitem()
-
-    def signature(self) -> set[Entity]:
-        out: set[Entity] = set()
-        for axiom in self.axioms:
-            out |= axiom_signature(axiom)
-        return out

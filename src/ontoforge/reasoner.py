@@ -18,7 +18,7 @@ Classification runs in two stages:
    a fresh auxiliary name `_aux1`, `_aux2`, ... handed out in axiom order, so
    the output is deterministic for a given input sequence.
 
-2. `saturate` computes, for every atom C, the set S(C) of entailed atomic
+2. `Saturation` computes, for every atom C, the set S(C) of entailed atomic
    subsumers and the role edge relation R(r), as the least fixpoint of
 
        R1: D ∈ S(C), D ⊑ B             then B ∈ S(C)
@@ -28,10 +28,13 @@ Classification runs in two stages:
        R⊥: (C, D) ∈ R(r), Nothing ∈ S(D)       then Nothing ∈ S(C)
 
    starting from S(C) = {C, owl:Thing}. The fixpoint is unique, so the result
-   does not depend on axiom order.
+   does not depend on axiom order. Every rule only adds, so `extend` with
+   more axioms carries on from the fixpoint it has, and a trail of the
+   additions lets `undo` take an extension back exactly.
 
 `classify` glues the stages together and projects the result onto the named
-classes of the input, which is what queries and reports consume.
+classes of the input, which is what queries and reports consume. A
+`Classifier` does the same for a base that probe blocks extend and undo.
 """
 
 from __future__ import annotations
@@ -127,6 +130,7 @@ class NormalizeResult:
     skipped: list[SkippedAxiom] = field(default_factory=list)
     classes: set[str] = field(default_factory=set)
     roles: set[str] = field(default_factory=set)
+    next_aux: int = 1  # the number the next auxiliary name would get
 
 
 def _atom(ce: ClassExpression) -> str | None:
@@ -159,13 +163,12 @@ def _offending(ce: ClassExpression) -> str | None:
 
 
 class _Normalizer:
-    def __init__(self) -> None:
-        self.result = NormalizeResult()
-        self._next_aux = 1
+    def __init__(self, first_aux: int) -> None:
+        self.result = NormalizeResult(next_aux=first_aux)
 
     def fresh(self) -> str:
-        name = f"_aux{self._next_aux}"
-        self._next_aux += 1
+        name = f"_aux{self.result.next_aux}"
+        self.result.next_aux += 1
         return name
 
     def run(self, axioms) -> NormalizeResult:
@@ -302,92 +305,146 @@ class _Normalizer:
         self.result.normal.append(AtomExists(sub_atom, sup.property.iri.value, filler))
 
 
-def normalize(axioms) -> NormalizeResult:
-    """Rewrite axioms into normal forms, recording what was skipped."""
-    return _Normalizer().run(axioms)
+def normalize(axioms, first_aux: int = 1) -> NormalizeResult:
+    """Rewrite axioms into normal forms, naming auxiliaries from _aux{first_aux} on."""
+    return _Normalizer(first_aux).run(axioms)
 
 
 # --- saturation ------------------------------------------------------------
 
 
-def saturate(
-    normal: list[NormalAxiom], atoms=()
-) -> tuple[dict[str, set[str]], dict[str, set[tuple[str, str]]]]:
-    """The least fixpoint of the completion rules over the given axioms.
+class Saturation:
+    """S and R of every normal axiom added so far, at the least fixpoint.
 
-    Returns (S, R): S maps every atom to its entailed atomic subsumers
-    (always containing the atom itself and owl:Thing); R maps each role to
-    its derived edge set.
+    From the first `mark()` on, every addition to S, R and the indexes is
+    recorded on a trail; `undo(mark)` takes those made since mark back.
     """
-    universe: set[str] = set(atoms) | {TOP}
-    subs_by_lhs: dict[str, list[str]] = {}
-    conj_by_operand: dict[str, list[tuple[str, str]]] = {}
-    exists_rhs_by_lhs: dict[str, list[tuple[str, str]]] = {}
-    exists_lhs_by_key: dict[tuple[str, str], list[str]] = {}
 
-    for ax in normal:
-        if isinstance(ax, AtomAtom):
-            universe.update((ax.sub, ax.sup))
-            subs_by_lhs.setdefault(ax.sub, []).append(ax.sup)
-        elif isinstance(ax, ConjAtom):
-            universe.update((ax.left1, ax.left2, ax.sup))
-            conj_by_operand.setdefault(ax.left1, []).append((ax.left2, ax.sup))
-            conj_by_operand.setdefault(ax.left2, []).append((ax.left1, ax.sup))
-        elif isinstance(ax, AtomExists):
-            universe.update((ax.sub, ax.filler))
-            exists_rhs_by_lhs.setdefault(ax.sub, []).append((ax.role, ax.filler))
-        elif isinstance(ax, ExistsAtom):
-            universe.update((ax.filler, ax.sup))
-            exists_lhs_by_key.setdefault((ax.role, ax.filler), []).append(ax.sup)
-        else:
-            raise TypeError(f"not a normal axiom: {ax!r}")
+    def __init__(self) -> None:
+        self.S: dict[str, set[str]] = {}
+        self.R: dict[str, set[tuple[str, str]]] = {}
+        self.edges_by_target: dict[str, set[tuple[str, str]]] = {}
+        self.subs_by_lhs: dict[str, list[str]] = {}
+        self.conj_by_operand: dict[str, list[tuple[str, str]]] = {}
+        self.exists_rhs_by_lhs: dict[str, list[tuple[str, str]]] = {}
+        self.exists_lhs_by_key: dict[tuple[str, str], list[str]] = {}
+        self._trail: list[tuple] | None = None  # (forget, item): forget(item) undoes one
 
-    S: dict[str, set[str]] = {a: set() for a in universe}
-    R: dict[str, set[tuple[str, str]]] = {}
-    edges_by_target: dict[str, set[tuple[str, str]]] = {}
-    queue: deque[tuple] = deque()
+    def mark(self) -> int:
+        self._trail = [] if self._trail is None else self._trail
+        return len(self._trail)
 
-    def add_sub(c: str, d: str) -> None:
-        if d not in S[c]:
-            S[c].add(d)
-            queue.append(("s", c, d))
+    def undo(self, mark: int) -> None:
+        while len(self._trail) > mark:
+            forget, item = self._trail.pop()
+            forget(item)
 
-    def add_edge(role: str, src: str, tgt: str) -> None:
-        edges = R.setdefault(role, set())
-        if (src, tgt) not in edges:
-            edges.add((src, tgt))
-            edges_by_target.setdefault(tgt, set()).add((role, src))
-            queue.append(("e", role, src, tgt))
+    def extend(self, normal: list[NormalAxiom], atoms=()) -> None:
+        """Add normal axioms and atoms, then saturate from the old fixpoint.
 
-    for a in universe:
-        add_sub(a, a)
-        add_sub(a, TOP)
+        A new atom starts from {itself, owl:Thing}. An old atom C re-fires
+        ("s", C, D) for each trigger D in S(C): the left atom of a new A ⊑ B or
+        A ⊑ ∃r.B, one operand of a new A1 ⊓ A2 ⊑ B, or the E of a new ∃r.E ⊑ B.
+        """
+        S, R, edges_by_target, trail = self.S, self.R, self.edges_by_target, self._trail
+        subs_by_lhs, conj_by_operand = self.subs_by_lhs, self.conj_by_operand
+        exists_rhs_by_lhs, exists_lhs_by_key = self.exists_rhs_by_lhs, self.exists_lhs_by_key
+        universe: set[str] = set(atoms) | {TOP}
+        triggers: set[str] = set()
+        queue: deque[tuple] = deque()
 
-    while queue:
-        event = queue.popleft()
-        if event[0] == "s":
-            _, c, d = event
-            for sup in subs_by_lhs.get(d, ()):
-                add_sub(c, sup)
-            for other, sup in conj_by_operand.get(d, ()):
-                if other in S[c]:
+        def entry(table: dict, key, make):
+            value = table.get(key)
+            if value is None:
+                value = table[key] = make()
+                if trail is not None:
+                    trail.append((table.pop, key))
+            return value
+
+        def index(table: dict, key, value) -> None:
+            entries = entry(table, key, list)
+            entries.append(value)
+            if trail is not None:
+                trail.append((entries.pop, -1))
+
+        for ax in normal:
+            if isinstance(ax, AtomAtom):
+                universe.update((ax.sub, ax.sup))
+                index(subs_by_lhs, ax.sub, ax.sup)
+                triggers.add(ax.sub)
+            elif isinstance(ax, ConjAtom):
+                universe.update((ax.left1, ax.left2, ax.sup))
+                index(conj_by_operand, ax.left1, (ax.left2, ax.sup))
+                index(conj_by_operand, ax.left2, (ax.left1, ax.sup))
+                triggers.add(ax.left1)  # R2 needs both operands in S(C), so one suffices
+            elif isinstance(ax, AtomExists):
+                universe.update((ax.sub, ax.filler))
+                index(exists_rhs_by_lhs, ax.sub, (ax.role, ax.filler))
+                triggers.add(ax.sub)
+            elif isinstance(ax, ExistsAtom):
+                universe.update((ax.filler, ax.sup))
+                index(exists_lhs_by_key, (ax.role, ax.filler), ax.sup)
+                triggers.add(ax.filler)
+            else:
+                raise TypeError(f"not a normal axiom: {ax!r}")
+
+        def add_sub(c: str, d: str) -> None:
+            subsumers = S[c]
+            if d not in subsumers:
+                subsumers.add(d)
+                queue.append(("s", c, d))
+                if trail is not None:
+                    trail.append((subsumers.remove, d))
+
+        def add_edge(role: str, src: str, tgt: str) -> None:
+            edges = entry(R, role, set)
+            if (src, tgt) not in edges:
+                edges.add((src, tgt))
+                sources = entry(edges_by_target, tgt, set)
+                sources.add((role, src))
+                queue.append(("e", role, src, tgt))
+                if trail is not None:
+                    trail.append((edges.remove, (src, tgt)))
+                    trail.append((sources.remove, (role, src)))
+
+        for c, subsumers in S.items():
+            for d in triggers.intersection(subsumers):
+                queue.append(("s", c, d))
+        for a in universe.difference(S):
+            entry(S, a, set)
+            add_sub(a, a)
+            add_sub(a, TOP)
+
+        while queue:
+            event = queue.popleft()
+            if event[0] == "s":
+                _, c, d = event
+                for sup in subs_by_lhs.get(d, ()):
                     add_sub(c, sup)
-            for role, filler in exists_rhs_by_lhs.get(d, ()):
-                add_edge(role, c, filler)
-            for role, src in tuple(edges_by_target.get(c, ())):
-                for sup in exists_lhs_by_key.get((role, d), ()):
-                    add_sub(src, sup)
-                if d == BOT:
+                for other, sup in conj_by_operand.get(d, ()):
+                    if other in S[c]:
+                        add_sub(c, sup)
+                for role, filler in exists_rhs_by_lhs.get(d, ()):
+                    add_edge(role, c, filler)
+                for role, src in tuple(edges_by_target.get(c, ())):
+                    for sup in exists_lhs_by_key.get((role, d), ()):
+                        add_sub(src, sup)
+                    if d == BOT:
+                        add_sub(src, BOT)
+            else:
+                _, role, src, tgt = event
+                for d in S[tgt].copy():
+                    for sup in exists_lhs_by_key.get((role, d), ()):
+                        add_sub(src, sup)
+                if BOT in S[tgt]:
                     add_sub(src, BOT)
-        else:
-            _, role, src, tgt = event
-            for d in S[tgt].copy():
-                for sup in exists_lhs_by_key.get((role, d), ()):
-                    add_sub(src, sup)
-            if BOT in S[tgt]:
-                add_sub(src, BOT)
 
-    return S, R
+
+def saturate(normal: list[NormalAxiom], atoms=()) -> tuple[dict, dict]:
+    """(S, R) of a fresh `Saturation` extended once with the given axioms."""
+    engine = Saturation()
+    engine.extend(normal, atoms)
+    return engine.S, engine.R
 
 
 # --- the classified view ---------------------------------------------------
@@ -413,19 +470,59 @@ class CoherenceReport:
     unsatisfiable: tuple[str, ...]
 
 
-def classify(axioms) -> Taxonomy:
-    """Normalize, saturate, and project onto the named classes."""
-    norm = normalize(axioms)
-    S, R = saturate(norm.normal, norm.classes)
-    named = norm.classes | {TOP, BOT}
-    subsumers = {c: frozenset(S[c] & named) for c in norm.classes}
+def _project(S, R, classes, skipped) -> Taxonomy:
+    named = {TOP, BOT}.union(classes)
+    subsumers = {c: frozenset(S[c] & named) for c in classes}
     role_edges = {
         role: frozenset((a, b) for a, b in pairs if a in named and b in named)
         for role, pairs in R.items()
     }
     role_edges = {role: pairs for role, pairs in role_edges.items() if pairs}
-    unsat = frozenset(c for c in norm.classes if BOT in S[c])
-    return Taxonomy(subsumers, role_edges, unsat, tuple(norm.skipped))
+    unsat = frozenset(c for c in classes if BOT in S[c])
+    return Taxonomy(subsumers, role_edges, unsat, tuple(skipped))
+
+
+def classify(axioms) -> Taxonomy:
+    """Normalize, saturate, and project onto the named classes."""
+    norm = normalize(axioms)
+    S, R = saturate(norm.normal, norm.classes)
+    return _project(S, R, norm.classes, norm.skipped)
+
+
+class Classifier:
+    """A classification that axioms can be added to and taken back from.
+
+    Its taxonomy equals `classify` of every axiom added and not undone.
+    """
+
+    def __init__(self, axioms) -> None:
+        self.saturation = Saturation()
+        self._classes: frozenset[str] = frozenset()
+        self._skipped: tuple[SkippedAxiom, ...] = ()
+        self._next_aux = 1  # carries on across undo, so auxiliary names never repeat
+        self._taxonomy: Taxonomy | None = None
+        self.add(axioms)
+
+    def add(self, axioms) -> None:
+        norm = normalize(axioms, self._next_aux)
+        self._next_aux = norm.next_aux
+        self._classes |= norm.classes
+        self._skipped += tuple(norm.skipped)
+        self.saturation.extend(norm.normal, norm.classes)
+        self._taxonomy = None
+
+    def mark(self) -> tuple:
+        return self.saturation.mark(), self._classes, self._skipped, self._taxonomy
+
+    def undo(self, mark: tuple) -> None:
+        at, self._classes, self._skipped, self._taxonomy = mark
+        self.saturation.undo(at)
+
+    def taxonomy(self) -> Taxonomy:
+        if self._taxonomy is None:
+            sat = self.saturation
+            self._taxonomy = _project(sat.S, sat.R, self._classes, self._skipped)
+        return self._taxonomy
 
 
 def _lookup(taxonomy: Taxonomy, entity: Entity) -> str:

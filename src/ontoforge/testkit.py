@@ -5,34 +5,23 @@ ontology. Probe blocks add throwaway entities, evaluate one assertion against
 the probed ontology, and then roll the ontology back to its mark from before
 the block, so it is structurally identical before and after, even on error.
 
-Each ontology state is classified at most once, on first use: the base
-ontology once per `run_tests`, and each probed state once per probe block.
+`run_tests` classifies the base ontology once. A probe block extends that
+classification with its own axioms and undoes the extension on the way out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Callable
 
 from .errors import Location, OntoforgeError
 from .evaluator import Environment, Evaluator, TestDef
 from .model import IRI, Kind
-from .reasoner import Taxonomy, classify, coherence_report, inferred_superclass
+from .reasoner import Classifier, coherence_report, inferred_superclass
 from .sexpr import BracketForm, Form, Identifier, ListForm, Text, is_valid_identifier
 
 
 class TestSyntax(OntoforgeError):
     pass
-
-
-def lazy_taxonomy(env: Environment) -> Callable[[], Taxonomy]:
-    """The taxonomy of env's current ontology state, classified on first call.
-
-    Valid only while that state lasts: probe blocks roll back before they
-    return, so a taxonomy made outside a block stays valid after it.
-    """
-    return cache(lambda: classify(env.axiom_closure()))
 
 
 @dataclass(frozen=True)
@@ -67,11 +56,11 @@ def _assertion_head(form: Form) -> tuple[Identifier, tuple[Form, ...]]:
 
 def eval_assertion(
     env: Environment,
-    taxonomy: Callable[[], Taxonomy],
+    classifier: Classifier,
     form: Form,
     _evaluator: Evaluator | None = None,
 ) -> bool:
-    """Evaluate one assertion; taxonomy yields the current state's taxonomy."""
+    """Evaluate one assertion; classifier holds env's current ontology state."""
     ev = _evaluator if _evaluator is not None else Evaluator(env)
     head, args = _assertion_head(form)
     if head.name == "isuperclass?":
@@ -79,22 +68,22 @@ def eval_assertion(
             raise TestSyntax("isuperclass? takes a subclass and a superclass", form.location)
         sub = ev.resolve_class(args[0])
         sup = ev.resolve_class(args[1])
-        return inferred_superclass(taxonomy(), sub, sup)
+        return inferred_superclass(classifier.taxonomy(), sub, sup)
     if head.name == "coherent?":
         if args:
             raise TestSyntax("coherent? takes no arguments", form.location)
-        return not taxonomy().unsatisfiable
+        return not classifier.taxonomy().unsatisfiable
     if head.name == "not":
         if len(args) != 1:
             raise TestSyntax("not takes exactly one assertion", form.location)
-        return not eval_assertion(env, taxonomy, args[0], ev)
+        return not eval_assertion(env, classifier, args[0], ev)
     if head.name == "with-probe-entities":
         if len(args) != 2 or not isinstance(args[0], BracketForm):
             raise TestSyntax(
                 "with-probe-entities takes a bracket of bindings and one assertion",
                 form.location,
             )
-        return run_probe_block(env, args[0].children, args[1], ev)
+        return run_probe_block(env, classifier, args[0].children, args[1], ev)
     raise TestSyntax(f"unknown assertion '{head.name}'", head.location)
 
 
@@ -120,14 +109,15 @@ def _probe_binding(binding: Form) -> tuple[Identifier, ListForm, Text]:
 
 def run_probe_block(
     env: Environment,
+    classifier: Classifier,
     bindings,
     body: Form,
     _evaluator: Evaluator | None = None,
 ) -> bool:
-    """Evaluate body with probe entities present, then roll the ontology back."""
+    """Evaluate body with probe entities present, then undo them in both stores."""
     ev = _evaluator if _evaluator is not None else Evaluator(env)
     ontology = env.ontology
-    mark = ontology.mark()
+    mark, classifier_mark = ontology.mark(), classifier.mark()
     saved_locals = dict(ev.locals)
     try:
         for binding in bindings:
@@ -141,15 +131,17 @@ def run_probe_block(
             entity = ev.eval_owlclass(maker)
             assert entity.kind is Kind.CLASS
             ev.locals[name.name] = entity
-        return eval_assertion(env, lazy_taxonomy(env), body, ev)
+        classifier.add(ontology.axioms[mark[0]:])
+        return eval_assertion(env, classifier, body, ev)
     finally:
+        classifier.undo(classifier_mark)
         ontology.rollback(mark)
         ev.locals = saved_locals
 
 
 def run_tests(env: Environment) -> TestReport:
     """Run every deftest of the namespace in source order."""
-    taxonomy = lazy_taxonomy(env)
+    classifier = Classifier(env.axiom_closure())
     ev = Evaluator(env)
     report = TestReport(tests=len(env.tests))
     for test in env.tests:
@@ -158,9 +150,9 @@ def run_tests(env: Environment) -> TestReport:
             if head.name != "is" or len(args) != 1:
                 raise TestSyntax("test bodies are (is assertion) forms", form.location)
             report.assertions += 1
-            if not eval_assertion(env, taxonomy, args[0], ev):
+            if not eval_assertion(env, classifier, args[0], ev):
                 report.failures.append(TestFailure(test.name, index, form.location))
-    report.unsatisfiable = coherence_report(taxonomy()).unsatisfiable
+    report.unsatisfiable = coherence_report(classifier.taxonomy()).unsatisfiable
     return report
 
 

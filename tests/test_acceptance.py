@@ -30,10 +30,10 @@ from ontoforge.importer import (
 )
 from ontoforge.model import Kind
 from ontoforge.polyglot import apply_labels, emit_skeleton, parse_properties
-from ontoforge.reasoner import classify
+from ontoforge.reasoner import Classifier, classify
 from ontoforge.serializer import render_functional, render_omn
 from ontoforge.sexpr import read_forms
-from ontoforge.testkit import eval_assertion, lazy_taxonomy, run_tests
+from ontoforge.testkit import eval_assertion, run_tests
 
 
 @contextmanager
@@ -99,12 +99,12 @@ def test_criterion_03_reasoner_matches_the_oracle():
 def test_criterion_04_probe_blocks_restore_the_ontology():
     with criterion(4, "100 random probe blocks leave the ontology byte-identical"):
         env = pizza_env()
-        taxonomy = lazy_taxonomy(env)
+        classifier = Classifier(env.axiom_closure())
         before = render_functional(env.ontology)
         for seed in range(100):
             text = random_probe_text(random.Random(seed), env)
             (form,) = read_forms(text)
-            eval_assertion(env, taxonomy, form)
+            eval_assertion(env, classifier, form)
             assert render_functional(env.ontology) == before, seed
 
 

@@ -384,6 +384,41 @@ def test_relative_iri_in_external_file_exits_two(interning_tree, capsys):
     assert "not an absolute IRI: 'foo'" in stderr
 
 
+def test_invalid_axiom_in_external_file_exits_two(interning_tree, capsys):
+    (interning_tree / "ext.ofn").write_text(
+        EXT_OFN.replace("\n)\n", "\nDisjointClasses(e:Part e:Part)\n)\n"), encoding="utf-8"
+    )
+    code, _, stderr = run_cli(capsys, "check", "--src", str(interning_tree))
+    assert code == 2
+    assert_one_located_error(stderr, interning_tree / "ext.ofn", 5, 1)
+    assert "disjoint classes must be pairwise distinct" in stderr
+
+
+def test_non_utf8_label_file_exits_two_at_the_bad_byte(menu_tree, tmp_path, capsys):
+    labels = tmp_path / "bad.properties"
+    labels.write_bytes(b"Pizza=La Pizza\n\xff\n")
+    code, stdout, stderr = run_cli(
+        capsys,
+        "labels", "apply", "--src", str(menu_tree), "--lang", "it", "--file", str(labels),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert_one_located_error(stderr, labels, 2, 1)
+    assert "not valid UTF-8" in stderr
+
+
+def test_non_utf8_memo_file_exits_two_at_the_bad_byte(interning_tree, tmp_path, capsys):
+    memo = tmp_path / "bad.memo"
+    memo.write_bytes(b"#memo https://example.org/ext\nPart\thttps://example.org/ext#P\xffart\n")
+    code, stdout, stderr = run_cli(
+        capsys, "memorise", "check", "--src", str(interning_tree), "--file", str(memo)
+    )
+    assert code == 2
+    assert stdout == ""
+    assert_one_located_error(stderr, memo, 2, 31)
+    assert "not valid UTF-8" in stderr
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 2
     assert run_cli(capsys)[0] == 2

@@ -164,6 +164,19 @@ def test_relative_iris_are_located_parse_errors():
         assert err.value.location == Location("dep.ofn", line, column), text
 
 
+def test_model_constructor_errors_are_located_at_the_axiom():
+    cases = {
+        "DisjointClasses(e:A e:A)": "disjoint classes must be pairwise distinct",
+        "DisjointClasses(e:A)": "disjointness needs at least two classes",
+        "EquivalentClasses(e:A)": "need at least two operands",
+    }
+    for line, message in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_functional(functional("Declaration(Class(e:A))", line), file="dep.ofn")
+        assert message in err.value.message
+        assert err.value.location == Location("dep.ofn", 4, 1), line
+
+
 # --- label derivation ----------------------------------------------------------
 
 

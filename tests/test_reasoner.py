@@ -31,6 +31,7 @@ from ontoforge.reasoner import (
     BOT,
     ConjAtom,
     ExistsAtom,
+    Saturation,
     TOP,
     Taxonomy,
     UnknownEntity,
@@ -213,6 +214,27 @@ def test_saturation_propagates_bottom_over_edges():
     S, _ = saturate(normal, {"A", "B"})
     assert BOT in S["A"]
     assert BOT in S["B"]
+
+
+def test_saturation_extends_to_the_fixpoint_from_scratch_and_undoes_exactly():
+    atoms = {"A", "B", "C", "D"}
+    base = [AtomAtom("A", "B"), AtomExists("A", "r", "C"), AtomAtom("C", "D")]
+    # each new axiom fires only through an old atom's existing subsumers
+    delta = [
+        ExistsAtom("r", "D", "P"),
+        ConjAtom("B", "P", "Q"),
+        AtomExists("Q", "s", "E"),
+        AtomAtom("E", BOT),
+    ]
+    engine = Saturation()
+    engine.extend(base, atoms)
+    before = ({c: set(s) for c, s in engine.S.items()}, {r: set(e) for r, e in engine.R.items()})
+    mark = engine.mark()
+    engine.extend(delta, {"P", "Q"})
+    assert (engine.S, engine.R) == saturate(base + delta, atoms | {"P", "Q"})
+    assert {"P", "Q", BOT} <= engine.S["A"]
+    engine.undo(mark)
+    assert (engine.S, engine.R) == before
 
 
 # --- classify ---------------------------------------------------------------

@@ -4,20 +4,20 @@ import random
 
 import pytest
 
-from ontoforge import cli, testkit
+from ontoforge import cli, reasoner, testkit
 from ontoforge.evaluator import eval_text
-from ontoforge.reasoner import classify
+from ontoforge.model import Kind
+from ontoforge.reasoner import Classifier, classify
 from ontoforge.serializer import render_functional
 from ontoforge.sexpr import read_forms
 from ontoforge.testkit import (
     TestSyntax,
     eval_assertion,
-    lazy_taxonomy,
     run_probe_block,
     run_tests,
     tap_lines,
 )
-from support import pizza_env, random_probe_text
+from support import pizza_env, random_el_ontology, random_probe_text
 
 BASE = "https://example.org/piz#"
 HEADER = f'(defontology piz :iri "{BASE}" :prefix "piz")\n'
@@ -33,8 +33,8 @@ def one_form(text: str):
     return forms[0]
 
 
-def check(env, text: str, taxonomy=None) -> bool:
-    return eval_assertion(env, taxonomy or lazy_taxonomy(env), one_form(text))
+def check(env, text: str, classifier=None) -> bool:
+    return eval_assertion(env, classifier or Classifier(env.axiom_closure()), one_form(text))
 
 
 SMALL = """
@@ -191,11 +191,11 @@ def test_probe_binding_shape_is_checked():
 def test_probe_blocks_leave_no_trace_on_random_inputs():
     env = pizza_env()
     rng = random.Random(321)
-    taxonomy = lazy_taxonomy(env)
+    classifier = Classifier(env.axiom_closure())
     before = render_functional(env.ontology)
     for _ in range(25):
         text = random_probe_text(rng, env)
-        eval_assertion(env, taxonomy, one_form(text))
+        eval_assertion(env, classifier, one_form(text))
         assert render_functional(env.ontology) == before
 
 
@@ -203,7 +203,93 @@ def test_run_probe_block_function_directly():
     env = run(SMALL)
     bracket = one_form('[(p (owlclass "Probe" :subclass Margherita))]')
     body = one_form("(isuperclass? p Pizza)")
-    assert run_probe_block(env, bracket.children, body) is True
+    classifier = Classifier(env.axiom_closure())
+    assert run_probe_block(env, classifier, bracket.children, body) is True
+
+
+# --- incremental probe blocks against classification from scratch --------------
+
+
+def el_env(seed: int):
+    """An env holding support.random_el_ontology(seed), its names bound."""
+    onto = random_el_ontology(random.Random(seed))
+    env = eval_text('(defontology gen :iri "https://example.org/gen#" :prefix "g")', "gen")
+    env.ontology.add_axioms(onto.axioms)
+    env.bindings.update({iri.value.rpartition("#")[2]: e for iri, e in onto.entities.items()})
+    return env
+
+
+def random_nested_probe(rng: random.Random, env, depth: int = 0, outer=()) -> str:
+    """A probe block whose bindings use :subclass, :equivalent or :disjoint
+    with owlsome/owland operands, whose body may be another block."""
+    names = [n for n, e in sorted(env.bindings.items()) if e.kind is Kind.CLASS]
+    roles = [n for n, e in sorted(env.bindings.items()) if e.kind is Kind.OBJECT_PROPERTY]
+    local = [f"p{depth}_{i}" for i in range(rng.randint(1, 2))]
+
+    def ce(scope):
+        roll = rng.random()
+        if roll < 0.5:
+            return rng.choice(scope)
+        if roll < 0.8:
+            return f"(owlsome {rng.choice(roles)} {ce(scope)})"
+        return f"(owland {ce(scope)} {ce(scope)})"
+
+    bindings = []
+    for i, name in enumerate(local):
+        scope = names + list(outer) + local[:i]
+        option = rng.choice([":subclass", ":equivalent", ":equivalent", ":disjoint"])
+        if option == ":disjoint":
+            operands = f"{rng.choice(names)} :subclass {ce(scope)}"
+        else:
+            operands = " ".join(ce(scope) for _ in range(rng.randint(1, 2)))
+        bindings.append(f'({name} (owlclass "Probe{depth}_{i}" {option} {operands}))')
+    scope = names + list(outer) + local
+    if depth < 1 and rng.random() < 0.6:
+        body = random_nested_probe(rng, env, depth + 1, (*outer, *local))
+    elif rng.random() < 0.3:
+        body = "(coherent?)"
+    else:
+        body = f"(isuperclass? {rng.choice(scope)} {rng.choice(scope)})"
+    return f"(with-probe-entities [{' '.join(bindings)}] {body})"
+
+
+def snapshot(saturation):
+    return {
+        name: {key: tuple(v) if isinstance(v, list) else frozenset(v) for key, v in table.items()}
+        for name, table in vars(saturation).items()
+        if name != "_trail"
+    }
+
+
+@pytest.mark.parametrize("source", ["pizza", "random-el"])
+def test_incremental_probe_taxonomies_equal_classification_from_scratch(source, monkeypatch):
+    plain_eval, plain_block = testkit.eval_assertion, testkit.run_probe_block
+    checked = []
+
+    def checking_eval(env, classifier, form, ev=None):
+        scratch = classify(env.axiom_closure())
+        incremental = classifier.taxonomy()
+        assert incremental.subsumers == scratch.subsumers
+        assert incremental.unsatisfiable == scratch.unsatisfiable
+        checked.append(1)
+        return plain_eval(env, classifier, form, ev)
+
+    def checking_block(env, classifier, bindings, body, ev=None):
+        before = snapshot(classifier.saturation)
+        try:
+            return plain_block(env, classifier, bindings, body, ev)
+        finally:
+            assert snapshot(classifier.saturation) == before
+
+    monkeypatch.setattr(testkit, "eval_assertion", checking_eval)
+    monkeypatch.setattr(testkit, "run_probe_block", checking_block)
+    for seed in range(30 if source == "pizza" else 100):
+        env = pizza_env() if source == "pizza" else el_env(seed)
+        classifier = Classifier(env.axiom_closure())
+        rng = random.Random(seed)
+        for _ in range(4):
+            checking_eval(env, classifier, one_form(random_nested_probe(rng, env)))
+    assert len(checked) > 300
 
 
 # --- one taxonomy per ontology state -------------------------------------------
@@ -211,17 +297,19 @@ def test_run_probe_block_function_directly():
 
 def test_probe_results_never_leak_through_the_cache():
     env = run(SMALL)
-    taxonomy = lazy_taxonomy(env)
-    check(env, "(coherent?)", taxonomy)
+    classifier = Classifier(env.axiom_closure())
+    base = classifier.taxonomy()
+    check(env, "(coherent?)", classifier)
     assert check(
         env,
         '(not (with-probe-entities [(p (owlclass "Probe" :subclass Pizza IceCream))]'
         " (coherent?)))",
-        taxonomy,
+        classifier,
     )
-    # the base taxonomy was classified before the probe and stays clean
-    assert not taxonomy().unsatisfiable
-    assert BASE + "Probe" not in taxonomy().subsumers
+    # undoing the block restores the base taxonomy, which stays clean
+    assert classifier.taxonomy() is base
+    assert not base.unsatisfiable
+    assert BASE + "Probe" not in base.subsumers
 
 
 PROBED_SUITE = SMALL + """
@@ -237,25 +325,33 @@ PROBED_SUITE = SMALL + """
 """
 
 
-def test_each_ontology_state_is_classified_once(monkeypatch, tmp_path, capsys):
-    probe_blocks = 3
-    calls = []
+def test_one_full_classification_per_run_tests_none_per_probe_block(
+    monkeypatch, tmp_path, capsys
+):
+    classified, built = [], []
 
     def counted(axioms):
-        calls.append(1)
+        classified.append(1)
         return classify(axioms)
 
-    monkeypatch.setattr(testkit, "classify", counted)
+    class CountedSaturation(reasoner.Saturation):
+        def __init__(self):
+            built.append(1)
+            super().__init__()
+
+    monkeypatch.setattr(reasoner, "classify", counted)
     monkeypatch.setattr(cli, "classify", counted)
+    monkeypatch.setattr(reasoner, "Saturation", CountedSaturation)
     report = run_tests(run(PROBED_SUITE))
     assert report.ok and report.assertions == 7
-    assert len(calls) == 1 + probe_blocks
+    assert (len(classified), len(built)) == (0, 1)
 
-    calls.clear()
+    classified.clear()
+    built.clear()
     (tmp_path / "piz.ont").write_text(HEADER + PROBED_SUITE, encoding="utf-8")
     assert cli.main(["test", "--src", str(tmp_path)]) == 0
     assert capsys.readouterr().out.endswith("# 2 tests, 7 assertions, 0 failures\n")
-    assert len(calls) == 1 + probe_blocks
+    assert (len(classified), len(built)) == (0, 1)
 
 
 # --- run_tests and TAP -------------------------------------------------------------
