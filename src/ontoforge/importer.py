@@ -4,6 +4,15 @@ Covers three jobs: parsing the functional-style interchange format back into
 an Ontology, deriving DSL identifiers from IRI fragments or rdfs:labels, and
 keeping memorised identifier-to-IRI snapshots so upstream renames surface as
 deprecated aliases instead of silent breakage.
+
+The parser tokenizes in one regex pass into plain (kind, text, offset)
+tuples; a line and column are computed from an offset only when a diagnostic
+needs them. Each distinct IRI or CURIE text is validated and built once per
+parse. Parenthesis nesting is capped at `sexpr.MAX_NESTING`, as in `.ont`
+sources. Loading registers every declaration first, then adds the axioms in
+text order, walking each axiom's signature once to import the entities it
+mentions and to check their kinds; a kind conflict is located at the head of
+the axiom that meets it.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from .model import (
     AnnotationAssertion,
     AnnotationValue,
     Axiom,
-    BUILTIN_ENTITIES,
     ClassExpression,
     Declaration,
     DisjointClasses,
@@ -45,9 +53,8 @@ from .model import (
     SubObjectPropertyOf,
     THING,
     TransitiveObjectProperty,
-    axiom_signature,
 )
-from .sexpr import IDENTIFIER_RE, ParseError
+from .sexpr import IDENTIFIER_RE, MAX_NESTING, ParseError
 
 if TYPE_CHECKING:
     from .evaluator import Environment
@@ -67,53 +74,41 @@ class WrongOntology(OntoforgeError):
 
 # --- functional-style parsing -----------------------------------------------
 
+# One match per token, leading whitespace included. Any character no token
+# starts with is a `bad` token of its own, so the matches tile the text.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r\n]+)
-      | (?P<open>\()
-      | (?P<close>\))
-      | (?P<bind>:=)
-      | (?P<iriref><[^<>\s]+>)
-      | (?P<literal>"(?:[^"\\]|\\.)*")
-      | (?P<lang>@[A-Za-z0-9][A-Za-z0-9-]*)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_.-]*(?::[A-Za-z_][A-Za-z0-9_.-]*)?)
-    """,
+    r"""[ \t\r\n]*
+      (?: (?P<open>\()
+        | (?P<close>\))
+        | (?P<bind>:=)
+        | (?P<iriref><[^<>\s]+>)
+        | (?P<literal>"[^"\\]*(?:\\.[^"\\]*)*")
+        | (?P<lang>@[A-Za-z0-9][A-Za-z0-9-]*)
+        | (?P<name>[A-Za-z_][A-Za-z0-9_.-]*(?::[A-Za-z_][A-Za-z0-9_.-]*)?)
+        | (?P<bad>.)
+      )""",
     re.VERBOSE,
 )
 
 _UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    type: str
-    text: str
-    line: int
-    column: int
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) per token: its group name, its text, where it starts."""
+    end = len(text.rstrip(" \t\r\n"))
+    return [
+        (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
+        for m in _TOKEN_RE.finditer(text, 0, end)
+    ]
 
 
-def _tokenize(text: str, file: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise ParseError(f"unexpected character {text[pos]!r}", Location(file, line, col))
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, value, line, m.start() - line_start + 1))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + value.rfind("\n") + 1
-        pos = m.end()
-    return tokens
+def _unescape_literal(body: str) -> str:
+    """A literal's text from its body between the quotes.
 
-
-def _unescape_literal(body: str, loc: Location) -> str:
+    Raises ValueError naming the first unknown escape.
+    """
+    if "\\" not in body:
+        return body
     out: list[str] = []
     i = 0
     while i < len(body):
@@ -121,7 +116,7 @@ def _unescape_literal(body: str, loc: Location) -> str:
         if ch == "\\":
             esc = body[i + 1]
             if esc not in _UNESCAPE:
-                raise ParseError(f"unknown escape '\\{esc}' in literal", loc)
+                raise ValueError(f"unknown escape '\\{esc}' in literal")
             out.append(_UNESCAPE[esc])
             i += 2
         else:
@@ -161,45 +156,58 @@ _KIND_BY_KEYWORD = {
 
 class _FunctionalParser:
     def __init__(self, text: str, file: str):
-        self.tokens = _tokenize(text, file)
+        self.text = text
         self.file = file
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.prefixes: dict[str, str] = {"owl": OWL_NS, "rdfs": RDFS_NS}
+        # Each IRI by the IRI or CURIE text it was built from. Every Prefix
+        # comes before the first IRI, so one text always means one IRI.
+        self.iris: dict[str, IRI] = {}
+        for kind, value, offset in self.tokens:
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", self._loc(offset))
 
-    def _loc(self, token: _Token) -> Location:
-        return Location(self.file, token.line, token.column)
+    def _loc(self, offset: int) -> Location:
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        line = self.text.count("\n", 0, line_start) + 1
+        return Location(self.file, line, offset - line_start + 1)
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
-            last = self.tokens[-1] if self.tokens else _Token("ws", "", 1, 1)
+    def next(self) -> tuple[str, str, int]:
+        if self.pos >= len(self.tokens):
+            last = self.tokens[-1][2] if self.tokens else 0
             raise ParseError("unexpected end of input", self._loc(last))
+        token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def expect(self, type_: str, text: str | None = None) -> _Token:
+    def expect(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
         token = self.next()
-        if token.type != type_ or (text is not None and token.text != text):
-            want = text or type_
-            raise ParseError(f"expected {want!r}, found {token.text!r}", self._loc(token))
+        if token[0] != kind or (text is not None and token[1] != text):
+            want = text or kind
+            raise ParseError(f"expected {want!r}, found {token[1]!r}", self._loc(token[2]))
         return token
+
+    def _unsupported(self, token: tuple[str, str, int]) -> UnsupportedConstruct:
+        loc = self._loc(token[2])
+        return UnsupportedConstruct(f"unsupported construct '{token[1]}' at line {loc.line}", loc)
 
     def parse(self) -> Ontology:
         while True:
             token = self.peek()
-            if token is not None and token.type == "name" and token.text == "Prefix":
+            if token is not None and token[0] == "name" and token[1] == "Prefix":
                 self.next()
                 self.expect("open")
                 label = self.expect("name")
-                if ":" in label.text:
-                    raise ParseError(f"bad prefix label {label.text!r}", self._loc(label))
+                if ":" in label[1]:
+                    raise ParseError(f"bad prefix label {label[1]!r}", self._loc(label[2]))
                 self.expect("bind")
-                base = self.expect("iriref").text[1:-1]
+                base = self.expect("iriref")[1][1:-1]
                 self.expect("close")
-                self.prefixes[label.text] = base
+                self.prefixes[label[1]] = base
             else:
                 break
 
@@ -214,152 +222,149 @@ class _FunctionalParser:
         }
 
         axioms: list[Axiom] = []
+        heads: list[int] = []
         while True:
             token = self.peek()
             if token is None:
-                raise ParseError("unterminated Ontology(...)", self._loc(iri_token))
-            if token.type == "close":
+                raise ParseError("unterminated Ontology(...)", self._loc(iri_token[2]))
+            if token[0] == "close":
                 self.next()
                 break
+            heads.append(token[2])
             axioms.append(self._axiom())
 
         trailing = self.peek()
         if trailing is not None:
-            raise ParseError(f"unexpected {trailing.text!r} after ontology", self._loc(trailing))
+            raise ParseError(f"unexpected {trailing[1]!r} after ontology", self._loc(trailing[2]))
 
-        for axiom in axioms:
-            if isinstance(axiom, Declaration):
-                known = ontology.entities.get(axiom.entity.iri)
-                if known is not None and known.kind is not axiom.entity.kind:
-                    raise DuplicateEntityKind(
-                        f"<{axiom.entity.iri}> declared as both {known.kind.value} "
-                        f"and {axiom.entity.kind.value}"
-                    )
-                ontology.entities.setdefault(axiom.entity.iri, axiom.entity)
-        for axiom in axioms:
-            for entity in axiom_signature(axiom):
-                if (
-                    entity.iri not in ontology.entities
-                    and entity.iri not in BUILTIN_ENTITIES
-                ):
-                    ontology.register_imported(entity)
-            ontology.add_axiom(axiom)
+        # Declarations first: an axiom may mention an entity declared below it.
+        # A kind conflict is located at the head of the axiom that meets it.
+        try:
+            for axiom, head in zip(axioms, heads):
+                if isinstance(axiom, Declaration):
+                    ontology.register_declared(axiom.entity)
+            for axiom, head in zip(axioms, heads):
+                ontology.load_axiom(axiom)
+        except DuplicateEntityKind as err:
+            raise DuplicateEntityKind(err.message, self._loc(head)) from None
         return ontology
 
-    def _iri(self, token: _Token) -> IRI:
-        if token.type == "iriref":
-            text = token.text[1:-1]
-        elif token.type == "name" and ":" in token.text:
-            label, local = token.text.split(":", 1)
+    def _iri(self, token: tuple[str, str, int]) -> IRI:
+        text = token[1]
+        iri = self.iris.get(text)
+        if iri is not None:
+            return iri
+        if token[0] == "iriref":
+            value = text[1:-1]
+        elif token[0] == "name" and ":" in text:
+            label, local = text.split(":", 1)
             base = self.prefixes.get(label)
             if base is None:
-                raise ParseError(f"unknown prefix '{label}'", self._loc(token))
-            text = base + local
+                raise ParseError(f"unknown prefix '{label}'", self._loc(token[2]))
+            value = base + local
         else:
-            raise ParseError(f"expected an IRI or CURIE, found {token.text!r}", self._loc(token))
+            raise ParseError(f"expected an IRI or CURIE, found {text!r}", self._loc(token[2]))
         try:
-            return IRI(text)
+            iri = self.iris[text] = IRI(value)
         except ValueError as err:
-            raise ParseError(str(err), self._loc(token)) from None
+            raise ParseError(str(err), self._loc(token[2])) from None
+        return iri
 
     def _entity(self, kind: Kind) -> Entity:
         return Entity(kind, self._iri(self.next()))
 
-    def _class_expression(self) -> ClassExpression:
+    def _class_expression(self, depth: int) -> ClassExpression:
+        """One class expression inside depth levels of parentheses."""
         token = self.next()
-        if token.type == "iriref" or (token.type == "name" and ":" in token.text):
+        kind, name, _ = token
+        if kind == "iriref" or (kind == "name" and ":" in name):
             iri = self._iri(token)
             if iri.value == OWL_NS + "Thing":
                 return THING
             if iri.value == OWL_NS + "Nothing":
                 return NOTHING
             return Named(Entity(Kind.CLASS, iri))
-        if token.type != "name":
-            raise ParseError(f"expected a class expression, found {token.text!r}", self._loc(token))
-        head = token
-        if head.text not in _CE_HEADS:
-            raise UnsupportedConstruct(
-                f"unsupported construct '{head.text}' at line {head.line}", self._loc(head)
-            )
-        self.expect("open")
-        name = head.text
+        if kind != "name":
+            raise ParseError(f"expected a class expression, found {name!r}", self._loc(token[2]))
+        if name not in _CE_HEADS:
+            raise self._unsupported(token)
+        depth += 1
+        paren = self.expect("open")
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._loc(paren[2]))
         if name == "ObjectIntersectionOf" or name == "ObjectUnionOf":
             operands: list[ClassExpression] = []
-            while self.peek() is not None and self.peek().type != "close":
-                operands.append(self._class_expression())
+            while self.peek() is not None and self.peek()[0] != "close":
+                operands.append(self._class_expression(depth))
             self.expect("close")
             cls = And if name == "ObjectIntersectionOf" else Or
             if len(operands) < 2:
-                raise ParseError(f"{name} needs at least two operands", self._loc(head))
+                raise ParseError(f"{name} needs at least two operands", self._loc(token[2]))
             return cls(tuple(operands))
         if name == "ObjectComplementOf":
-            inner = self._class_expression()
+            inner = self._class_expression(depth)
             self.expect("close")
             return Not(inner)
         prop = self._entity(Kind.OBJECT_PROPERTY)
-        filler = self._class_expression()
+        filler = self._class_expression(depth)
         self.expect("close")
         cls = Some if name == "ObjectSomeValuesFrom" else Only
         return cls(prop, filler)
 
     def _literal(self) -> AnnotationValue:
         token = self.expect("literal")
-        text = _unescape_literal(token.text[1:-1], self._loc(token))
+        try:
+            text = _unescape_literal(token[1][1:-1])
+        except ValueError as err:
+            raise ParseError(str(err), self._loc(token[2])) from None
         lang = None
         nxt = self.peek()
-        if nxt is not None and nxt.type == "lang":
-            lang = self.next().text[1:]
+        if nxt is not None and nxt[0] == "lang":
+            lang = self.next()[1][1:]
         return AnnotationValue(text, lang)
 
     def _axiom(self) -> Axiom:
         head = self.next()
-        if head.type != "name":
-            raise ParseError(f"expected an axiom, found {head.text!r}", self._loc(head))
-        name = head.text
-        if name not in _AXIOM_HEADS:
-            raise UnsupportedConstruct(
-                f"unsupported construct '{name}' at line {head.line}", self._loc(head)
-            )
+        if head[0] != "name":
+            raise ParseError(f"expected an axiom, found {head[1]!r}", self._loc(head[2]))
+        if head[1] not in _AXIOM_HEADS:
+            raise self._unsupported(head)
         self.expect("open")
         try:
-            return self._axiom_body(head)
+            return self._axiom_body(head[1])
         except ValueError as err:  # a model constructor rejected the operands
-            raise ParseError(str(err), self._loc(head)) from None
+            raise ParseError(str(err), self._loc(head[2])) from None
 
-    def _axiom_body(self, head: _Token) -> Axiom:
-        name = head.text
+    def _axiom_body(self, name: str) -> Axiom:
+        # The ontology's and the axiom's parentheses enclose every operand.
+        depth = 2
         if name == "Declaration":
             kind_token = self.expect("name")
-            kind = _KIND_BY_KEYWORD.get(kind_token.text)
+            kind = _KIND_BY_KEYWORD.get(kind_token[1])
             if kind is None:
-                raise UnsupportedConstruct(
-                    f"unsupported construct '{kind_token.text}' at line {kind_token.line}",
-                    self._loc(kind_token),
-                )
+                raise self._unsupported(kind_token)
             self.expect("open")
-            entity = Entity(kind, self._iri(self.next()))
+            entity = self._entity(kind)
             self.expect("close")
             self.expect("close")
             return Declaration(entity)
         if name == "SubClassOf":
-            sub = self._class_expression()
-            sup = self._class_expression()
+            sub = self._class_expression(depth)
+            sup = self._class_expression(depth)
             self.expect("close")
             return SubClassOf(sub, sup)
         if name == "EquivalentClasses":
             operands = []
-            while self.peek() is not None and self.peek().type != "close":
-                operands.append(self._class_expression())
+            while self.peek() is not None and self.peek()[0] != "close":
+                operands.append(self._class_expression(depth))
             self.expect("close")
             return EquivalentClasses(tuple(operands))
         if name == "DisjointClasses":
             members = []
-            while self.peek() is not None and self.peek().type != "close":
-                ce = self._class_expression()
+            while self.peek() is not None and self.peek()[0] != "close":
+                ce = self._class_expression(depth)
                 if not isinstance(ce, Named):
-                    raise ParseError(
-                        "disjointness members must be named classes", self._loc(head)
-                    )
+                    raise ValueError("disjointness members must be named classes")
                 members.append(ce.entity)
             self.expect("close")
             return DisjointClasses(tuple(members))
@@ -370,12 +375,12 @@ class _FunctionalParser:
             return SubObjectPropertyOf(sub, sup)
         if name == "ObjectPropertyDomain":
             prop = self._entity(Kind.OBJECT_PROPERTY)
-            ce = self._class_expression()
+            ce = self._class_expression(depth)
             self.expect("close")
             return ObjectPropertyDomain(prop, ce)
         if name == "ObjectPropertyRange":
             prop = self._entity(Kind.OBJECT_PROPERTY)
-            ce = self._class_expression()
+            ce = self._class_expression(depth)
             self.expect("close")
             return ObjectPropertyRange(prop, ce)
         if name == "FunctionalObjectProperty":
@@ -403,7 +408,8 @@ def parse_functional(text: str, file: str = "<functional>") -> Ontology:
 
     Entities referenced without a declaration are registered as imported, so
     any output of render-functional parses back even when it mentions
-    entities declared elsewhere.
+    entities declared elsewhere. Axioms, declarations and imports keep the
+    order of the text.
     """
     return _FunctionalParser(text, file).parse()
 

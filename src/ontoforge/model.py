@@ -35,6 +35,9 @@ class IRI:
         if not self.value or self.value != self.value.strip() or not _SCHEME_RE.match(self.value):
             raise ValueError(f"not an absolute IRI: {self.value!r}")
 
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def fragment(self) -> str:
         """The part after the last '#', or after the last '/' when no '#' exists."""
         v = self.value
@@ -59,6 +62,11 @@ class Kind(Enum):
 class Entity:
     kind: Kind
     iri: IRI
+
+    def __hash__(self) -> int:
+        # One IRI rarely names two kinds, so its text alone spreads entities
+        # well, and a str keeps its hash once computed.
+        return hash(self.iri.value)
 
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
@@ -274,48 +282,59 @@ class Import(Axiom):
 # --- signatures ------------------------------------------------------------
 
 
+def _collect(ce: ClassExpression, out: list[Entity]) -> None:
+    """Append every entity inside a class expression to out, left to right."""
+    if isinstance(ce, Named):
+        out.append(ce.entity)
+    elif isinstance(ce, (And, Or)):
+        for op in ce.operands:
+            _collect(op, out)
+    elif isinstance(ce, Not):
+        _collect(ce.operand, out)
+    elif isinstance(ce, (Some, Only)):
+        out.append(ce.property)
+        _collect(ce.filler, out)
+    elif not isinstance(ce, (Thing, Nothing)):
+        raise TypeError(f"not a class expression: {ce!r}")
+
+
+def axiom_mentions(axiom: Axiom) -> list[Entity]:
+    """Every entity mentioned by an axiom, in textual order, repeats included."""
+    out: list[Entity] = []
+    if isinstance(axiom, Declaration):
+        out.append(axiom.entity)
+    elif isinstance(axiom, SubClassOf):
+        _collect(axiom.sub, out)
+        _collect(axiom.sup, out)
+    elif isinstance(axiom, EquivalentClasses):
+        for op in axiom.operands:
+            _collect(op, out)
+    elif isinstance(axiom, DisjointClasses):
+        out.extend(axiom.operands)
+    elif isinstance(axiom, SubObjectPropertyOf):
+        out.extend((axiom.sub, axiom.sup))
+    elif isinstance(axiom, (ObjectPropertyDomain, ObjectPropertyRange)):
+        out.append(axiom.property)
+        _collect(axiom.ce, out)
+    elif isinstance(
+        axiom, (FunctionalObjectProperty, TransitiveObjectProperty, AnnotationAssertion)
+    ):
+        out.append(axiom.property)
+    elif not isinstance(axiom, Import):
+        raise TypeError(f"not an axiom: {axiom!r}")
+    return out
+
+
 def expression_signature(ce: ClassExpression) -> set[Entity]:
     """Every entity mentioned inside a class expression."""
-    if isinstance(ce, Named):
-        return {ce.entity}
-    if isinstance(ce, (Thing, Nothing)):
-        return set()
-    if isinstance(ce, (And, Or)):
-        out: set[Entity] = set()
-        for op in ce.operands:
-            out |= expression_signature(op)
-        return out
-    if isinstance(ce, Not):
-        return expression_signature(ce.operand)
-    if isinstance(ce, (Some, Only)):
-        return {ce.property} | expression_signature(ce.filler)
-    raise TypeError(f"not a class expression: {ce!r}")
+    out: list[Entity] = []
+    _collect(ce, out)
+    return set(out)
 
 
 def axiom_signature(axiom: Axiom) -> set[Entity]:
     """Every entity mentioned by an axiom."""
-    if isinstance(axiom, Declaration):
-        return {axiom.entity}
-    if isinstance(axiom, SubClassOf):
-        return expression_signature(axiom.sub) | expression_signature(axiom.sup)
-    if isinstance(axiom, EquivalentClasses):
-        out: set[Entity] = set()
-        for op in axiom.operands:
-            out |= expression_signature(op)
-        return out
-    if isinstance(axiom, DisjointClasses):
-        return set(axiom.operands)
-    if isinstance(axiom, SubObjectPropertyOf):
-        return {axiom.sub, axiom.sup}
-    if isinstance(axiom, (ObjectPropertyDomain, ObjectPropertyRange)):
-        return {axiom.property} | expression_signature(axiom.ce)
-    if isinstance(axiom, (FunctionalObjectProperty, TransitiveObjectProperty)):
-        return {axiom.property}
-    if isinstance(axiom, AnnotationAssertion):
-        return {axiom.property}
-    if isinstance(axiom, Import):
-        return set()
-    raise TypeError(f"not an axiom: {axiom!r}")
+    return set(axiom_mentions(axiom))
 
 
 # --- the ontology store ----------------------------------------------------
@@ -363,6 +382,21 @@ class Ontology:
         self.imported[entity.iri] = entity
         return entity
 
+    def register_declared(self, entity: Entity) -> None:
+        """Register a declared entity ahead of its Declaration axiom.
+
+        A document may mention an entity above its declaration; registering
+        every declaration before `load_axiom` keeps such an entity declared
+        instead of imported.
+        """
+        known = self.entities.get(entity.iri)
+        if known is None:
+            self.entities[entity.iri] = entity
+        elif known.kind is not entity.kind:
+            raise DuplicateEntityKind(
+                f"<{entity.iri}> declared as both {known.kind.value} and {entity.kind.value}"
+            )
+
     def _check_mentioned(self, entity: Entity) -> None:
         known = (
             self.entities.get(entity.iri)
@@ -376,8 +410,26 @@ class Ontology:
                 f"<{entity.iri}> declared as {known.kind.value} but used as {entity.kind.value}"
             )
 
+    def _import_mentioned(self, entity: Entity) -> None:
+        if entity.iri in self.entities or entity.iri in BUILTIN_ENTITIES:
+            self._check_mentioned(entity)
+        else:
+            self.register_imported(entity)
+
     def add_axiom(self, axiom: Axiom) -> bool:
         """Add one axiom; False when it is already present (structurally)."""
+        return self._add(axiom, self._check_mentioned)
+
+    def load_axiom(self, axiom: Axiom) -> bool:
+        """Add one axiom read from a document; False when already present.
+
+        Unlike `add_axiom`, a mentioned entity that is neither declared nor
+        built in is registered as imported instead of refused.
+        """
+        return self._add(axiom, self._import_mentioned)
+
+    def _add(self, axiom: Axiom, admit) -> bool:
+        """Append axiom after admit(entity) accepts each entity it mentions."""
         if axiom in self._axiom_set:
             return False
         if isinstance(axiom, Declaration):
@@ -390,8 +442,8 @@ class Ontology:
             if known is None:
                 self.entities[axiom.entity.iri] = axiom.entity
         else:
-            for entity in axiom_signature(axiom):
-                self._check_mentioned(entity)
+            for entity in axiom_mentions(axiom):
+                admit(entity)
         self.axioms.append(axiom)
         self._axiom_set.add(axiom)
         return True

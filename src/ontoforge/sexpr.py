@@ -52,6 +52,11 @@ Form = Identifier | Keyword | Text | ListForm | BracketForm
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _NS_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*(\.[A-Za-z_][A-Za-z0-9_-]*)*$")
 
+# The deepest parenthesis nesting the .ont and functional-syntax readers
+# accept. The evaluator, normalizer and renderers recurse over what is read,
+# so a limit at read time keeps all of them clear of Python's recursion limit.
+MAX_NESTING = 100
+
 _DELIMS = set(" \t\r\n()[];\"")
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
@@ -142,13 +147,17 @@ def _read_atom(sc: _Scanner) -> Identifier | Keyword:
     return Identifier(atom, loc)
 
 
-def _read_form(sc: _Scanner) -> Form:
+def _read_form(sc: _Scanner, depth: int = 0) -> Form:
+    """One form inside depth levels of brackets."""
     sc.skip_blank()
     if sc.pos >= len(sc.text):
         raise ParseError("unexpected end of input", sc.location())
     ch = sc.peek()
     if ch in "([":
         open_loc = sc.location()
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", open_loc)
         closing = ")" if ch == "(" else "]"
         sc.advance()
         children: list[Form] = []
@@ -164,7 +173,7 @@ def _read_form(sc: _Scanner) -> Form:
                     raise ParseError(f"mismatched '{nxt}', expected '{closing}'", close_loc)
                 cls = ListForm if ch == "(" else BracketForm
                 return cls(tuple(children), open_loc)
-            children.append(_read_form(sc))
+            children.append(_read_form(sc, depth))
     if ch in ")]":
         raise ParseError(f"unexpected '{ch}'", sc.location())
     if ch == '"':

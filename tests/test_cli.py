@@ -1,8 +1,15 @@
 """Tests for the command line driver: commands, exit codes, diagnostics."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ontoforge
 from ontoforge.cli import main
+from ontoforge.sexpr import MAX_NESTING
 from support import BUNDLED
 
 MENU_ONT = """\
@@ -394,6 +401,95 @@ def test_invalid_axiom_in_external_file_exits_two(interning_tree, capsys):
     assert "disjoint classes must be pairwise distinct" in stderr
 
 
+def _column_of_paren(line: str, n: int) -> int:
+    """The 1-based column of the n-th '(' in line."""
+    at = -1
+    for _ in range(n):
+        at = line.index("(", at + 1)
+    return at + 1
+
+
+def _nested_owland(levels: int) -> str:
+    expr = "B"
+    for _ in range(levels):
+        expr = f"(owland B {expr})"
+    return expr
+
+
+DEEP_HEAD = '(defontology deep :iri "https://example.org/deep#")\n(defclass B)\n'
+
+
+def test_deep_nesting_in_source_exits_two_at_the_parenthesis(tmp_path, capsys):
+    form = f"(defclass A :subclass {_nested_owland(3000)})"
+    (tmp_path / "deep.ont").write_text(DEEP_HEAD + form + "\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
+    assert code == 2
+    assert stdout == ""
+    column = _column_of_paren(form, MAX_NESTING + 1)
+    assert_one_located_error(stderr, tmp_path / "deep.ont", 3, column)
+    assert f"nesting deeper than {MAX_NESTING} levels" in stderr
+
+
+def test_nesting_at_the_limit_runs_every_command(tmp_path, capsys):
+    form = f"(defclass A :subclass {_nested_owland(MAX_NESTING - 1)})"
+    (tmp_path / "deep.ont").write_text(
+        DEEP_HEAD + form + "\n(deftest Deep (is (isuperclass? A B)))\n", encoding="utf-8"
+    )
+    for argv in (["check"], ["classify"], ["test"], ["compile", "--out", str(tmp_path)]):
+        code, _, stderr = run_cli(capsys, *argv, "--src", str(tmp_path))
+        assert (code, stderr) == (0, ""), argv
+
+
+def test_deep_nesting_in_external_file_exits_two_at_the_parenthesis(interning_tree, capsys):
+    expr = "e:Whole"
+    for _ in range(3000):
+        expr = f"ObjectIntersectionOf(e:Part {expr})"
+    axiom = f"SubClassOf(e:Part {expr})"
+    (interning_tree / "ext.ofn").write_text(
+        EXT_OFN.replace("\n)\n", f"\n{axiom}\n)\n"), encoding="utf-8"
+    )
+    code, _, stderr = run_cli(capsys, "check", "--src", str(interning_tree))
+    assert code == 2
+    # Ontology( and SubClassOf( are the first two levels.
+    column = _column_of_paren(axiom, MAX_NESTING)
+    assert_one_located_error(stderr, interning_tree / "ext.ofn", 5, column)
+    assert f"nesting deeper than {MAX_NESTING} levels" in stderr
+
+
+@pytest.mark.parametrize(
+    "axioms, line, message",
+    [
+        (
+            ["SubObjectPropertyOf(e:Part e:Whole)"],
+            5,
+            "<https://example.org/ext#Part> declared as Class but used as ObjectProperty",
+        ),
+        (
+            ["Declaration(ObjectProperty(e:hasPart))", "SubClassOf(e:hasPart e:Whole)"],
+            6,
+            "<https://example.org/ext#hasPart> declared as ObjectProperty but used as Class",
+        ),
+        (
+            ["Declaration(ObjectProperty(e:Part))"],
+            5,
+            "<https://example.org/ext#Part> declared as both Class and ObjectProperty",
+        ),
+    ],
+    ids=["class-as-property", "property-as-class", "two-declared-kinds"],
+)
+def test_kind_conflicts_in_external_file_are_located_at_the_axiom(
+    interning_tree, capsys, axioms, line, message
+):
+    body = "".join(axiom + "\n" for axiom in axioms)
+    (interning_tree / "ext.ofn").write_text(
+        EXT_OFN.replace("\n)\n", f"\n{body})\n"), encoding="utf-8"
+    )
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(interning_tree))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"{interning_tree / 'ext.ofn'}:{line}:1: error: {message}\n"
+
+
 def test_non_utf8_label_file_exits_two_at_the_bad_byte(menu_tree, tmp_path, capsys):
     labels = tmp_path / "bad.properties"
     labels.write_bytes(b"Pizza=La Pizza\n\xff\n")
@@ -443,3 +539,15 @@ def test_color_wraps_the_severity_word(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("ONTOFORGE_COLOR")
     code, _, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
     assert "\x1b[" not in stderr
+
+
+def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
+    src = Path(ontoforge.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-m", "ontoforge", "check", "--src", str(BUNDLED)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "pizza: 97 axioms, 2 tests\n", ""
+    )

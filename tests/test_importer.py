@@ -1,5 +1,7 @@
 """Tests for functional-syntax parsing, interning, and memo snapshots."""
 
+import random
+
 import pytest
 
 from ontoforge.errors import Location
@@ -31,7 +33,9 @@ from ontoforge.model import (
     SubClassOf,
     THING,
 )
-from ontoforge.sexpr import ParseError
+from ontoforge.serializer import render_functional
+from ontoforge.sexpr import MAX_NESTING, ParseError
+from support import pizza_env, random_full_ontology
 
 EXT = "https://example.org/ext#"
 
@@ -175,6 +179,106 @@ def test_model_constructor_errors_are_located_at_the_axiom():
             parse_functional(functional("Declaration(Class(e:A))", line), file="dep.ofn")
         assert message in err.value.message
         assert err.value.location == Location("dep.ofn", 4, 1), line
+
+
+def test_class_expressions_nest_up_to_the_shared_limit():
+    def nested(levels: int) -> str:
+        expr = "e:A"
+        for _ in range(levels):
+            expr = f"ObjectComplementOf({expr})"
+        return functional(f"SubClassOf(e:A {expr})")
+
+    # Ontology( and SubClassOf( are the first two levels.
+    parse_functional(nested(MAX_NESTING - 2))
+    text = nested(MAX_NESTING - 1)
+    with pytest.raises(ParseError) as err:
+        parse_functional(text, file="dep.ofn")
+    assert err.value.message == f"nesting deeper than {MAX_NESTING} levels"
+    assert err.value.location == Location("dep.ofn", 3, text.splitlines()[2].rindex("(") + 1)
+
+
+def _rendered_texts() -> list[tuple[str, str]]:
+    texts = [("pizza", render_functional(pizza_env().ontology))]
+    for seed in range(100):
+        onto = random_full_ontology(random.Random(seed))
+        texts.append((f"random-{seed}", render_functional(onto)))
+    return texts
+
+
+def test_parsing_preserves_the_order_of_the_text():
+    for name, text in _rendered_texts():
+        assert render_functional(parse_functional(text)) == text, name
+
+
+def _scan(text: str) -> tuple[list[int], list[tuple[int, int]]]:
+    """Offsets between two tokens, and (open, close) quote offsets of literals.
+
+    Found by a character scan that only tracks whether it is inside a
+    literal, so it shares nothing with the tokenizer under test.
+    """
+    gaps: list[int] = []
+    literals: list[tuple[int, int]] = []
+    opened = None
+    escaped = False
+    for i, ch in enumerate(text):
+        if opened is not None:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                literals.append((opened, i))
+                opened = None
+            continue
+        if ch == '"':
+            opened = i
+        if ch in " \n()" or (i > 0 and text[i - 1] in " \n()"):
+            gaps.append(i)
+    return gaps, literals
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+def _error_at(text: str) -> tuple[str, tuple[int, int]]:
+    with pytest.raises(ParseError) as err:
+        parse_functional(text, file="in.ofn")
+    location = err.value.location
+    assert location.file == "in.ofn"
+    return err.value.message, (location.line, location.column)
+
+
+def test_tokenizer_errors_are_located_at_the_offending_offset():
+    for name, text in _rendered_texts():
+        rng = random.Random(name)
+        gaps, literals = _scan(text)
+        for at in rng.sample(gaps, 4):
+            char = rng.choice("$%&*!~^|?`")
+            bad = text[:at] + char + text[at:]
+            assert _error_at(bad) == (f"unexpected character {char!r}", _line_col(bad, at)), name
+        ends = [at for at in gaps if text[at - 1] in "()" and text[at:].strip()]
+        ontology_iri = text.index("Ontology(") + len("Ontology(")
+        for at in rng.sample(ends, 4):
+            cut = text[:at]
+            message, where = _error_at(cut)
+            if message == "unterminated Ontology(...)":
+                assert where == _line_col(cut, ontology_iri), name
+            else:
+                # the last token is the parenthesis the text now ends with
+                assert (message, where) == ("unexpected end of input", _line_col(cut, at - 1)), name
+        for opened, closed in rng.sample(literals, min(2, len(literals))):
+            bad = text[: opened + 1] + "\\q" + text[opened + 1 :]
+            assert _error_at(bad) == ("unknown escape '\\q' in literal", _line_col(bad, opened)), name
+            cut = text[: rng.randrange(opened + 1, closed)]
+            assert _error_at(cut) == ("unexpected character '\"'", _line_col(cut, opened)), name
+
+
+def test_end_of_input_points_at_the_last_token():
+    text = functional("Declaration(Class(e:A))", "SubClassOf(e:A\n  e:B")[: -len(")\n")]
+    assert _error_at(text) == ("unexpected end of input", _line_col(text, text.rindex("e:B")))
+    assert _error_at("") == ("unexpected end of input", (1, 1))
 
 
 # --- label derivation ----------------------------------------------------------

@@ -25,6 +25,7 @@ from ontoforge.model import (
     SubClassOf,
     THING,
     UndeclaredEntity,
+    axiom_mentions,
     axiom_signature,
     expression_signature,
 )
@@ -231,6 +232,47 @@ def test_imported_entities_are_mentionable_but_not_owned():
     assert ext.iri not in onto.entities
     with pytest.raises(DuplicateEntityKind):
         onto.register_imported(Entity(Kind.OBJECT_PROPERTY, ext.iri))
+
+
+def test_axiom_mentions_follow_the_text_with_repeats():
+    onto = make_ontology()
+    a, b, p = cls(onto, "A"), cls(onto, "B"), prop(onto, "p")
+    ax = SubClassOf(Named(b), And((Some(p, Named(a)), Not(Named(b)), THING)))
+    assert axiom_mentions(ax) == [b, p, a, b]
+    assert axiom_signature(ax) == {a, b, p}
+
+
+def test_load_axiom_imports_unknown_mentions_in_text_order():
+    onto = make_ontology()
+    a = Entity(Kind.CLASS, IRI(NS + "A"))
+    onto.register_declared(a)
+    z, b = (Entity(Kind.CLASS, IRI(f"http://other.org/x#{n}")) for n in "ZB")
+    ax = SubClassOf(Named(z), And((Named(a), Named(b))))
+    label = AnnotationAssertion(z.iri, RDFS_LABEL, AnnotationValue("z"))
+    assert onto.load_axiom(ax)
+    assert not onto.load_axiom(ax)
+    assert onto.load_axiom(label)
+    assert list(onto.imported) == [z.iri, b.iri]
+    assert list(onto.entities) == [a.iri]
+    assert onto.axioms == [ax, label]
+
+
+def test_load_axiom_keeps_the_kind_checks_of_add_axiom():
+    onto = make_ontology()
+    a = Entity(Kind.CLASS, IRI(NS + "A"))
+    onto.register_declared(a)
+    with pytest.raises(DuplicateEntityKind, match="declared as both Class and ObjectProperty"):
+        onto.register_declared(Entity(Kind.OBJECT_PROPERTY, a.iri))
+    as_property = Entity(Kind.OBJECT_PROPERTY, a.iri)
+    with pytest.raises(DuplicateEntityKind, match="declared as Class but used as ObjectProperty"):
+        onto.load_axiom(SubClassOf(THING, Some(as_property, THING)))
+    q = Entity(Kind.OBJECT_PROPERTY, IRI(NS + "q"))
+    onto.load_axiom(SubClassOf(Some(q, THING), Named(a)))
+    with pytest.raises(DuplicateEntityKind, match="already imported as ObjectProperty, now Class"):
+        onto.load_axiom(SubClassOf(Named(Entity(Kind.CLASS, q.iri)), Named(a)))
+    label_as_class = Entity(Kind.CLASS, RDFS_LABEL.iri)
+    with pytest.raises(DuplicateEntityKind, match="AnnotationProperty but used as Class"):
+        onto.load_axiom(SubClassOf(Named(label_as_class), Named(a)))
 
 
 def test_axioms_keep_insertion_order():

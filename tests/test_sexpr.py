@@ -6,6 +6,7 @@ import pytest
 
 from ontoforge.errors import Location
 from ontoforge.sexpr import (
+    MAX_NESTING,
     BracketForm,
     Identifier,
     Keyword,
@@ -90,6 +91,16 @@ def test_mismatched_and_unclosed_delimiters():
     for text in ("(a b]", "[a b)", "(a (b)", "[", ")", "]"):
         with pytest.raises(ParseError):
             read_forms(text)
+
+
+def test_nesting_is_capped_at_the_opening_bracket():
+    deepest = "(" * (MAX_NESTING - 1) + "[]" + ")" * (MAX_NESTING - 1)
+    assert len(read_forms(deepest)) == 1
+    text = "x\n" + "(" * MAX_NESTING + "[" + "]" + ")" * MAX_NESTING
+    with pytest.raises(ParseError) as err:
+        read_forms(text, "deep.ont")
+    assert err.value.message == f"nesting deeper than {MAX_NESTING} levels"
+    assert err.value.location == Location("deep.ont", 2, MAX_NESTING + 1)
 
 
 def test_comments_run_to_end_of_line():
