@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Location:
     """A point in a source file, 1-based."""
 
@@ -15,6 +15,12 @@ class Location:
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.column}"
+
+
+def location_at(file: str, text: str, offset: int) -> Location:
+    """The line and column of text[offset]."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return Location(file, text.count("\n", 0, line_start) + 1, offset - line_start + 1)
 
 
 class OntoforgeError(Exception):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import patterns
-from .errors import Diagnostic, Location, OntoforgeError
+from .errors import Diagnostic, Location, OntoforgeError, location_at
 from .importer import InternRecord, _derive_prefix_label, intern_external, parse_functional
 from .model import (
     AnnotationAssertion,
@@ -550,7 +550,10 @@ class Evaluator:
             if "/" in name:
                 continue
             self.env.bindings[f"{ns}/{name}"] = entity
-            self.env.ontology.register_imported(entity)
+            try:
+                self.env.ontology.register_imported(entity)
+            except OntoforgeError as err:
+                raise self._located(err, children[1].location)
         own = self.env.ontology.prefixes
         for label, base in dep.ontology.prefixes.items():
             if base in own.values():
@@ -585,7 +588,10 @@ class Evaluator:
         if not path.is_absolute():
             path = (self.env.source_dir or Path.cwd()) / path
         external = parse_functional(_read_source(path), str(path))
-        return intern_external(self.env, external, naming=naming, prefix=prefix)
+        try:
+            return intern_external(self.env, external, naming=naming, prefix=prefix)
+        except OntoforgeError as err:
+            raise self._located(err, children[1].location)
 
     def _deftest(self, form: ListForm) -> TestDef:
         children = form.children
@@ -632,9 +638,9 @@ def _read_source(path: Path) -> str:
         return _universal_newlines(data.decode("utf-8"))
     except UnicodeDecodeError as err:
         before = _universal_newlines(data[: err.start].decode("utf-8"))
-        location = Location(str(path), before.count("\n") + 1, len(before) - before.rfind("\n"))
         raise ParseError(
-            f"not valid UTF-8: {err.reason} (byte 0x{data[err.start]:02x})", location
+            f"not valid UTF-8: {err.reason} (byte 0x{data[err.start]:02x})",
+            location_at(str(path), before, len(before)),
         ) from None
 
 

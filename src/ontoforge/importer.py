@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import Diagnostic, Location, OntoforgeError
+from .errors import Diagnostic, Location, OntoforgeError, location_at
 from .model import (
     And,
     AnnotationAssertion,
@@ -169,9 +169,7 @@ class _FunctionalParser:
                 raise ParseError(f"unexpected character {value!r}", self._loc(offset))
 
     def _loc(self, offset: int) -> Location:
-        line_start = self.text.rfind("\n", 0, offset) + 1
-        line = self.text.count("\n", 0, line_start) + 1
-        return Location(self.file, line, offset - line_start + 1)
+        return location_at(self.file, self.text, offset)
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -417,6 +415,12 @@ def parse_functional(text: str, file: str = "<functional>") -> Ontology:
 # --- identifier derivation ---------------------------------------------------
 
 
+_BLANKS_RE = re.compile(r"\s+")
+_NON_IDENTIFIER_RE = re.compile(r"[^A-Za-z0-9_-]")
+_UNDERSCORES_RE = re.compile(r"_{2,}")
+_IDENTIFIER_START_RE = re.compile(r"[A-Za-z_]")
+
+
 def label_to_identifier(label: str) -> str:
     """Derive a DSL identifier from free label text.
 
@@ -424,13 +428,13 @@ def label_to_identifier(label: str) -> str:
     '_' collapse, trailing '_' is trimmed, and a leading digit gets an
     '_' prefix.
     """
-    s = re.sub(r"\s+", "_", label.strip())
-    s = re.sub(r"[^A-Za-z0-9_-]", "_", s)
-    s = re.sub(r"_{2,}", "_", s)
+    s = _BLANKS_RE.sub("_", label.strip())
+    s = _NON_IDENTIFIER_RE.sub("_", s)
+    s = _UNDERSCORES_RE.sub("_", s)
     s = s.rstrip("_")
     if not s:
         raise UnmappableLabel(f"label {label!r} maps to an empty identifier")
-    if not re.match(r"[A-Za-z_]", s[0]):
+    if not _IDENTIFIER_START_RE.match(s[0]):
         s = "_" + s
     assert IDENTIFIER_RE.match(s), s
     return s

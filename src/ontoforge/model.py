@@ -429,23 +429,33 @@ class Ontology:
         return self._add(axiom, self._import_mentioned)
 
     def _add(self, axiom: Axiom, admit) -> bool:
-        """Append axiom after admit(entity) accepts each entity it mentions."""
-        if axiom in self._axiom_set:
+        """Append axiom after admit(entity) accepts each entity it mentions.
+
+        The axiom is hashed once: it joins the set index first and leaves it
+        again if it is refused.
+        """
+        index = self._axiom_set
+        size = len(index)
+        index.add(axiom)
+        if len(index) == size:
             return False
-        if isinstance(axiom, Declaration):
-            known = self.entities.get(axiom.entity.iri)
-            if known is not None and known.kind is not axiom.entity.kind:
-                raise DuplicateEntityKind(
-                    f"<{axiom.entity.iri}> already declared as {known.kind.value}, "
-                    f"redeclared as {axiom.entity.kind.value}"
-                )
-            if known is None:
-                self.entities[axiom.entity.iri] = axiom.entity
-        else:
-            for entity in axiom_mentions(axiom):
-                admit(entity)
+        try:
+            if isinstance(axiom, Declaration):
+                known = self.entities.get(axiom.entity.iri)
+                if known is not None and known.kind is not axiom.entity.kind:
+                    raise DuplicateEntityKind(
+                        f"<{axiom.entity.iri}> already declared as {known.kind.value}, "
+                        f"redeclared as {axiom.entity.kind.value}"
+                    )
+                if known is None:
+                    self.entities[axiom.entity.iri] = axiom.entity
+            else:
+                for entity in axiom_mentions(axiom):
+                    admit(entity)
+        except BaseException:
+            index.discard(axiom)
+            raise
         self.axioms.append(axiom)
-        self._axiom_set.add(axiom)
         return True
 
     def add_axioms(self, axioms) -> int:

@@ -34,6 +34,10 @@ class PatternArity(OntoforgeError):
     pass
 
 
+class PatternError(OntoforgeError):
+    pass
+
+
 class TemplateError(OntoforgeError):
     pass
 
@@ -75,7 +79,13 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
             raise PatternArity(
                 "as-disjoint-subclasses children must be defclass forms", child.location
             )
-        members.append(ev.eval_defclass(child))
+        member = ev.eval_defclass(child)
+        if member in members:
+            raise PatternError(
+                f"'{child.children[1].name}' is listed twice; disjoint subclasses must be distinct",
+                child.location,
+            )
+        members.append(member)
     axioms = [SubClassOf(Named(m), Named(parent)) for m in members]
     if len(members) >= 2:
         axioms.append(DisjointClasses(tuple(members)))
@@ -115,9 +125,15 @@ def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
     value_forms = children[1].children
     if len(value_forms) < 2:
         raise PatternArity("value-partition needs at least two values", children[1].location)
+    seen: set[str] = set()
     for v in value_forms:
         if not isinstance(v, Identifier):
             raise PatternArity("partition values must be identifiers", v.location)
+        if v.name in seen:
+            raise PatternError(
+                f"'{v.name}' is listed twice; partition values must be distinct", v.location
+            )
+        seen.add(v.name)
     parent = ev.bind_class(children[0])
     values = [ev.bind_class(v) for v in value_forms]
     prop_form = Identifier("has" + children[0].name, children[0].location)

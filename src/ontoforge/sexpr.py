@@ -3,6 +3,17 @@
 Forms are plain value dataclasses carrying the location of their first token.
 `read_forms` and `print_forms` are inverse enough that reading printed output
 reproduces the same forms (modulo locations and whitespace).
+
+`read_forms` makes one `re.finditer` pass over the text. Each match is one
+token with the blanks and `;` comments before it: an atom, an open or a close
+bracket, a complete string, a lone `"` (an unterminated string) or the end
+of the text. Lists are built on an explicit stack of open brackets, so
+nesting costs no recursion; `MAX_NESTING` caps it. A token's line and column
+come from the newlines between it and the previous located token
+(`str.count` and `str.rfind`), so no character is visited in Python. A close
+bracket needs no location unless it is an error. Errors are raised in text
+order, each at the position the message names: a string error at its open
+quote, `unclosed` at the innermost open bracket.
 """
 
 from __future__ import annotations
@@ -10,38 +21,38 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import Location, OntoforgeError
+from .errors import Location, OntoforgeError, location_at
 
 
 class ParseError(OntoforgeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Identifier:
     name: str
     location: Location
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Keyword:
     name: str
     location: Location
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Text:
     value: str
     location: Location
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListForm:
     children: tuple
     location: Location
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BracketForm:
     children: tuple
     location: Location
@@ -56,9 +67,6 @@ _NS_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*(\.[A-Za-z_][A-Za-z0-9_-]*)*$")
 # accept. The evaluator, normalizer and renderers recurse over what is read,
 # so a limit at read time keeps all of them clear of Python's recursion limit.
 MAX_NESTING = 100
-
-_DELIMS = set(" \t\r\n()[];\"")
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
 def is_valid_identifier(name: str) -> bool:
@@ -77,119 +85,94 @@ def split_qualified(name: str) -> tuple[str | None, str]:
     return None, name
 
 
-class _Scanner:
-    def __init__(self, text: str, file: str):
-        self.text = text
-        self.file = file
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def location(self) -> Location:
-        return Location(self.file, self.line, self.col)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def skip_blank(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.peek()
-            if ch in " \t\r\n":
-                self.advance()
-            elif ch == ";":
-                while self.pos < len(self.text) and self.peek() != "\n":
-                    self.advance()
-            else:
-                return
+# One match per token. Blanks and `;` comments before a token are folded into
+# its match, so the matches tile the text; every position that is not blank
+# starts one of the groups, and the `end` group takes the blanks and comment
+# at the end of the text, so a comment is never read as an atom. A `quote` is
+# a `"` that opens no complete string: an unterminated string literal.
+_TOKEN_RE = re.compile(
+    r"""[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*
+      (?: (?P<atom>[^ \t\r\n()\[\];"]+)
+        | (?P<open>[(\[])
+        | (?P<close>[)\]])
+        | (?P<text>"[^"\\]*(?:\\.[^"\\]*)*")
+        | (?P<quote>")
+        | (?P<end>\Z)
+      )""",
+    re.VERBOSE | re.DOTALL,
+)
+_ATOM, _OPEN, _CLOSE, _TEXT, _QUOTE = 1, 2, 3, 4, 5
+_CLOSING = {"(": (")", ListForm), "[": ("]", BracketForm)}
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
-def _read_string(sc: _Scanner) -> Text:
-    loc = sc.location()
-    sc.advance()
-    out: list[str] = []
-    while True:
-        if sc.pos >= len(sc.text):
-            raise ParseError("unterminated string literal", loc)
-        ch = sc.advance()
-        if ch == '"':
-            return Text("".join(out), loc)
-        if ch == "\\":
-            if sc.pos >= len(sc.text):
-                raise ParseError("unterminated string literal", loc)
-            esc = sc.advance()
-            if esc not in _ESCAPES:
-                raise ParseError(f"unknown escape '\\{esc}' in string", loc)
-            out.append(_ESCAPES[esc])
-        else:
-            out.append(ch)
+def _unescape(body: str, location: Location) -> str:
+    """A string's value from the text after its open quote; escapes pair up left to right."""
 
+    def one(m: re.Match) -> str:
+        value = _ESCAPES.get(m[1])
+        if value is None:
+            raise ParseError(f"unknown escape '\\{m[1]}' in string", location)
+        return value
 
-def _read_atom(sc: _Scanner) -> Identifier | Keyword:
-    loc = sc.location()
-    chars: list[str] = []
-    while sc.pos < len(sc.text) and sc.peek() not in _DELIMS:
-        chars.append(sc.advance())
-    atom = "".join(chars)
-    if atom.startswith(":"):
-        if len(atom) == 1:
-            raise ParseError("':' is not a keyword", loc)
-        return Keyword(atom[1:], loc)
-    return Identifier(atom, loc)
-
-
-def _read_form(sc: _Scanner, depth: int = 0) -> Form:
-    """One form inside depth levels of brackets."""
-    sc.skip_blank()
-    if sc.pos >= len(sc.text):
-        raise ParseError("unexpected end of input", sc.location())
-    ch = sc.peek()
-    if ch in "([":
-        open_loc = sc.location()
-        depth += 1
-        if depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", open_loc)
-        closing = ")" if ch == "(" else "]"
-        sc.advance()
-        children: list[Form] = []
-        while True:
-            sc.skip_blank()
-            if sc.pos >= len(sc.text):
-                raise ParseError(f"unclosed '{ch}'", open_loc)
-            nxt = sc.peek()
-            if nxt in ")]":
-                close_loc = sc.location()
-                sc.advance()
-                if nxt != closing:
-                    raise ParseError(f"mismatched '{nxt}', expected '{closing}'", close_loc)
-                cls = ListForm if ch == "(" else BracketForm
-                return cls(tuple(children), open_loc)
-            children.append(_read_form(sc, depth))
-    if ch in ")]":
-        raise ParseError(f"unexpected '{ch}'", sc.location())
-    if ch == '"':
-        return _read_string(sc)
-    return _read_atom(sc)
+    return _ESCAPE_RE.sub(one, body)
 
 
 def read_forms(text: str, file: str = "<string>") -> list[Form]:
     """Parse a whole document into its top-level forms."""
-    sc = _Scanner(text, file)
     forms: list[Form] = []
-    while True:
-        sc.skip_blank()
-        if sc.pos >= len(sc.text):
-            return forms
-        forms.append(_read_form(sc))
+    children = forms  # of the innermost open bracket, or the top level
+    stack: list[tuple[list, str, Location]] = []  # (enclosing children, bracket, location)
+    count, rfind = text.count, text.rfind
+    line, line_start, last = 1, 0, 0  # at the last located token, which starts at last
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        pos = m.start(kind)
+        if kind == _CLOSE:
+            close = m[kind]
+            if not stack:
+                raise ParseError(f"unexpected '{close}'", location_at(file, text, pos))
+            parent, bracket, open_loc = stack.pop()
+            closing, cls = _CLOSING[bracket]
+            if close != closing:
+                raise ParseError(
+                    f"mismatched '{close}', expected '{closing}'", location_at(file, text, pos)
+                )
+            parent.append(cls(tuple(children), open_loc))
+            children = parent
+            continue
+        newlines = count("\n", last, pos)
+        if newlines:
+            line += newlines
+            line_start = rfind("\n", last, pos) + 1
+        last = pos
+        loc = Location(file, line, pos - line_start + 1)
+        if kind == _ATOM:
+            atom = m[kind]
+            if atom[0] != ":":
+                children.append(Identifier(atom, loc))
+            elif len(atom) > 1:
+                children.append(Keyword(atom[1:], loc))
+            else:
+                raise ParseError("':' is not a keyword", loc)
+        elif kind == _OPEN:
+            if len(stack) == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", loc)
+            stack.append((children, m[kind], loc))
+            children = []
+        elif kind == _TEXT:
+            body = m[kind][1:-1]
+            children.append(Text(_unescape(body, loc) if "\\" in body else body, loc))
+        elif kind == _QUOTE:
+            _unescape(text[pos + 1:], loc)
+            raise ParseError("unterminated string literal", loc)
+        else:
+            break
+    if stack:
+        _, bracket, open_loc = stack[-1]
+        raise ParseError(f"unclosed '{bracket}'", open_loc)
+    return forms
 
 
 def _escape(value: str) -> str:

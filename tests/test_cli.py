@@ -490,6 +490,66 @@ def test_kind_conflicts_in_external_file_are_located_at_the_axiom(
     assert stderr == f"{interning_tree / 'ext.ofn'}:{line}:1: error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "body, line, column, message",
+    [
+        (
+            "(value-partition V [X Y\n  X])\n",
+            3,
+            3,
+            "'X' is listed twice; partition values must be distinct",
+        ),
+        (
+            "(defclass P)\n(as-disjoint-subclasses P (defclass A)\n  (defclass A))\n",
+            4,
+            3,
+            "'A' is listed twice; disjoint subclasses must be distinct",
+        ),
+    ],
+    ids=["value-partition", "as-disjoint-subclasses"],
+)
+def test_repeated_pattern_members_exit_two_at_the_repeat(
+    tmp_path, capsys, body, line, column, message
+):
+    (tmp_path / "rep.ont").write_text(
+        '(defontology rep :iri "https://example.org/rep#")\n' + body, encoding="utf-8"
+    )
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"{tmp_path / 'rep.ont'}:{line}:{column}: error: {message}\n"
+
+
+def test_kind_conflict_through_use_is_located_at_the_namespace(tmp_path, capsys):
+    (tmp_path / "a.ont").write_text(
+        '(defontology a :iri "https://example.org/x#")\n(defoproperty P)\n', encoding="utf-8"
+    )
+    (tmp_path / "b.ont").write_text(
+        '(defontology b :iri "https://example.org/x#")\n(defclass P)\n(use a)\n',
+        encoding="utf-8",
+    )
+    code, _, stderr = run_cli(capsys, "check", "--src", str(tmp_path), "--ns", "b")
+    assert code == 2
+    assert_one_located_error(stderr, tmp_path / "b.ont", 3, 6)
+    assert "already declared as Class, now imported as ObjectProperty" in stderr
+
+
+def test_unmappable_label_is_located_at_the_read_external_path(interning_tree, capsys):
+    (interning_tree / "ext.ofn").write_text(
+        EXT_OFN.replace("\n)\n", '\nAnnotationAssertion(rdfs:label e:Part "!!!")\n)\n'),
+        encoding="utf-8",
+    )
+    (interning_tree / "menu.ont").write_text(
+        '(defontology menu :iri "https://example.org/menu#")\n'
+        '(read-external "ext.ofn" :naming :label)\n',
+        encoding="utf-8",
+    )
+    code, _, stderr = run_cli(capsys, "check", "--src", str(interning_tree))
+    assert code == 2
+    assert_one_located_error(stderr, interning_tree / "menu.ont", 2, 16)
+    assert "label '!!!' maps to an empty identifier" in stderr
+
+
 def test_non_utf8_label_file_exits_two_at_the_bad_byte(menu_tree, tmp_path, capsys):
     labels = tmp_path / "bad.properties"
     labels.write_bytes(b"Pizza=La Pizza\n\xff\n")

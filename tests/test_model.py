@@ -217,6 +217,38 @@ def test_add_axiom_reports_structural_duplicates():
     assert ax in onto
 
 
+def test_refused_axioms_leave_the_store_unchanged():
+    onto = make_ontology()
+    a, b = cls(onto, "A"), cls(onto, "B")
+    ghost = Entity(Kind.CLASS, IRI(NS + "Ghost"))
+    refused = [
+        (SubClassOf(Named(a), Named(ghost)), UndeclaredEntity),
+        (SubClassOf(Named(a), Some(Entity(Kind.OBJECT_PROPERTY, b.iri), THING)), DuplicateEntityKind),
+        (Declaration(Entity(Kind.OBJECT_PROPERTY, a.iri)), DuplicateEntityKind),
+    ]
+    before = list(onto.axioms)
+    for axiom, error in refused:
+        with pytest.raises(error):
+            onto.add_axiom(axiom)
+        assert axiom not in onto
+        assert onto.axioms == before
+    cls(onto, "Ghost")
+    assert onto.add_axiom(refused[0][0]) is True
+
+
+def test_a_new_axiom_is_hashed_once():
+    hashes = []
+
+    class CountedDeclaration(Declaration):
+        def __hash__(self):
+            hashes.append(self)
+            return super().__hash__()
+
+    onto = make_ontology()
+    assert onto.add_axiom(CountedDeclaration(Entity(Kind.CLASS, IRI(NS + "A")))) is True
+    assert len(hashes) == 1
+
+
 def test_builtin_annotation_properties_need_no_declaration():
     onto = make_ontology()
     cls(onto, "A")

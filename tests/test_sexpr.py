@@ -1,9 +1,13 @@
 """Tests for the s-expression reader and printer."""
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import ontoforge
 from ontoforge.errors import Location
 from ontoforge.sexpr import (
     MAX_NESTING,
@@ -91,6 +95,47 @@ def test_mismatched_and_unclosed_delimiters():
     for text in ("(a b]", "[a b)", "(a (b)", "[", ")", "]"):
         with pytest.raises(ParseError):
             read_forms(text)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ('(a\n  "abc', "unterminated string literal", 2, 3),
+        ('(a "x\\n\ny\\', "unterminated string literal", 1, 4),
+        ('(a "x\\q y', "unknown escape '\\q' in string", 1, 4),
+        ('(a "x\\\\q y', "unterminated string literal", 1, 4),
+        ('x\n "a\\qb"', "unknown escape '\\q' in string", 2, 2),
+        ('"a\\\nb"', "unknown escape '\\\n' in string", 1, 1),
+        ("(a\n :)", "':' is not a keyword", 2, 2),
+        ("(a)\n  )", "unexpected ')'", 2, 3),
+        ("x ]", "unexpected ']'", 1, 3),
+        ("(a\n b]", "mismatched ']', expected ')'", 2, 3),
+        ("[a )", "mismatched ')', expected ']'", 1, 4),
+        ("(a (b)", "unclosed '('", 1, 1),
+        ("(a\n  [b (c)", "unclosed '['", 2, 3),
+        ("(a ; )\n", "unclosed '('", 1, 1),
+        ("\n " + "[" * MAX_NESTING + "(", f"nesting deeper than {MAX_NESTING} levels", 2, MAX_NESTING + 2),
+    ],
+)
+def test_errors_are_pinned_to_message_and_position(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        read_forms(text, "e.ont")
+    assert (err.value.message, err.value.location) == (message, Location("e.ont", line, column))
+
+
+def test_locations_count_lines_through_strings_and_comments():
+    forms = read_forms('"a\nb" c ; "d\n\te\r f ;x', "l.ont")
+    assert [(strip_locations(f), f.location.line, f.location.column) for f in forms] == [
+        (("text", "a\nb"), 1, 1),
+        (("id", "c"), 2, 4),
+        (("id", "e"), 3, 2),
+        (("id", "f"), 3, 5),
+    ]
+
+
+def test_escapes_pair_up_left_to_right():
+    assert read_one('"a\\\\q"').value == "a\\q"
+    assert read_one('"\\\\\\""').value == '\\"'
 
 
 def test_nesting_is_capped_at_the_opening_bracket():
@@ -189,3 +234,80 @@ def test_split_qualified():
     assert split_qualified("pizza/Margherita") == ("pizza", "Margherita")
     assert split_qualified("take.away/Box") == ("take.away", "Box")
     assert split_qualified("Margherita") == (None, "Margherita")
+
+
+# --- golden file: the reader's output on seeded mutants ---------------------
+
+GOLDEN = Path(__file__).parent / "data" / "sexpr_mutants.json"
+PIZZA = (Path(ontoforge.__file__).parent / "bundled" / "pizza.ont").read_text(encoding="utf-8")
+
+# Characters a byte flip writes: every delimiter, the escape letters, blanks
+# that are and are not line or token breaks, and a non-ASCII letter.
+_FLIP_CHARS = '()[]";\\: \t\n\rantqx1-?\u00e9\f'
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(text) + 1)
+        op = rng.randrange(7)
+        if op == 0:  # byte flip
+            text = text[:pos] + rng.choice(_FLIP_CHARS) + text[pos + 1:]
+        elif op == 1:
+            text = text[:pos] + rng.choice("()[]") + text[pos:]
+        elif op == 2:
+            text = text[:pos] + '"' + text[pos:]
+        elif op == 3:
+            text = text[:pos] + "\\" + text[pos:]
+        elif op == 4:
+            text = text[:pos]
+        elif op == 5:  # delete a character
+            text = text[:pos] + text[pos + 1:]
+        else:  # duplicate a short span
+            span = text[pos:pos + rng.randint(1, 12)]
+            text = text[:pos] + span + text[pos:]
+    return text
+
+
+def mutant_texts() -> list[str]:
+    """Seeded inputs: 2400 pizza.ont mutants, 1200 short random texts, 60 deep nests."""
+    texts = [PIZZA]
+    for seed in range(2400):
+        texts.append(_mutate(PIZZA, random.Random(seed)))
+    for seed in range(1200):
+        rng = random.Random(100_000 + seed)
+        texts.append("".join(rng.choice(_FLIP_CHARS + "ab") for _ in range(rng.randrange(25))))
+    for seed in range(60):
+        rng = random.Random(200_000 + seed)
+        depth = MAX_NESTING - 3 + rng.randrange(6)
+        opens = "".join(rng.choice("([") for _ in range(depth))
+        closes = "".join(")" if c == "(" else "]" for c in reversed(opens))
+        texts.append(_mutate(opens + "x" + closes, rng))
+    return texts
+
+
+def _located_shape(form):
+    loc = (form.location.line, form.location.column)
+    if isinstance(form, (ListForm, BracketForm)):
+        return (type(form).__name__, loc, tuple(_located_shape(c) for c in form.children))
+    return (strip_locations(form), loc)
+
+
+def mutant_record(text: str) -> list:
+    """[input digest, "ok", form count, digest of every form's shape and line:col]
+    or [input digest, "error", message, line, column]."""
+    key = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    try:
+        forms = read_forms(text, "m.ont")
+    except ParseError as err:
+        assert err.location.file == "m.ont"
+        return [key, "error", err.message, err.location.line, err.location.column]
+    shape = repr(tuple(_located_shape(f) for f in forms))
+    return [key, "ok", len(forms), hashlib.sha256(shape.encode("utf-8")).hexdigest()[:16]]
+
+
+def test_reader_matches_the_golden_file_on_seeded_mutants():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    texts = mutant_texts()
+    assert len(golden) == len(texts)
+    for i, text in enumerate(texts):
+        assert mutant_record(text) == golden[i], (i, text[:200])
