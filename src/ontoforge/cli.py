@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .errors import Diagnostic, OntoforgeError
@@ -45,6 +46,17 @@ def _print_warnings(env: Environment) -> None:
     for dep in env.all_environments():
         for diag in dep.warnings:
             _print_diagnostic(diag)
+
+
+def _print_skipped(skipped) -> None:
+    """One warning with the number of skipped axioms, counted by construct."""
+    if not skipped:
+        return
+    counts = sorted(Counter(s.construct for s in skipped).items())
+    by_construct = ", ".join(f"{n} {construct}" for construct, n in counts)
+    noun = "axiom" if len(skipped) == 1 else "axioms"
+    message = f"the classifier skipped {len(skipped)} {noun} outside its fragment: {by_construct}"
+    _print_diagnostic(Diagnostic("warning", message))
 
 
 def _namespaces(src: Path) -> list[str]:
@@ -105,6 +117,7 @@ def _cmd_test(args) -> int:
     env = _load(args)
     _print_warnings(env)
     report = run_tests(env)
+    _print_skipped(report.skipped)
     for line in tap_lines(env, report):
         print(line)
     prefixes = prefix_map(env.ontology)
@@ -122,6 +135,7 @@ def _cmd_classify(args) -> int:
     env = _load(args)
     _print_warnings(env)
     taxonomy = classify(env.axiom_closure())
+    _print_skipped(taxonomy.skipped)
     prefixes = prefix_map(env.ontology)
 
     def curie(iri_text: str) -> str:

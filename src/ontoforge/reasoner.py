@@ -32,15 +32,19 @@ Classification runs in two stages:
    more axioms carries on from the fixpoint it has, and a trail of the
    additions lets `undo` take an extension back exactly.
 
-`classify` glues the stages together and projects the result onto the named
-classes of the input, which is what queries and reports consume. A
-`Classifier` does the same for a base that probe blocks extend and undo.
+A `Classifier` runs both stages on a base that probe blocks extend and undo;
+`classify(axioms)` is `Classifier(axioms).taxonomy()`. A `Taxonomy` is a view
+of the live S on the named classes, read on demand, direct superclasses
+included. `Taxonomy.skipped` lists skipped axioms with their reasons, and the
+`classify` and `test` commands sum them up in one warning on stderr.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import OntoforgeError
 from .model import (
@@ -121,7 +125,11 @@ NormalAxiom = AtomAtom | ConjAtom | AtomExists | ExistsAtom
 @dataclass(frozen=True)
 class SkippedAxiom:
     axiom: Axiom
-    reason: str
+    construct: str  # what falls outside the fragment: "union", "ObjectPropertyRange", ...
+
+    @property
+    def reason(self) -> str:
+        return f"{self.construct} is outside the fragment"
 
 
 @dataclass
@@ -202,7 +210,7 @@ class _Normalizer:
         if isinstance(axiom, (AnnotationAssertion, Import)):
             return
         if isinstance(axiom, _PROPERTY_AXIOMS):
-            res.skipped.append(SkippedAxiom(axiom, f"{type(axiom).__name__} is outside the fragment"))
+            res.skipped.append(SkippedAxiom(axiom, type(axiom).__name__))
             return
         raise TypeError(f"not an axiom: {axiom!r}")
 
@@ -215,7 +223,9 @@ class _Normalizer:
             return
         bad = _offending(sub) or _offending(sup)
         if bad:
-            self.result.skipped.append(SkippedAxiom(origin, f"{bad} is outside the fragment"))
+            skipped = self.result.skipped
+            if not skipped or skipped[-1].axiom is not origin:  # one record per axiom
+                skipped.append(SkippedAxiom(origin, bad))
             return
         self._emit(sub, sup)
 
@@ -440,53 +450,50 @@ class Saturation:
                     add_sub(src, BOT)
 
 
-def saturate(normal: list[NormalAxiom], atoms=()) -> tuple[dict, dict]:
-    """(S, R) of a fresh `Saturation` extended once with the given axioms."""
-    engine = Saturation()
-    engine.extend(normal, atoms)
-    return engine.S, engine.R
-
-
 # --- the classified view ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Taxonomy:
-    """Saturation projected onto named classes."""
+    """The named classes' view of a saturation's S; it copies nothing.
 
-    subsumers: dict[str, frozenset[str]]
-    role_edges: dict[str, frozenset[tuple[str, str]]]
-    unsatisfiable: frozenset[str]
-    skipped: tuple[SkippedAxiom, ...]
+    A view holds until the next `add` or `undo` of the classifier it came from.
+    """
 
-    @property
-    def skipped_count(self) -> int:
-        return len(self.skipped)
+    def __init__(self, S: dict[str, set[str]], classes: frozenset[str], skipped) -> None:
+        self.S, self.classes, self.skipped = S, classes, skipped
+        self.subsumers: Mapping[str, frozenset[str]] = _Subsumers(S, classes)
+
+    @cached_property
+    def unsatisfiable(self) -> frozenset[str]:
+        return frozenset(c for c in self.classes if BOT in self.S[c])
+
+
+class _Subsumers(Mapping):
+    """Named class -> its named subsumers, read from S on each lookup."""
+
+    def __init__(self, S: dict[str, set[str]], classes: frozenset[str]) -> None:
+        self._S, self._classes = S, classes
+
+    @cached_property
+    def _named(self) -> frozenset[str]:
+        return self._classes | {TOP, BOT}
+
+    def __getitem__(self, c: str) -> frozenset[str]:
+        if c not in self._classes:
+            raise KeyError(c)
+        return self._named.intersection(self._S[c])
+
+    def __iter__(self):
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
 
 
 @dataclass(frozen=True)
 class CoherenceReport:
     coherent: bool
     unsatisfiable: tuple[str, ...]
-
-
-def _project(S, R, classes, skipped) -> Taxonomy:
-    named = {TOP, BOT}.union(classes)
-    subsumers = {c: frozenset(S[c] & named) for c in classes}
-    role_edges = {
-        role: frozenset((a, b) for a, b in pairs if a in named and b in named)
-        for role, pairs in R.items()
-    }
-    role_edges = {role: pairs for role, pairs in role_edges.items() if pairs}
-    unsat = frozenset(c for c in classes if BOT in S[c])
-    return Taxonomy(subsumers, role_edges, unsat, tuple(skipped))
-
-
-def classify(axioms) -> Taxonomy:
-    """Normalize, saturate, and project onto the named classes."""
-    norm = normalize(axioms)
-    S, R = saturate(norm.normal, norm.classes)
-    return _project(S, R, norm.classes, norm.skipped)
 
 
 class Classifier:
@@ -500,7 +507,6 @@ class Classifier:
         self._classes: frozenset[str] = frozenset()
         self._skipped: tuple[SkippedAxiom, ...] = ()
         self._next_aux = 1  # carries on across undo, so auxiliary names never repeat
-        self._taxonomy: Taxonomy | None = None
         self.add(axioms)
 
     def add(self, axioms) -> None:
@@ -509,25 +515,25 @@ class Classifier:
         self._classes |= norm.classes
         self._skipped += tuple(norm.skipped)
         self.saturation.extend(norm.normal, norm.classes)
-        self._taxonomy = None
 
     def mark(self) -> tuple:
-        return self.saturation.mark(), self._classes, self._skipped, self._taxonomy
+        return self.saturation.mark(), self._classes, self._skipped
 
     def undo(self, mark: tuple) -> None:
-        at, self._classes, self._skipped, self._taxonomy = mark
+        at, self._classes, self._skipped = mark
         self.saturation.undo(at)
 
     def taxonomy(self) -> Taxonomy:
-        if self._taxonomy is None:
-            sat = self.saturation
-            self._taxonomy = _project(sat.S, sat.R, self._classes, self._skipped)
-        return self._taxonomy
+        return Taxonomy(self.saturation.S, self._classes, self._skipped)
 
 
-def _lookup(taxonomy: Taxonomy, entity: Entity) -> str:
-    key = entity.iri.value
-    if key not in taxonomy.subsumers:
+def classify(axioms) -> Taxonomy:
+    """Normalize and saturate the axioms; the view of the result."""
+    return Classifier(axioms).taxonomy()
+
+
+def _lookup(taxonomy: Taxonomy, key: str) -> str:
+    if key not in taxonomy.classes:
         raise UnknownEntity(f"<{key}> is not a named class of the classified ontology")
     return key
 
@@ -536,11 +542,11 @@ def inferred_superclass(
     taxonomy: Taxonomy, sub: Entity, sup: Entity, reflexive: bool = False
 ) -> bool:
     """Whether sub ⊑ sup is entailed; reflexive pairs count only when asked."""
-    a = _lookup(taxonomy, sub)
-    b = _lookup(taxonomy, sup)
+    a = _lookup(taxonomy, sub.iri.value)
+    b = _lookup(taxonomy, sup.iri.value)
     if a == b and not reflexive:
         return False
-    return b in taxonomy.subsumers[a]
+    return b in taxonomy.S[a]
 
 
 def coherence_report(taxonomy: Taxonomy) -> CoherenceReport:
@@ -549,21 +555,17 @@ def coherence_report(taxonomy: Taxonomy) -> CoherenceReport:
 
 
 def direct_superclasses(taxonomy: Taxonomy, name: str) -> list[str]:
-    """Named strict superclasses with nothing strictly between, sorted."""
-    if name not in taxonomy.subsumers:
-        raise UnknownEntity(f"<{name}> is not a named class of the classified ontology")
-    subsumers = taxonomy.subsumers
-    strict = {
-        d
-        for d in subsumers[name]
-        if d not in (name, TOP, BOT) and name not in subsumers.get(d, frozenset())
-    }
-    direct = [
-        d
-        for d in strict
-        if not any(
-            e != d and d in subsumers.get(e, frozenset()) and e not in subsumers.get(d, frozenset())
-            for e in strict
-        )
-    ]
+    """Named strict superclasses with nothing strictly between, sorted.
+
+    d is strictly above e when d ∈ S(e) and e ∉ S(d), so equivalent classes
+    never hide each other.
+    """
+    S = taxonomy.S
+    strict = {d for d in taxonomy.subsumers[_lookup(taxonomy, name)] if name not in S[d]}
+    strict -= {TOP, BOT}
+    direct = set(strict)
+    for e in strict:
+        for d in S[e] & direct:
+            if e not in S[d]:
+                direct.discard(d)
     return sorted(direct)

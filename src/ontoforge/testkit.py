@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import Location, OntoforgeError
 from .evaluator import Environment, Evaluator, TestDef
 from .model import IRI, Kind
-from .reasoner import Classifier, coherence_report, inferred_superclass
+from .reasoner import Classifier, SkippedAxiom, coherence_report, inferred_superclass
 from .sexpr import BracketForm, Form, Identifier, ListForm, Text, is_valid_identifier
 
 
@@ -38,6 +38,8 @@ class TestReport:
     failures: list[TestFailure] = field(default_factory=list)
     # sorted IRIs of the unprobed ontology's unsatisfiable classes
     unsatisfiable: tuple[str, ...] = ()
+    # the unprobed ontology's axioms that the classifier skipped
+    skipped: tuple[SkippedAxiom, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -152,7 +154,9 @@ def run_tests(env: Environment) -> TestReport:
             report.assertions += 1
             if not eval_assertion(env, classifier, args[0], ev):
                 report.failures.append(TestFailure(test.name, index, form.location))
-    report.unsatisfiable = coherence_report(classifier.taxonomy()).unsatisfiable
+    base = classifier.taxonomy()
+    report.unsatisfiable = coherence_report(base).unsatisfiable
+    report.skipped = base.skipped
     return report
 
 

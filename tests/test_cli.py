@@ -203,6 +203,38 @@ def test_classify_marks_unsatisfiable_classes(tmp_path, capsys):
     assert table["menu:Broken"] == "owl:Nothing"
 
 
+SKIPPING_ONT = """\
+(defontology menu :iri "https://example.org/menu#" :prefix "menu")
+(defclass Pizza)
+(defclass Topping)
+(defoproperty hasTopping :domain Pizza :characteristic :transitive)
+(defclass Plain :subclass Pizza (owlonly hasTopping Topping))
+(deftest Probed
+  (is (with-probe-entities [(p (owlclass "P" :subclass (owlonly hasTopping Topping)))]
+        (coherent?))))
+"""
+
+
+def test_skipped_axioms_are_counted_in_one_warning(tmp_path, capsys):
+    (tmp_path / "menu.ont").write_text(SKIPPING_ONT, encoding="utf-8")
+    # the probe's own universal restriction is undone with the probe, so not counted
+    summary = (
+        "warning: the classifier skipped 3 axioms outside its fragment: "
+        "1 ObjectPropertyDomain, 1 TransitiveObjectProperty, 1 universal restriction\n"
+    )
+    code, stdout, stderr = run_cli(capsys, "classify", "--src", str(tmp_path))
+    assert (code, stderr) == (0, summary)
+    assert stdout == (
+        "menu:Pizza\towl:Thing\nmenu:Plain\tmenu:Pizza\nmenu:Topping\towl:Thing\n"
+    )
+    code, stdout, stderr = run_cli(capsys, "test", "--src", str(tmp_path))
+    assert (code, stderr) == (0, summary)
+    assert stdout == "ok 1 Probed\n# 1 tests, 1 assertions, 0 failures\n"
+    for argv in (["check"], ["compile", "--out", str(tmp_path / "out")]):
+        code, _, stderr = run_cli(capsys, *argv, "--src", str(tmp_path))
+        assert (code, stderr) == (0, ""), argv
+
+
 # --- labels ---------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Tests for normalization, saturation, and the classified view."""
 
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -29,6 +30,7 @@ from ontoforge.reasoner import (
     AtomAtom,
     AtomExists,
     BOT,
+    Classifier,
     ConjAtom,
     ExistsAtom,
     Saturation,
@@ -40,9 +42,8 @@ from ontoforge.reasoner import (
     direct_superclasses,
     inferred_superclass,
     normalize,
-    saturate,
 )
-from support import random_el_ontology
+from support import pizza_env, random_el_ontology
 
 NS = "https://example.org/r#"
 
@@ -182,12 +183,36 @@ def test_normalize_skips_whats_outside_the_fragment():
     assert iri("A") in res.classes and iri("r") in res.roles
 
 
+def test_normalize_records_one_skip_per_axiom():
+    told = []
+
+    def fill(onto, n):
+        # both directions of the equivalence, and both disjuncts, fall outside
+        told.append(EquivalentClasses((Named(n["A"]), Only(n["r"], Named(n["B"])))))
+        told.append(SubClassOf(Or((Not(Named(n["A"])), Only(n["r"], Named(n["B"])))), Named(n["C"])))
+        for axiom in told:
+            onto.add_axiom(axiom)
+
+    onto, _ = build(fill)
+    res = normalize(onto.axioms)
+    assert [(s.axiom, s.construct) for s in res.skipped] == [
+        (told[0], "universal restriction"),
+        (told[1], "complement"),
+    ]
+
+
 # --- saturation -------------------------------------------------------------
+
+
+def saturated(normal, atoms) -> Saturation:
+    engine = Saturation()
+    engine.extend(normal, atoms)
+    return engine
 
 
 def test_saturation_closes_a_chain():
     normal = [AtomAtom("A", "B"), AtomAtom("B", "C")]
-    S, _ = saturate(normal, {"A", "B", "C"})
+    S = saturated(normal, {"A", "B", "C"}).S
     assert S["A"] == {"A", "B", "C", TOP}
     assert S["B"] == {"B", "C", TOP}
     assert S["C"] == {"C", TOP}
@@ -195,7 +220,7 @@ def test_saturation_closes_a_chain():
 
 def test_saturation_fires_conjunction_rule():
     normal = [AtomAtom("A", "B"), AtomAtom("A", "C"), ConjAtom("B", "C", "D")]
-    S, _ = saturate(normal, {"A", "B", "C", "D"})
+    S = saturated(normal, {"A", "B", "C", "D"}).S
     assert "D" in S["A"]
     assert "D" not in S["B"]
 
@@ -203,15 +228,15 @@ def test_saturation_fires_conjunction_rule():
 def test_saturation_pushes_through_existentials():
     # A ⊑ ∃r.B, B ⊑ C, ∃r.C ⊑ D entails A ⊑ D
     normal = [AtomExists("A", "r", "B"), AtomAtom("B", "C"), ExistsAtom("r", "C", "D")]
-    S, R = saturate(normal, {"A", "B", "C", "D"})
-    assert "D" in S["A"]
-    assert ("A", "B") in R["r"]
+    engine = saturated(normal, {"A", "B", "C", "D"})
+    assert "D" in engine.S["A"]
+    assert ("A", "B") in engine.R["r"]
 
 
 def test_saturation_propagates_bottom_over_edges():
     # A points into an unsatisfiable filler, so A collapses too
     normal = [AtomExists("A", "r", "B"), AtomAtom("B", BOT)]
-    S, _ = saturate(normal, {"A", "B"})
+    S = saturated(normal, {"A", "B"}).S
     assert BOT in S["A"]
     assert BOT in S["B"]
 
@@ -231,7 +256,8 @@ def test_saturation_extends_to_the_fixpoint_from_scratch_and_undoes_exactly():
     before = ({c: set(s) for c, s in engine.S.items()}, {r: set(e) for r, e in engine.R.items()})
     mark = engine.mark()
     engine.extend(delta, {"P", "Q"})
-    assert (engine.S, engine.R) == saturate(base + delta, atoms | {"P", "Q"})
+    scratch = saturated(base + delta, atoms | {"P", "Q"})
+    assert (engine.S, engine.R) == (scratch.S, scratch.R)
     assert {"P", "Q", BOT} <= engine.S["A"]
     engine.undo(mark)
     assert (engine.S, engine.R) == before
@@ -283,9 +309,6 @@ def test_classify_keeps_aux_atoms_out_of_the_view():
     for sub, sups in tax.subsumers.items():
         assert not sub.startswith("_aux")
         assert not any(x.startswith("_aux") for x in sups)
-    for pairs in tax.role_edges.values():
-        for a, b in pairs:
-            assert not a.startswith("_aux") and not b.startswith("_aux")
 
 
 def test_classify_covers_every_declared_class():
@@ -305,8 +328,29 @@ def test_classify_records_skips():
 
     onto, _ = build(fill)
     tax = classify(onto.axioms)
-    assert tax.skipped_count == 1
+    assert len(tax.skipped) == 1
     assert "universal restriction" in tax.skipped[0].reason
+
+
+def test_taxonomy_is_a_view_of_the_classifiers_saturation():
+    def fill(onto, n):
+        onto.add_axiom(SubClassOf(Named(n["A"]), Named(n["B"])))
+        onto.add_axiom(DisjointClasses((n["B"], n["C"])))
+
+    onto, n = build(fill)
+    classifier = Classifier(onto.axioms)
+    tax = classifier.taxonomy()
+    assert tax.S is classifier.saturation.S
+    assert isinstance(tax, Taxonomy) and isinstance(tax.subsumers, Mapping)
+    assert tax.subsumers[iri("A")] == frozenset({iri("A"), iri("B"), TOP})
+    assert iri("A") in tax.subsumers and NS + "Ghost" not in tax.subsumers
+    assert tax.unsatisfiable is tax.unsatisfiable  # one scan per view
+    mark = classifier.mark()
+    classifier.add([SubClassOf(Named(n["A"]), Named(n["C"]))])
+    assert classifier.taxonomy().unsatisfiable == frozenset({iri("A")})
+    classifier.undo(mark)
+    assert dict(classifier.taxonomy().subsumers) == dict(classify(onto.axioms).subsumers)
+    assert not classifier.taxonomy().unsatisfiable
 
 
 def test_classify_is_order_independent():
@@ -374,6 +418,42 @@ def test_direct_superclasses_keeps_equivalents_side_by_side():
     tax = classify(onto.axioms)
     # B and C subsume each other, so neither hides the other
     assert direct_superclasses(tax, iri("A")) == [iri("B"), iri("C")]
+
+
+def pairwise_direct_superclasses(subsumers, name):
+    """Reference: drop each strict subsumer that lies strictly above another."""
+    strict = {
+        d
+        for d in subsumers[name]
+        if d not in (name, TOP, BOT) and name not in subsumers.get(d, frozenset())
+    }
+    direct = [
+        d
+        for d in strict
+        if not any(
+            e != d and d in subsumers.get(e, frozenset()) and e not in subsumers.get(d, frozenset())
+            for e in strict
+        )
+    ]
+    return sorted(direct)
+
+
+def test_direct_superclasses_match_the_pairwise_reference():
+    axiom_sets = (
+        [pizza_env().axiom_closure()]
+        + [random_el_ontology(random.Random(seed)).axioms for seed in range(500)]
+    )
+    checked = with_equivalent = 0
+    for axioms in axiom_sets:
+        tax = classify(axioms)
+        subsumers = dict(tax.subsumers)
+        for name, sups in subsumers.items():
+            want = pairwise_direct_superclasses(subsumers, name)
+            assert direct_superclasses(tax, name) == want, name
+            checked += 1
+            with_equivalent += any(d != name and name in subsumers.get(d, ()) for d in sups)
+    # the seeds hold thousands of classes, many in equivalence cycles
+    assert checked > 3000 and with_equivalent > 1000
 
 
 def test_direct_superclasses_rejects_unknown_names():
