@@ -5,6 +5,12 @@ The rules are few and strict: the first form of a namespace must be
 before it is referenced; entity IRIs are the ontology IRI plus the identifier,
 verbatim. Definitions bind identifiers in the environment, so later forms,
 tests, and the CLI can resolve them by name.
+
+Every entity kind takes one definition path: `define` (for `defclass` and
+`defoproperty`), `owlclass` and the pattern forms create entities through
+`declare` and read options through `option_axioms`, given the keywords of the
+form's kind (`_CLASS_OPTIONS` or `_PROPERTY_OPTIONS`). References go through
+`resolve_ref`, which checks the kind.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from pathlib import Path
 
 from . import patterns
 from .errors import Diagnostic, Location, OntoforgeError, location_at
-from .importer import InternRecord, _derive_prefix_label, intern_external, parse_functional
+from .importer import InternRecord, intern_external, parse_functional
 from .model import (
     AnnotationAssertion,
     AnnotationValue,
@@ -189,6 +195,8 @@ class Evaluator:
         self._affixes: list[_AffixScope] = []
         # Transient name -> entity scope, used by probe blocks in tests.
         self.locals: dict[str, Entity] = {}
+        # How many template uses enclose the form being evaluated.
+        self.template_depth = 0
 
     # --- shared plumbing ---
 
@@ -208,52 +216,42 @@ class Evaluator:
             name = name + scope.text if scope.where == "suffix" else scope.text + name
         return name
 
-    def resolve_ref(self, form: Form) -> Entity:
+    def resolve_ref(self, form: Form, kind: Kind) -> Entity:
+        """The entity form names, which must be of the given kind."""
         if not isinstance(form, Identifier):
             raise EvalError("expected an identifier", form.location)
         for scope in reversed(self._affixes):
             entity = scope.aliases.get(form.name)
             if entity is not None:
-                return entity
-        entity = self.locals.get(form.name)
-        if entity is not None:
-            return entity
-        return resolve(self.env, form.name, form.location)
-
-    def resolve_class(self, form: Form) -> Entity:
-        entity = self.resolve_ref(form)
-        if entity.kind is not Kind.CLASS:
-            raise EvalError(f"'{form.name}' is not a class", form.location)
+                break
+        else:
+            entity = self.locals.get(form.name) or resolve(self.env, form.name, form.location)
+        if entity.kind is not kind:
+            what = "a class" if kind is Kind.CLASS else "an object property"
+            raise EvalError(f"'{form.name}' is not {what}", form.location)
         return entity
 
-    def _resolve_property(self, form: Form) -> Entity:
-        entity = self.resolve_ref(form)
-        if entity.kind is not Kind.OBJECT_PROPERTY:
-            raise EvalError(f"'{form.name}' is not an object property", form.location)
-        return entity
+    def declare(self, name: str, location: Location, kind: Kind, bind: bool = True) -> Entity:
+        """Declare name as an entity of the given kind.
 
-    def bind_class(self, name_form: Identifier) -> Entity:
-        return self._bind(name_form, Kind.CLASS)
-
-    def bind_property(self, name_form: Identifier) -> Entity:
-        return self._bind(name_form, Kind.OBJECT_PROPERTY)
-
-    def _bind(self, name_form: Identifier, kind: Kind) -> Entity:
-        name = name_form.name
+        With bind, the name takes the enclosing affixes and is bound in the
+        environment; without, it is declared verbatim and left unbound.
+        """
         if not is_valid_identifier(name):
-            raise EvalError(f"invalid identifier '{name}'", name_form.location)
-        full = self._affixed(name)
+            raise EvalError(f"invalid identifier '{name}'", location)
+        full = self._affixed(name) if bind else name
         if full != name and full in self.env.bindings:
-            raise DuplicateBinding(f"affixed name '{full}' is already bound", name_form.location)
+            raise DuplicateBinding(f"affixed name '{full}' is already bound", location)
         try:
             entity = self.env.ontology.declare(kind, IRI(self.env.ontology.iri.value + full))
         except ValueError as err:
-            raise EvalError(str(err), name_form.location)
+            raise EvalError(str(err), location)
         except OntoforgeError as err:
-            raise self._located(err, name_form.location)
-        self.env.bindings[full] = entity
-        if self._affixes and full != name:
-            self._affixes[-1].aliases[name] = entity
+            raise self._located(err, location)
+        if bind:
+            self.env.bindings[full] = entity
+            if full != name:
+                self._affixes[-1].aliases[name] = entity
         return entity
 
     # --- top-level dispatch ---
@@ -280,9 +278,9 @@ class Evaluator:
         if name == "defontology":
             return self._defontology(form)
         if name == "defclass":
-            return self.eval_defclass(form)
+            return self.define(form, Kind.CLASS, _CLASS_OPTIONS)
         if name == "defoproperty":
-            return self._defoproperty(form)
+            return self.define(form, Kind.OBJECT_PROPERTY, _PROPERTY_OPTIONS)
         if name == "use":
             return self._use(form)
         if name == "read-external":
@@ -354,20 +352,15 @@ class Evaluator:
             raise EvalError(f"option ':{kw.name}' needs exactly one text value", kw.location)
         return values[0].value
 
-    def class_option_axioms(self, entity: Entity, forms) -> list[Axiom]:
+    def option_axioms(self, entity: Entity, forms, allowed: set[str]) -> list[Axiom]:
+        """The axioms a form's options state about entity; allowed names its options."""
         axioms: list[Axiom] = []
-        for kw, values in self._option_groups(forms, _CLASS_OPTIONS):
+        for kw, values in self._option_groups(forms, allowed):
             self._require_values(kw, values)
-            if kw.name == "label":
+            if kw.name in ("label", "comment"):
+                prop = RDFS_LABEL if kw.name == "label" else RDFS_COMMENT
                 text = self._single_text(kw, values)
-                axioms.append(
-                    AnnotationAssertion(entity.iri, RDFS_LABEL, AnnotationValue(text, "en"))
-                )
-            elif kw.name == "comment":
-                text = self._single_text(kw, values)
-                axioms.append(
-                    AnnotationAssertion(entity.iri, RDFS_COMMENT, AnnotationValue(text, "en"))
-                )
+                axioms.append(AnnotationAssertion(entity.iri, prop, AnnotationValue(text, "en")))
             elif kw.name == "annotation":
                 axioms.extend(self._annotation_axiom(entity.iri, v) for v in values)
             elif kw.name == "subclass":
@@ -375,38 +368,20 @@ class Evaluator:
             elif kw.name == "equivalent":
                 operands = (Named(entity), *(self.eval_ce(v) for v in values))
                 axioms.append(EquivalentClasses(operands))
-            else:
-                assert kw.name == "disjoint"
-                others = tuple(self.resolve_class(v) for v in values)
+            elif kw.name == "disjoint":
+                others = tuple(self.resolve_ref(v, Kind.CLASS) for v in values)
                 try:
                     axioms.append(DisjointClasses((entity, *others)))
                 except ValueError as err:
                     raise EvalError(str(err), kw.location)
-        return axioms
-
-    def _property_option_axioms(self, entity: Entity, forms) -> list[Axiom]:
-        axioms: list[Axiom] = []
-        for kw, values in self._option_groups(forms, _PROPERTY_OPTIONS):
-            self._require_values(kw, values)
-            if kw.name == "label":
-                text = self._single_text(kw, values)
-                axioms.append(
-                    AnnotationAssertion(entity.iri, RDFS_LABEL, AnnotationValue(text, "en"))
-                )
-            elif kw.name == "comment":
-                text = self._single_text(kw, values)
-                axioms.append(
-                    AnnotationAssertion(entity.iri, RDFS_COMMENT, AnnotationValue(text, "en"))
-                )
-            elif kw.name == "annotation":
-                axioms.extend(self._annotation_axiom(entity.iri, v) for v in values)
             elif kw.name == "domain":
                 axioms.extend(ObjectPropertyDomain(entity, self.eval_ce(v)) for v in values)
             elif kw.name == "range":
                 axioms.extend(ObjectPropertyRange(entity, self.eval_ce(v)) for v in values)
             elif kw.name == "subproperty":
                 axioms.extend(
-                    SubObjectPropertyOf(entity, self._resolve_property(v)) for v in values
+                    SubObjectPropertyOf(entity, self.resolve_ref(v, Kind.OBJECT_PROPERTY))
+                    for v in values
                 )
             else:
                 assert kw.name == "characteristic"
@@ -425,7 +400,7 @@ class Evaluator:
 
     def eval_ce(self, form: Form) -> ClassExpression:
         if isinstance(form, Identifier):
-            return Named(self.resolve_class(form))
+            return Named(self.resolve_ref(form, Kind.CLASS))
         if not isinstance(form, ListForm) or not form.children:
             raise EvalError("expected a class expression", form.location)
         head = form.children[0]
@@ -447,7 +422,7 @@ class Evaluator:
         if name in ("owlsome", "owlonly"):
             if len(args) != 2:
                 raise EvalError(f"{name} takes a property and a filler", form.location)
-            prop = self._resolve_property(args[0])
+            prop = self.resolve_ref(args[0], Kind.OBJECT_PROPERTY)
             filler = self.eval_ce(args[1])
             return Some(prop, filler) if name == "owlsome" else Only(prop, filler)
         if name == "owlclass":
@@ -459,16 +434,8 @@ class Evaluator:
         args = form.children[1:]
         if not args or not isinstance(args[0], Text):
             raise EvalError("owlclass needs a text name", form.location)
-        name = args[0].value
-        if not is_valid_identifier(name):
-            raise EvalError(f"invalid identifier '{name}'", args[0].location)
-        try:
-            entity = self.env.ontology.declare(
-                Kind.CLASS, IRI(self.env.ontology.iri.value + name)
-            )
-        except OntoforgeError as err:
-            raise self._located(err, args[0].location)
-        self.env.ontology.add_axioms(self.class_option_axioms(entity, args[1:]))
+        entity = self.declare(args[0].value, args[0].location, Kind.CLASS, bind=False)
+        self.env.ontology.add_axioms(self.option_axioms(entity, args[1:], _CLASS_OPTIONS))
         return entity
 
     # --- definition forms ---
@@ -496,37 +463,23 @@ class Evaluator:
             ontology = Ontology(IRI(iri_text))
         except ValueError as err:
             raise EvalError(str(err), form.location)
-        if prefix is None:
-            prefix = _derive_prefix_label(iri_text, {})
-        elif not _PREFIX_LABEL_RE.match(prefix):
+        if prefix is not None and not _PREFIX_LABEL_RE.match(prefix):
             raise EvalError(f"invalid prefix label '{prefix}'", form.location)
-        ontology.prefixes[prefix] = iri_text
+        ontology.add_prefix(iri_text, prefix)
         self.env.ontology = ontology
         self.env.ontology_name = name
         if self.env.namespace is None:
             self.env.namespace = name
         return ontology
 
-    def eval_defclass(self, form: ListForm) -> Entity:
+    def define(self, form: ListForm, kind: Kind, allowed: set[str]) -> Entity:
+        """(defclass Name options...) or (defoproperty Name options...)"""
         children = form.children
         if len(children) < 2 or not isinstance(children[1], Identifier):
-            raise EvalError("defclass needs a name", form.location)
-        entity = self.bind_class(children[1])
+            raise EvalError(f"{children[0].name} needs a name", form.location)
+        entity = self.declare(children[1].name, children[1].location, kind)
         try:
-            axioms = self.class_option_axioms(entity, children[2:])
-            self.env.ontology.add_axioms(axioms)
-        except OntoforgeError as err:
-            raise self._located(err, form.location)
-        return entity
-
-    def _defoproperty(self, form: ListForm) -> Entity:
-        children = form.children
-        if len(children) < 2 or not isinstance(children[1], Identifier):
-            raise EvalError("defoproperty needs a name", form.location)
-        entity = self.bind_property(children[1])
-        try:
-            axioms = self._property_option_axioms(entity, children[2:])
-            self.env.ontology.add_axioms(axioms)
+            self.env.ontology.add_axioms(self.option_axioms(entity, children[2:], allowed))
         except OntoforgeError as err:
             raise self._located(err, form.location)
         return entity
@@ -536,8 +489,6 @@ class Evaluator:
         if len(children) != 2 or not isinstance(children[1], Identifier):
             raise EvalError("use needs a namespace name", form.location)
         ns = children[1].name
-        if not is_valid_namespace(ns):
-            raise EvalError(f"invalid namespace name '{ns}'", children[1].location)
         if self.loader is None:
             raise EvalError("no source loader available for (use ...)", form.location)
         try:
@@ -554,16 +505,8 @@ class Evaluator:
                 self.env.ontology.register_imported(entity)
             except OntoforgeError as err:
                 raise self._located(err, children[1].location)
-        own = self.env.ontology.prefixes
         for label, base in dep.ontology.prefixes.items():
-            if base in own.values():
-                continue
-            candidate = label
-            counter = 2
-            while candidate in own:
-                candidate = f"{label}{counter}"
-                counter += 1
-            own[candidate] = base
+            self.env.ontology.add_prefix(base, label)
         return dep
 
     def _read_external(self, form: ListForm) -> int:
@@ -653,6 +596,8 @@ class Loader:
         self._loading: list[str] = []
 
     def load(self, namespace: str) -> Environment:
+        if not is_valid_namespace(namespace):
+            raise EvalError(f"invalid namespace name '{namespace}'")
         cached = self.cache.get(namespace)
         if cached is not None:
             return cached

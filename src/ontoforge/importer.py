@@ -464,20 +464,6 @@ def _labels_by_subject(ontology: Ontology) -> dict[IRI, str]:
     return {subject: text for subject, (text, _lang) in found.items()}
 
 
-def _derive_prefix_label(base: str, taken: dict[str, str]) -> str:
-    stem = re.sub(r"[#/]+$", "", base)
-    stem = stem.rsplit("/", 1)[-1] if "/" in stem else stem.split(":", 1)[-1]
-    stem = re.sub(r"[^A-Za-z0-9]", "", stem).lower() or "ext"
-    if not stem[0].isalpha():
-        stem = "ext" + stem
-    label = stem
-    counter = 2
-    while label in taken and taken[label] != base:
-        label = f"{stem}{counter}"
-        counter += 1
-    return label
-
-
 def _entity_base(iri: IRI) -> str:
     v = iri.value
     if "#" in v:
@@ -545,10 +531,7 @@ def intern_external(
         env.ontology.register_imported(entity)
         record.bindings[name] = entity
         added += 1
-        base_iri = _entity_base(entity.iri)
-        if base_iri not in env.ontology.prefixes.values():
-            label = _derive_prefix_label(base_iri, env.ontology.prefixes)
-            env.ontology.prefixes.setdefault(label, base_iri)
+        env.ontology.add_prefix(_entity_base(entity.iri))
     return added
 
 

@@ -340,6 +340,13 @@ def axiom_signature(axiom: Axiom) -> set[Entity]:
 # --- the ontology store ----------------------------------------------------
 
 
+def _prefix_stem(base: str) -> str:
+    stem = re.sub(r"[#/]+$", "", base)
+    stem = stem.rsplit("/", 1)[-1] if "/" in stem else stem.split(":", 1)[-1]
+    stem = re.sub(r"[^A-Za-z0-9]", "", stem).lower() or "ext"
+    return stem if stem[0].isalpha() else "ext" + stem
+
+
 class Ontology:
     """An ordered, duplicate-free axiom store with a declaration registry.
 
@@ -365,6 +372,22 @@ class Ontology:
         """Register an entity, yielding the canonical one. Idempotent per kind."""
         self.add_axiom(Declaration(Entity(kind, iri)))
         return self.entities[iri]
+
+    def add_prefix(self, base: str, label: str | None = None) -> None:
+        """Register base under a prefix label, unless it already has one.
+
+        base takes the first free label of `label`, `label2`, `label3`, ...;
+        label defaults to base's last path segment, lowercased and cut down to
+        letters and digits.
+        """
+        if base in self.prefixes.values():
+            return
+        stem = label or _prefix_stem(base)
+        label, counter = stem, 2
+        while label in self.prefixes:
+            label = f"{stem}{counter}"
+            counter += 1
+        self.prefixes[label] = base
 
     def register_imported(self, entity: Entity) -> Entity:
         known = self.imported.get(entity.iri)

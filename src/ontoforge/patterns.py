@@ -19,12 +19,13 @@ from .model import (
     Entity,
     EquivalentClasses,
     FunctionalObjectProperty,
+    Kind,
     Named,
     ObjectPropertyRange,
     Or,
     SubClassOf,
 )
-from .sexpr import BracketForm, Form, Identifier, Keyword, ListForm
+from .sexpr import MAX_NESTING, BracketForm, Form, Identifier, Keyword, ListForm
 
 if TYPE_CHECKING:
     from .evaluator import Evaluator
@@ -58,7 +59,7 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
     children = form.children[1:]
     if not children:
         raise PatternArity("as-disjoint-subclasses needs a parent class", form.location)
-    parent = ev.resolve_class(children[0])
+    parent = ev.resolve_ref(children[0], Kind.CLASS)
     rest = children[1:]
     cover = False
     if rest and isinstance(rest[0], Keyword):
@@ -79,7 +80,7 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
             raise PatternArity(
                 "as-disjoint-subclasses children must be defclass forms", child.location
             )
-        member = ev.eval_defclass(child)
+        member = ev.eval_top(child)
         if member in members:
             raise PatternError(
                 f"'{child.children[1].name}' is listed twice; disjoint subclasses must be distinct",
@@ -134,10 +135,10 @@ def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
                 f"'{v.name}' is listed twice; partition values must be distinct", v.location
             )
         seen.add(v.name)
-    parent = ev.bind_class(children[0])
-    values = [ev.bind_class(v) for v in value_forms]
-    prop_form = Identifier("has" + children[0].name, children[0].location)
-    prop = ev.bind_property(prop_form)
+    name, location = children[0].name, children[0].location
+    parent = ev.declare(name, location, Kind.CLASS)
+    values = [ev.declare(v.name, v.location, Kind.CLASS) for v in value_forms]
+    prop = ev.declare("has" + name, location, Kind.OBJECT_PROPERTY)
     axioms = [SubClassOf(Named(v), Named(parent)) for v in values]
     axioms.append(DisjointClasses(tuple(values)))
     axioms.append(EquivalentClasses((Named(parent), _or_of(values))))
@@ -274,11 +275,28 @@ def _substitute(
     return form
 
 
+def _check_nesting(form: Form, depth: int, use: ListForm) -> None:
+    """Arguments spliced into a body can nest it deeper than the reader allows."""
+    if isinstance(form, (ListForm, BracketForm)):
+        if depth > MAX_NESTING:
+            raise TemplateError(f"expansion nests deeper than {MAX_NESTING} levels", use.location)
+        for child in form.children:
+            _check_nesting(child, depth + 1, use)
+
+
 def apply_template(ev: "Evaluator", template: TemplateDef, form: ListForm) -> int:
-    """Instantiate the template body once per bracket argument group."""
+    """Instantiate the template body once per bracket argument group.
+
+    A use inside an expansion is one level deeper than the use that expanded
+    it; past `MAX_NESTING` levels the use is an error, so a template that
+    applies itself stops there instead of exhausting the Python stack. An
+    expanded form may nest `MAX_NESTING` levels deep, as a read one may.
+    """
     groups = form.children[1:]
     if not groups:
         raise TemplateArity(f"template '{template.name}' needs argument groups", form.location)
+    if ev.template_depth == MAX_NESTING:
+        raise TemplateError(f"template expansion deeper than {MAX_NESTING} levels", form.location)
     instantiated = 0
     for group in groups:
         if not isinstance(group, BracketForm):
@@ -299,7 +317,13 @@ def apply_template(ev: "Evaluator", template: TemplateDef, form: ListForm) -> in
             )
         single = dict(zip(template.params, args))
         rest_forms = tuple(args[len(template.params):])
-        for body_form in template.body:
-            ev.eval_top(_substitute(body_form, single, template.rest, rest_forms))
+        ev.template_depth += 1
+        try:
+            for body_form in template.body:
+                expanded = _substitute(body_form, single, template.rest, rest_forms)
+                _check_nesting(expanded, 1, form)
+                ev.eval_top(expanded)
+        finally:
+            ev.template_depth -= 1
         instantiated += 1
     return instantiated

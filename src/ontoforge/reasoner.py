@@ -137,7 +137,6 @@ class NormalizeResult:
     normal: list[NormalAxiom] = field(default_factory=list)
     skipped: list[SkippedAxiom] = field(default_factory=list)
     classes: set[str] = field(default_factory=set)
-    roles: set[str] = field(default_factory=set)
     next_aux: int = 1  # the number the next auxiliary name would get
 
 
@@ -189,8 +188,6 @@ class _Normalizer:
         if isinstance(axiom, Declaration):
             if axiom.entity.kind is Kind.CLASS:
                 res.classes.add(axiom.entity.iri.value)
-            elif axiom.entity.kind is Kind.OBJECT_PROPERTY:
-                res.roles.add(axiom.entity.iri.value)
             return
         if isinstance(axiom, SubClassOf):
             self._sub(axiom.sub, axiom.sup, axiom)
@@ -238,7 +235,6 @@ class _Normalizer:
         elif isinstance(ce, Not):
             self._collect_signature(ce.operand)
         elif isinstance(ce, (Some, Only)):
-            self.result.roles.add(ce.property.iri.value)
             self._collect_signature(ce.filler)
 
     def _conjuncts(self, ce: ClassExpression, out: list[ClassExpression]) -> None:

@@ -174,16 +174,11 @@ class _FrameIndex:
             self.characteristics.setdefault(axiom.property.iri, set()).add("Transitive")
 
     def annotation_entries(self, iri: IRI) -> list[str]:
-        entries = [
-            (_omn_name(a.property, self.prefixes), a.value.lang or "", a.value.text)
+        entries = sorted(
+            (_omn_name(a.property, self.prefixes), a.value.lang or "", a.value.text, _literal(a.value))
             for a in self.annotations.get(iri, [])
-        ]
-        return [f"{prop} {_literal_from_parts(lang, text)}" for prop, lang, text in sorted(entries)]
-
-
-def _literal_from_parts(lang: str, text: str) -> str:
-    body = f'"{_escape_literal(text)}"'
-    return f"{body}@{lang}" if lang else body
+        )
+        return [f"{prop} {literal}" for prop, _lang, _text, literal in entries]
 
 
 def _class_frame(entity: Entity, index: _FrameIndex) -> list[str]:

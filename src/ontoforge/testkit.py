@@ -68,8 +68,8 @@ def eval_assertion(
     if head.name == "isuperclass?":
         if len(args) != 2:
             raise TestSyntax("isuperclass? takes a subclass and a superclass", form.location)
-        sub = ev.resolve_class(args[0])
-        sup = ev.resolve_class(args[1])
+        sub = ev.resolve_ref(args[0], Kind.CLASS)
+        sup = ev.resolve_ref(args[1], Kind.CLASS)
         return inferred_superclass(classifier.taxonomy(), sub, sup)
     if head.name == "coherent?":
         if args:

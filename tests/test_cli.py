@@ -129,6 +129,16 @@ def test_multiple_namespaces_require_ns(tmp_path, capsys):
     assert stdout.startswith("two:")
 
 
+@pytest.mark.parametrize("ns", [".", "..", "menu.", "ABSOLUTE"])
+def test_ns_must_be_a_namespace_name(menu_tree, tmp_path, capsys, ns):
+    if ns == "ABSOLUTE":
+        ns = str(menu_tree / "menu")  # outside --src, which is empty
+    src = tmp_path / "empty"
+    src.mkdir()
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(src), "--ns", ns)
+    assert (code, stdout, stderr) == (2, "", f"error: invalid namespace name '{ns}'\n")
+
+
 def test_empty_source_tree_is_an_error(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
     assert code == 2
@@ -467,6 +477,27 @@ def test_nesting_at_the_limit_runs_every_command(tmp_path, capsys):
     (tmp_path / "deep.ont").write_text(
         DEEP_HEAD + form + "\n(deftest Deep (is (isuperclass? A B)))\n", encoding="utf-8"
     )
+    for argv in (["check"], ["classify"], ["test"], ["compile", "--out", str(tmp_path)]):
+        code, _, stderr = run_cli(capsys, *argv, "--src", str(tmp_path))
+        assert (code, stderr) == (0, ""), argv
+
+
+def test_recursive_template_exits_two_at_the_use(tmp_path, capsys):
+    (tmp_path / "deep.ont").write_text(
+        DEEP_HEAD + "(deftemplate loop [?a] (loop [?a]))\n(loop [A])\n", encoding="utf-8"
+    )
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
+    assert (code, stdout) == (2, "")
+    assert_one_located_error(stderr, tmp_path / "deep.ont", 3, 24)
+    assert f"template expansion deeper than {MAX_NESTING} levels" in stderr
+
+
+def test_template_nested_at_the_limit_runs_every_command(tmp_path, capsys):
+    # MAX_NESTING template uses, the innermost body at the reader's nesting limit
+    lines = [f"(deftemplate t1 [?a] (defclass ?a :subclass {_nested_owland(MAX_NESTING - 2)}))"]
+    lines += [f"(deftemplate t{i} [?a] (t{i - 1} [?a]))" for i in range(2, MAX_NESTING + 1)]
+    lines += [f"(t{MAX_NESTING} [A])", "(deftest Deep (is (isuperclass? A B)))"]
+    (tmp_path / "deep.ont").write_text(DEEP_HEAD + "\n".join(lines) + "\n", encoding="utf-8")
     for argv in (["check"], ["classify"], ["test"], ["compile", "--out", str(tmp_path)]):
         code, _, stderr = run_cli(capsys, *argv, "--src", str(tmp_path))
         assert (code, stderr) == (0, ""), argv

@@ -11,6 +11,8 @@ from ontoforge.evaluator import (
     NamespaceNotFound,
     UnboundIdentifier,
     UnknownOption,
+    _CLASS_OPTIONS,
+    _PROPERTY_OPTIONS,
     eval_text,
     resolve,
 )
@@ -175,6 +177,26 @@ def test_unknown_options_are_rejected():
         run("(defclass B)\n(defclass A :subclass :oops B)")
     with pytest.raises(UnknownOption):
         run('(defoproperty p :cover "x")')
+
+
+@pytest.mark.parametrize(
+    "form, keywords",
+    [
+        ("(defclass C :{} A)", _PROPERTY_OPTIONS - _CLASS_OPTIONS),
+        ('(defclass C :subclass (owlclass "D" :{} A))', _PROPERTY_OPTIONS - _CLASS_OPTIONS),
+        ("(defoproperty p :{} A)", _CLASS_OPTIONS - _PROPERTY_OPTIONS),
+    ],
+    ids=["defclass", "owlclass", "defoproperty"],
+)
+def test_each_form_refuses_the_options_of_the_other_kind(form, keywords):
+    assert keywords
+    for keyword in sorted(keywords):
+        line = form.format(keyword)
+        with pytest.raises(UnknownOption) as err:
+            run("(defclass A)\n" + line)
+        assert err.value.message == f"unknown option ':{keyword}'"
+        assert err.value.location.line == 3
+        assert err.value.location.column == line.index(f":{keyword}") + 1
 
 
 def test_option_values_are_required():

@@ -368,3 +368,21 @@ def test_add_axioms_counts_new_ones():
     a, b = cls(onto, "A"), cls(onto, "B")
     ax = SubClassOf(Named(a), Named(b))
     assert onto.add_axioms([ax, ax, SubClassOf(Named(b), Named(a))]) == 2
+
+
+def test_add_prefix_keeps_a_registered_base_and_numbers_taken_labels():
+    onto = Ontology(IRI("https://example.org/main#"))
+    onto.add_prefix("https://example.org/main#")
+    assert onto.prefixes == {"main": "https://example.org/main#"}
+    onto.add_prefix("https://example.org/main#", "other")  # already registered
+    onto.add_prefix("https://example.org/other/main/", "main")
+    onto.add_prefix("https://example.org/third/main#")
+    onto.add_prefix("urn:x-2:", "x")
+    onto.add_prefix("urn:7")
+    assert onto.prefixes == {
+        "main": "https://example.org/main#",
+        "main2": "https://example.org/other/main/",
+        "main3": "https://example.org/third/main#",
+        "x": "urn:x-2:",
+        "ext7": "urn:7",
+    }

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ontoforge.errors import Location
 from ontoforge.evaluator import DuplicateBinding, UnboundIdentifier, eval_text
 from ontoforge.model import (
     AnnotationAssertion,
@@ -17,6 +18,7 @@ from ontoforge.model import (
     SubClassOf,
 )
 from ontoforge.patterns import PatternArity, TemplateArity, TemplateError
+from ontoforge.sexpr import MAX_NESTING
 
 BASE = "https://example.org/piz#"
 HEADER = f'(defontology piz :iri "{BASE}" :prefix "piz")\n'
@@ -367,3 +369,45 @@ def test_template_emits_existentials_plus_closure():
         Some(prop, named(env, "Mushroom")),
         Only(prop, Or((named(env, "Ham"), named(env, "Mushroom")))),
     }
+
+
+def test_a_template_that_applies_itself_stops_at_the_expansion_limit():
+    with pytest.raises(TemplateError) as err:
+        run("(deftemplate loop [?a] (loop [?a]))\n(loop [A])")
+    assert err.value.message == f"template expansion deeper than {MAX_NESTING} levels"
+    assert err.value.location == Location("<string>", 2, 24)
+
+
+def template_chain(levels: int) -> str:
+    """Templates t1..t<levels>, each applying the one before; t1 defines a class."""
+    lines = ["(defclass B)", "(deftemplate t1 [?a] (defclass ?a :subclass B))"]
+    lines += [f"(deftemplate t{i} [?a] (t{i - 1} [?a]))" for i in range(2, levels + 1)]
+    lines.append(f"(t{levels} [A])")
+    return "\n".join(lines)
+
+
+def test_template_uses_nest_up_to_the_expansion_limit():
+    env = run(template_chain(MAX_NESTING))
+    assert SubClassOf(named(env, "A"), named(env, "B")) in env.ontology
+    with pytest.raises(TemplateError) as err:
+        run(template_chain(MAX_NESTING + 1))
+    assert err.value.message == f"template expansion deeper than {MAX_NESTING} levels"
+
+
+def test_spliced_arguments_nest_no_deeper_than_the_reader_allows():
+    def source(levels: int) -> str:
+        arg = "B"
+        for _ in range(levels):
+            arg = f"(owland B {arg})"
+        return (
+            "(defclass B)\n"
+            "(deftemplate wrap [?a ?b] (defclass ?a :subclass (owland B (owland B ?b))))\n"
+            f"(wrap [A {arg}])"
+        )
+
+    # defclass and the two owland forms of the body hold the argument 3 deep
+    run(source(MAX_NESTING - 3))
+    with pytest.raises(TemplateError) as err:
+        run(source(MAX_NESTING - 2))
+    assert err.value.message == f"expansion nests deeper than {MAX_NESTING} levels"
+    assert err.value.location == Location("<string>", 4, 1)
