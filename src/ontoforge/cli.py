@@ -22,7 +22,7 @@ from .importer import MemoTable, memorise_check, memorise_save
 from .model import AnnotationAssertion, IRI, Kind, RDFS_COMMENT, RDFS_LABEL
 from .polyglot import apply_labels, emit_skeleton, parse_properties
 from .reasoner import classify, direct_superclasses
-from .serializer import prefix_map, render_functional, render_omn, shorten
+from .serializer import curie_or_iri, prefix_map, render_functional, render_omn
 from .testkit import run_tests, tap_lines
 
 _SEVERITY_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
@@ -122,7 +122,7 @@ def _cmd_test(args) -> int:
         print(line)
     prefixes = prefix_map(env.ontology)
     for iri_text in report.unsatisfiable:
-        name = shorten(IRI(iri_text), prefixes) or f"<{iri_text}>"
+        name = curie_or_iri(IRI(iri_text), prefixes)
         _print_diagnostic(Diagnostic("warning", f"unsatisfiable class {name}"))
     print(
         f"# {report.tests} tests, {report.assertions} assertions, "
@@ -139,7 +139,7 @@ def _cmd_classify(args) -> int:
     prefixes = prefix_map(env.ontology)
 
     def curie(iri_text: str) -> str:
-        return shorten(IRI(iri_text), prefixes) or f"<{iri_text}>"
+        return curie_or_iri(IRI(iri_text), prefixes)
 
     lines = []
     for iri, entity in env.ontology.entities.items():

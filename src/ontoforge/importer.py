@@ -5,6 +5,12 @@ an Ontology, deriving DSL identifiers from IRI fragments or rdfs:labels, and
 keeping memorised identifier-to-IRI snapshots so upstream renames surface as
 deprecated aliases instead of silent breakage.
 
+The module also holds the functional-style grammar that both directions
+use: `GRAMMAR` gives each axiom and complex class expression its head and
+its operands in text order, and `serializer.render_functional` writes by the
+same table that the parser reads by. Declarations and the atoms are the only
+terms spelled out by hand on each side.
+
 The parser tokenizes in one regex pass into plain (kind, text, offset)
 tuples; a line and column are computed from an offset only when a diagnostic
 needs them. Each distinct IRI or CURIE text is validated and built once per
@@ -90,7 +96,9 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+# The escapes a literal may hold, by the character after the backslash. The
+# renderer escapes by the same table, read the other way.
+LITERAL_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -115,9 +123,9 @@ def _unescape_literal(body: str) -> str:
         ch = body[i]
         if ch == "\\":
             esc = body[i + 1]
-            if esc not in _UNESCAPE:
+            if esc not in LITERAL_ESCAPES:
                 raise ValueError(f"unknown escape '\\{esc}' in literal")
-            out.append(_UNESCAPE[esc])
+            out.append(LITERAL_ESCAPES[esc])
             i += 2
         else:
             out.append(ch)
@@ -125,32 +133,57 @@ def _unescape_literal(body: str) -> str:
     return "".join(out)
 
 
-_CE_HEADS = {
-    "ObjectIntersectionOf",
-    "ObjectUnionOf",
-    "ObjectComplementOf",
-    "ObjectSomeValuesFrom",
-    "ObjectAllValuesFrom",
+# --- the grammar -----------------------------------------------------------
+
+# Operand kinds. An entity operand is given by its Kind instead.
+CE = "class expression"
+CES = "class expressions"
+CLASSES = "named classes"
+IRI_OR_CURIE = "IRI or CURIE"
+IRIREF = "<IRI>"
+LITERAL = "literal"
+
+# The functional-style syntax of every axiom and complex class expression:
+# model class -> (head, (field, operand kind) in text order). The parser and
+# `serializer.render_functional` both read it. Declarations and the atoms
+# (named classes, owl:Thing, owl:Nothing) are written out by hand on each side.
+GRAMMAR: dict[type, tuple[str, tuple[tuple[str, object], ...]]] = {
+    And: ("ObjectIntersectionOf", (("operands", CES),)),
+    Or: ("ObjectUnionOf", (("operands", CES),)),
+    Not: ("ObjectComplementOf", (("operand", CE),)),
+    Some: ("ObjectSomeValuesFrom", (("property", Kind.OBJECT_PROPERTY), ("filler", CE))),
+    Only: ("ObjectAllValuesFrom", (("property", Kind.OBJECT_PROPERTY), ("filler", CE))),
+    SubClassOf: ("SubClassOf", (("sub", CE), ("sup", CE))),
+    EquivalentClasses: ("EquivalentClasses", (("operands", CES),)),
+    DisjointClasses: ("DisjointClasses", (("operands", CLASSES),)),
+    SubObjectPropertyOf: (
+        "SubObjectPropertyOf",
+        (("sub", Kind.OBJECT_PROPERTY), ("sup", Kind.OBJECT_PROPERTY)),
+    ),
+    ObjectPropertyDomain: (
+        "ObjectPropertyDomain",
+        (("property", Kind.OBJECT_PROPERTY), ("ce", CE)),
+    ),
+    ObjectPropertyRange: ("ObjectPropertyRange", (("property", Kind.OBJECT_PROPERTY), ("ce", CE))),
+    FunctionalObjectProperty: ("FunctionalObjectProperty", (("property", Kind.OBJECT_PROPERTY),)),
+    TransitiveObjectProperty: ("TransitiveObjectProperty", (("property", Kind.OBJECT_PROPERTY),)),
+    AnnotationAssertion: (
+        "AnnotationAssertion",
+        (("property", Kind.ANNOTATION_PROPERTY), ("subject", IRI_OR_CURIE), ("value", LITERAL)),
+    ),
+    Import: ("Import", (("iri", IRIREF),)),
 }
 
-_AXIOM_HEADS = {
-    "Declaration",
-    "SubClassOf",
-    "EquivalentClasses",
-    "DisjointClasses",
-    "SubObjectPropertyOf",
-    "ObjectPropertyDomain",
-    "ObjectPropertyRange",
-    "FunctionalObjectProperty",
-    "TransitiveObjectProperty",
-    "AnnotationAssertion",
-    "Import",
+# The entity kinds a Declaration names, by the keyword that is the Kind's value.
+_DECLARATION_KINDS = {
+    kind.value: kind for kind in (Kind.CLASS, Kind.OBJECT_PROPERTY, Kind.ANNOTATION_PROPERTY)
 }
 
-_KIND_BY_KEYWORD = {
-    "Class": Kind.CLASS,
-    "ObjectProperty": Kind.OBJECT_PROPERTY,
-    "AnnotationProperty": Kind.ANNOTATION_PROPERTY,
+_CE_ROWS = {
+    head: (cls, ops) for cls, (head, ops) in GRAMMAR.items() if issubclass(cls, ClassExpression)
+}
+_AXIOM_ROWS = {
+    head: (cls, ops) for cls, (head, ops) in GRAMMAR.items() if issubclass(cls, Axiom)
 }
 
 
@@ -268,8 +301,36 @@ class _FunctionalParser:
             raise ParseError(str(err), self._loc(token[2])) from None
         return iri
 
-    def _entity(self, kind: Kind) -> Entity:
-        return Entity(kind, self._iri(self.next()))
+    def _operands(self, operands: tuple[tuple[str, object], ...], depth: int) -> dict:
+        """A term's field values, read from its "(" at nesting depth to its ")"."""
+        paren = self.expect("open")
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._loc(paren[2]))
+        values = {}
+        for name, kind in operands:
+            if kind is CE:
+                value = self._class_expression(depth)
+            elif kind is CES or kind is CLASSES:
+                items = []
+                while (token := self.peek()) is not None and token[0] != "close":
+                    item = self._class_expression(depth)
+                    if kind is CLASSES:
+                        if not isinstance(item, Named):
+                            raise ValueError("disjointness members must be named classes")
+                        item = item.entity
+                    items.append(item)
+                value = tuple(items)
+            elif kind is LITERAL:
+                value = self._literal()
+            elif kind is IRIREF:
+                value = self._iri(self.expect("iriref"))
+            elif kind is IRI_OR_CURIE:
+                value = self._iri(self.next())
+            else:
+                value = Entity(kind, self._iri(self.next()))
+            values[name] = value
+        self.expect("close")
+        return values
 
     def _class_expression(self, depth: int) -> ClassExpression:
         """One class expression inside depth levels of parentheses."""
@@ -284,30 +345,16 @@ class _FunctionalParser:
             return Named(Entity(Kind.CLASS, iri))
         if kind != "name":
             raise ParseError(f"expected a class expression, found {name!r}", self._loc(token[2]))
-        if name not in _CE_HEADS:
+        row = _CE_ROWS.get(name)
+        if row is None:
             raise self._unsupported(token)
-        depth += 1
-        paren = self.expect("open")
-        if depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._loc(paren[2]))
-        if name == "ObjectIntersectionOf" or name == "ObjectUnionOf":
-            operands: list[ClassExpression] = []
-            while self.peek() is not None and self.peek()[0] != "close":
-                operands.append(self._class_expression(depth))
-            self.expect("close")
-            cls = And if name == "ObjectIntersectionOf" else Or
-            if len(operands) < 2:
-                raise ParseError(f"{name} needs at least two operands", self._loc(token[2]))
-            return cls(tuple(operands))
-        if name == "ObjectComplementOf":
-            inner = self._class_expression(depth)
-            self.expect("close")
-            return Not(inner)
-        prop = self._entity(Kind.OBJECT_PROPERTY)
-        filler = self._class_expression(depth)
-        self.expect("close")
-        cls = Some if name == "ObjectSomeValuesFrom" else Only
-        return cls(prop, filler)
+        cls, operands = row
+        values = self._operands(operands, depth + 1)
+        # An axiom's model class checks its operand count, located at the
+        # axiom; a class expression's count is checked here, at its head.
+        if any(kind is CES and len(values[key]) < 2 for key, kind in operands):
+            raise ParseError(f"{name} needs at least two operands", self._loc(token[2]))
+        return cls(**values)
 
     def _literal(self) -> AnnotationValue:
         token = self.expect("literal")
@@ -325,80 +372,26 @@ class _FunctionalParser:
         head = self.next()
         if head[0] != "name":
             raise ParseError(f"expected an axiom, found {head[1]!r}", self._loc(head[2]))
-        if head[1] not in _AXIOM_HEADS:
-            raise self._unsupported(head)
-        self.expect("open")
-        try:
-            return self._axiom_body(head[1])
-        except ValueError as err:  # a model constructor rejected the operands
-            raise ParseError(str(err), self._loc(head[2])) from None
-
-    def _axiom_body(self, name: str) -> Axiom:
-        # The ontology's and the axiom's parentheses enclose every operand.
-        depth = 2
-        if name == "Declaration":
-            kind_token = self.expect("name")
-            kind = _KIND_BY_KEYWORD.get(kind_token[1])
-            if kind is None:
-                raise self._unsupported(kind_token)
+        if head[1] == "Declaration":
             self.expect("open")
-            entity = self._entity(kind)
+            keyword = self.expect("name")
+            kind = _DECLARATION_KINDS.get(keyword[1])
+            if kind is None:
+                raise self._unsupported(keyword)
+            self.expect("open")
+            entity = Entity(kind, self._iri(self.next()))
             self.expect("close")
             self.expect("close")
             return Declaration(entity)
-        if name == "SubClassOf":
-            sub = self._class_expression(depth)
-            sup = self._class_expression(depth)
-            self.expect("close")
-            return SubClassOf(sub, sup)
-        if name == "EquivalentClasses":
-            operands = []
-            while self.peek() is not None and self.peek()[0] != "close":
-                operands.append(self._class_expression(depth))
-            self.expect("close")
-            return EquivalentClasses(tuple(operands))
-        if name == "DisjointClasses":
-            members = []
-            while self.peek() is not None and self.peek()[0] != "close":
-                ce = self._class_expression(depth)
-                if not isinstance(ce, Named):
-                    raise ValueError("disjointness members must be named classes")
-                members.append(ce.entity)
-            self.expect("close")
-            return DisjointClasses(tuple(members))
-        if name == "SubObjectPropertyOf":
-            sub = self._entity(Kind.OBJECT_PROPERTY)
-            sup = self._entity(Kind.OBJECT_PROPERTY)
-            self.expect("close")
-            return SubObjectPropertyOf(sub, sup)
-        if name == "ObjectPropertyDomain":
-            prop = self._entity(Kind.OBJECT_PROPERTY)
-            ce = self._class_expression(depth)
-            self.expect("close")
-            return ObjectPropertyDomain(prop, ce)
-        if name == "ObjectPropertyRange":
-            prop = self._entity(Kind.OBJECT_PROPERTY)
-            ce = self._class_expression(depth)
-            self.expect("close")
-            return ObjectPropertyRange(prop, ce)
-        if name == "FunctionalObjectProperty":
-            prop = self._entity(Kind.OBJECT_PROPERTY)
-            self.expect("close")
-            return FunctionalObjectProperty(prop)
-        if name == "TransitiveObjectProperty":
-            prop = self._entity(Kind.OBJECT_PROPERTY)
-            self.expect("close")
-            return TransitiveObjectProperty(prop)
-        if name == "AnnotationAssertion":
-            prop = self._entity(Kind.ANNOTATION_PROPERTY)
-            subject = self._iri(self.next())
-            value = self._literal()
-            self.expect("close")
-            return AnnotationAssertion(subject, prop, value)
-        assert name == "Import"
-        iri = self._iri(self.expect("iriref"))
-        self.expect("close")
-        return Import(iri)
+        row = _AXIOM_ROWS.get(head[1])
+        if row is None:
+            raise self._unsupported(head)
+        cls, operands = row
+        try:
+            # The ontology's and the axiom's parentheses enclose every operand.
+            return cls(**self._operands(operands, 2))
+        except ValueError as err:  # the operands broke a model constraint
+            raise ParseError(str(err), self._loc(head[2])) from None
 
 
 def parse_functional(text: str, file: str = "<functional>") -> Ontology:

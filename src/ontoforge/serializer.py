@@ -5,7 +5,9 @@ one: one frame per declared entity in declaration order, fixed section order
 inside each frame, eight-space entry indentation, and a trailing comma on
 every entry except the last. The functional-style text is the interchange
 format: one axiom per line in axiom order, designed to survive a parse and
-re-render byte for byte.
+re-render byte for byte. It is written by `importer.GRAMMAR`, the table the
+parser reads by, with one CURIE-or-<IRI> rule for every name, and literals
+are escaped by the parser's `LITERAL_ESCAPES` read the other way.
 
 Equal ontologies (same axioms in the same order, same prefixes) always render
 to identical bytes; there is no hidden state.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import re
 
 from .errors import OntoforgeError
+from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL, LITERAL_ESCAPES
 from .model import (
     And,
     AnnotationAssertion,
@@ -74,13 +77,11 @@ def shorten(iri: IRI, prefixes: dict[str, str]) -> str | None:
     return best[1] if best else None
 
 
-def _escape_literal(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\t", "\\t")
+_ESCAPES = str.maketrans({char: "\\" + esc for esc, char in LITERAL_ESCAPES.items()})
 
 
 def _literal(value) -> str:
-    body = f'"{_escape_literal(value.text)}"'
+    body = f'"{value.text.translate(_ESCAPES)}"'
     if value.lang is not None:
         return f"{body}@{value.lang}"
     return body
@@ -253,66 +254,40 @@ def render_omn(ontology: Ontology) -> str:
 # --- functional-style -------------------------------------------------------
 
 
-def _fun_entity(entity: Entity, prefixes: dict[str, str]) -> str:
-    curie = shorten(entity.iri, prefixes)
-    return curie if curie is not None else f"<{entity.iri}>"
+def curie_or_iri(iri: IRI, prefixes: dict[str, str]) -> str:
+    """The CURIE for iri, or <iri> when no prefix covers it."""
+    return shorten(iri, prefixes) or f"<{iri}>"
 
 
-def _fun_ce(ce: ClassExpression, prefixes: dict[str, str]) -> str:
-    if isinstance(ce, Named):
-        return _fun_entity(ce.entity, prefixes)
-    if isinstance(ce, Thing):
+def _fun_term(term, prefixes: dict[str, str]) -> str:
+    """An axiom or class expression as functional-style text, by the grammar."""
+    if isinstance(term, Named):
+        return curie_or_iri(term.entity.iri, prefixes)
+    if isinstance(term, Declaration):
+        return f"Declaration({term.entity.kind.value}({curie_or_iri(term.entity.iri, prefixes)}))"
+    if isinstance(term, Thing):
         return "owl:Thing"
-    if isinstance(ce, Nothing):
+    if isinstance(term, Nothing):
         return "owl:Nothing"
-    if isinstance(ce, And):
-        return "ObjectIntersectionOf(" + " ".join(_fun_ce(op, prefixes) for op in ce.operands) + ")"
-    if isinstance(ce, Or):
-        return "ObjectUnionOf(" + " ".join(_fun_ce(op, prefixes) for op in ce.operands) + ")"
-    if isinstance(ce, Not):
-        return "ObjectComplementOf(" + _fun_ce(ce.operand, prefixes) + ")"
-    if isinstance(ce, Some):
-        return f"ObjectSomeValuesFrom({_fun_entity(ce.property, prefixes)} {_fun_ce(ce.filler, prefixes)})"
-    if isinstance(ce, Only):
-        return f"ObjectAllValuesFrom({_fun_entity(ce.property, prefixes)} {_fun_ce(ce.filler, prefixes)})"
-    raise TypeError(f"not a class expression: {ce!r}")
-
-
-_DECL_KEYWORD = {
-    Kind.CLASS: "Class",
-    Kind.OBJECT_PROPERTY: "ObjectProperty",
-    Kind.ANNOTATION_PROPERTY: "AnnotationProperty",
-}
-
-
-def render_axiom_functional(axiom: Axiom, prefixes: dict[str, str]) -> str:
-    """One axiom as a single functional-style line."""
-    ent = lambda e: _fun_entity(e, prefixes)
-    ce = lambda x: _fun_ce(x, prefixes)
-    if isinstance(axiom, Declaration):
-        return f"Declaration({_DECL_KEYWORD[axiom.entity.kind]}({ent(axiom.entity)}))"
-    if isinstance(axiom, SubClassOf):
-        return f"SubClassOf({ce(axiom.sub)} {ce(axiom.sup)})"
-    if isinstance(axiom, EquivalentClasses):
-        return "EquivalentClasses(" + " ".join(ce(op) for op in axiom.operands) + ")"
-    if isinstance(axiom, DisjointClasses):
-        return "DisjointClasses(" + " ".join(ent(op) for op in axiom.operands) + ")"
-    if isinstance(axiom, SubObjectPropertyOf):
-        return f"SubObjectPropertyOf({ent(axiom.sub)} {ent(axiom.sup)})"
-    if isinstance(axiom, ObjectPropertyDomain):
-        return f"ObjectPropertyDomain({ent(axiom.property)} {ce(axiom.ce)})"
-    if isinstance(axiom, ObjectPropertyRange):
-        return f"ObjectPropertyRange({ent(axiom.property)} {ce(axiom.ce)})"
-    if isinstance(axiom, FunctionalObjectProperty):
-        return f"FunctionalObjectProperty({ent(axiom.property)})"
-    if isinstance(axiom, TransitiveObjectProperty):
-        return f"TransitiveObjectProperty({ent(axiom.property)})"
-    if isinstance(axiom, AnnotationAssertion):
-        subject = shorten(axiom.subject, prefixes) or f"<{axiom.subject}>"
-        return f"AnnotationAssertion({ent(axiom.property)} {subject} {_literal(axiom.value)})"
-    if isinstance(axiom, Import):
-        return f"Import(<{axiom.iri}>)"
-    raise TypeError(f"not an axiom: {axiom!r}")
+    head, operands = GRAMMAR[type(term)]
+    parts = []
+    for name, kind in operands:
+        value = getattr(term, name)
+        if kind is CE:
+            parts.append(_fun_term(value, prefixes))
+        elif kind is CES:
+            parts += [_fun_term(op, prefixes) for op in value]
+        elif kind is CLASSES:
+            parts += [curie_or_iri(e.iri, prefixes) for e in value]
+        elif kind is LITERAL:
+            parts.append(_literal(value))
+        elif kind is IRIREF:
+            parts.append(f"<{value}>")
+        elif kind is IRI_OR_CURIE:
+            parts.append(curie_or_iri(value, prefixes))
+        else:
+            parts.append(curie_or_iri(value.iri, prefixes))
+    return f"{head}({' '.join(parts)})"
 
 
 def render_functional(ontology: Ontology) -> str:
@@ -321,6 +296,6 @@ def render_functional(ontology: Ontology) -> str:
     lines = [f"Prefix({label}:=<{prefixes[label]}>)" for label in sorted(prefixes)]
     lines.append(f"Ontology(<{ontology.iri}>")
     for axiom in ontology.axioms:
-        lines.append(render_axiom_functional(axiom, prefixes))
+        lines.append(_fun_term(axiom, prefixes))
     lines.append(")")
     return "\n".join(lines) + "\n"

@@ -1,12 +1,15 @@
 """Tests for functional-syntax parsing, interning, and memo snapshots."""
 
+import dataclasses
 import random
 
 import pytest
 
+from ontoforge import model
 from ontoforge.errors import Location
 from ontoforge.evaluator import Environment, eval_text, resolve
 from ontoforge.importer import (
+    GRAMMAR,
     MemoReport,
     MemoTable,
     UnmappableLabel,
@@ -195,6 +198,24 @@ def test_class_expressions_nest_up_to_the_shared_limit():
         parse_functional(text, file="dep.ofn")
     assert err.value.message == f"nesting deeper than {MAX_NESTING} levels"
     assert err.value.location == Location("dep.ofn", 3, text.splitlines()[2].rindex("(") + 1)
+
+
+def test_the_grammar_covers_every_axiom_and_class_expression():
+    written_by_hand = {model.Declaration, model.Named, model.Thing, model.Nothing}
+    concrete = {
+        cls
+        for cls in vars(model).values()
+        if isinstance(cls, type)
+        and issubclass(cls, (model.Axiom, model.ClassExpression))
+        and cls not in (model.Axiom, model.ClassExpression)
+    }
+    assert concrete == set(GRAMMAR) | written_by_hand
+    assert not set(GRAMMAR) & written_by_hand
+    for cls, (head, operands) in GRAMMAR.items():
+        fields = [f.name for f in dataclasses.fields(cls)]
+        assert sorted(name for name, _kind in operands) == sorted(fields), head
+    heads = [head for head, _operands in GRAMMAR.values()]
+    assert len(set(heads)) == len(heads)
 
 
 def _rendered_texts() -> list[tuple[str, str]]:

@@ -34,6 +34,7 @@ from ontoforge.model import (
 )
 from ontoforge.serializer import (
     NoPrefix,
+    curie_or_iri,
     prefix_map,
     render_functional,
     render_omn,
@@ -73,6 +74,12 @@ def test_shorten_requires_clean_local_name():
     assert shorten(IRI("https://x.org/1digit"), prefixes) is None
     assert shorten(IRI("https://y.org/elsewhere"), prefixes) is None
     assert shorten(IRI("https://x.org/ok.name-1_x"), prefixes) == "a:ok.name-1_x"
+
+
+def test_curie_or_iri_falls_back_to_the_bracketed_iri():
+    prefixes = {"a": "https://x.org/"}
+    assert curie_or_iri(IRI("https://x.org/Top"), prefixes) == "a:Top"
+    assert curie_or_iri(IRI("https://x.org/has/slash"), prefixes) == "<https://x.org/has/slash>"
 
 
 # --- Manchester-style golden text ---------------------------------------------
