@@ -11,6 +11,7 @@ byte), 3 I/O errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from collections import Counter
@@ -309,6 +310,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # The pipeline builds no reference cycles, so reference counting frees
+    # all a command makes and the cyclic collector would only rescan it.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except OntoforgeError as err:
@@ -317,6 +322,9 @@ def main(argv=None) -> int:
     except OSError as err:
         _print_diagnostic(Diagnostic("error", str(err)))
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

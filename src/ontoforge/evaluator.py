@@ -123,19 +123,24 @@ class Environment:
         self.source_dir: Path | None = None
 
     def all_environments(self) -> list["Environment"]:
-        """This environment and its dependencies, dependencies first."""
-        seen: set[int] = set()
+        """This environment and its dependencies, dependencies first.
+
+        An iterative depth-first walk: a recursive closure would hold itself
+        in a cell and make every environment of the run cyclic garbage.
+        """
+        seen = {id(self)}
         out: list[Environment] = []
-
-        def visit(env: Environment) -> None:
-            if id(env) in seen:
-                return
-            seen.add(id(env))
-            for dep in env.uses:
-                visit(dep)
-            out.append(env)
-
-        visit(self)
+        stack = [(self, iter(self.uses))]
+        while stack:
+            env, deps = stack[-1]
+            for dep in deps:
+                if id(dep) not in seen:
+                    seen.add(id(dep))
+                    stack.append((dep, iter(dep.uses)))
+                    break
+            else:
+                stack.pop()
+                out.append(env)
         return out
 
     def axiom_closure(self) -> list[Axiom]:
@@ -197,6 +202,8 @@ class Evaluator:
         self.locals: dict[str, Entity] = {}
         # How many template uses enclose the form being evaluated.
         self.template_depth = 0
+        # How many template bodies this evaluator has instantiated.
+        self.template_instantiations = 0
 
     # --- shared plumbing ---
 

@@ -27,6 +27,11 @@ from .model import (
 )
 from .sexpr import MAX_NESTING, BracketForm, Form, Identifier, Keyword, ListForm
 
+# The most template bodies one evaluation may instantiate. Uses that each
+# apply another template twice double the count per level, which no depth or
+# nesting cap bounds.
+MAX_INSTANTIATIONS = 10_000
+
 if TYPE_CHECKING:
     from .evaluator import Evaluator
 
@@ -290,7 +295,9 @@ def apply_template(ev: "Evaluator", template: TemplateDef, form: ListForm) -> in
     A use inside an expansion is one level deeper than the use that expanded
     it; past `MAX_NESTING` levels the use is an error, so a template that
     applies itself stops there instead of exhausting the Python stack. An
-    expanded form may nest `MAX_NESTING` levels deep, as a read one may.
+    expanded form may nest `MAX_NESTING` levels deep, as a read one may. The
+    use that would instantiate a body past `MAX_INSTANTIATIONS` in one
+    evaluation is an error too.
     """
     groups = form.children[1:]
     if not groups:
@@ -315,6 +322,11 @@ def apply_template(ev: "Evaluator", template: TemplateDef, form: ListForm) -> in
                 f"got {len(args)}",
                 group.location,
             )
+        if ev.template_instantiations == MAX_INSTANTIATIONS:
+            raise TemplateError(
+                f"more than {MAX_INSTANTIATIONS} template expansions", form.location
+            )
+        ev.template_instantiations += 1
         single = dict(zip(template.params, args))
         rest_forms = tuple(args[len(template.params):])
         ev.template_depth += 1

@@ -334,6 +334,7 @@ class Saturation:
         self.conj_by_operand: dict[str, list[tuple[str, str]]] = {}
         self.exists_rhs_by_lhs: dict[str, list[tuple[str, str]]] = {}
         self.exists_lhs_by_key: dict[tuple[str, str], list[str]] = {}
+        self.exists_roles_by_filler: dict[str, list[str]] = {}  # E -> r of each ∃r.E ⊑ B
         self._trail: list[tuple] | None = None  # (forget, item): forget(item) undoes one
 
     def mark(self) -> int:
@@ -355,6 +356,7 @@ class Saturation:
         S, R, edges_by_target, trail = self.S, self.R, self.edges_by_target, self._trail
         subs_by_lhs, conj_by_operand = self.subs_by_lhs, self.conj_by_operand
         exists_rhs_by_lhs, exists_lhs_by_key = self.exists_rhs_by_lhs, self.exists_lhs_by_key
+        exists_roles_by_filler = self.exists_roles_by_filler
         universe: set[str] = set(atoms) | {TOP}
         triggers: set[str] = set()
         queue: deque[tuple] = deque()
@@ -390,6 +392,7 @@ class Saturation:
             elif isinstance(ax, ExistsAtom):
                 universe.update((ax.filler, ax.sup))
                 index(exists_lhs_by_key, (ax.role, ax.filler), ax.sup)
+                index(exists_roles_by_filler, ax.filler, ax.role)
                 triggers.add(ax.filler)
             else:
                 raise TypeError(f"not a normal axiom: {ax!r}")
@@ -432,11 +435,12 @@ class Saturation:
                         add_sub(c, sup)
                 for role, filler in exists_rhs_by_lhs.get(d, ()):
                     add_edge(role, c, filler)
-                for role, src in tuple(edges_by_target.get(c, ())):
-                    for sup in exists_lhs_by_key.get((role, d), ()):
-                        add_sub(src, sup)
-                    if d == BOT:
-                        add_sub(src, BOT)
+                if d == BOT or d in exists_roles_by_filler:  # R4 and R⊥ fire only then
+                    for role, src in edges_by_target.get(c, ()):
+                        for sup in exists_lhs_by_key.get((role, d), ()):
+                            add_sub(src, sup)
+                        if d == BOT:
+                            add_sub(src, BOT)
             else:
                 _, role, src, tgt = event
                 for d in S[tgt].copy():

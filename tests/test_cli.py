@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import ontoforge
 from ontoforge.cli import main
+from ontoforge.patterns import MAX_INSTANTIATIONS
 from ontoforge.sexpr import MAX_NESTING
 from support import BUNDLED
 
@@ -490,6 +492,20 @@ def test_recursive_template_exits_two_at_the_use(tmp_path, capsys):
     assert (code, stdout) == (2, "")
     assert_one_located_error(stderr, tmp_path / "deep.ont", 3, 24)
     assert f"template expansion deeper than {MAX_NESTING} levels" in stderr
+
+
+def test_doubling_templates_exit_two_within_the_expansion_budget(tmp_path, capsys):
+    # t<i> applies t<i-1> twice: 2**20 expansions without the budget
+    lines = ["(deftemplate t0 [?a] (defclass A :subclass ?a))"]
+    lines += [f"(deftemplate t{i} [?a] (t{i - 1} [?a]) (t{i - 1} [?a]))" for i in range(1, 21)]
+    lines.append("(t20 [B])")
+    (tmp_path / "deep.ont").write_text(DEEP_HEAD + "\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
+    assert time.perf_counter() - start < 5.0
+    assert (code, stdout) == (2, "")
+    assert_one_located_error(stderr, tmp_path / "deep.ont", 4, 22)
+    assert f"more than {MAX_INSTANTIATIONS} template expansions" in stderr
 
 
 def test_template_nested_at_the_limit_runs_every_command(tmp_path, capsys):

@@ -17,7 +17,7 @@ from ontoforge.model import (
     RDFS_LABEL,
     SubClassOf,
 )
-from ontoforge.patterns import PatternArity, TemplateArity, TemplateError
+from ontoforge.patterns import MAX_INSTANTIATIONS, PatternArity, TemplateArity, TemplateError
 from ontoforge.sexpr import MAX_NESTING
 
 BASE = "https://example.org/piz#"
@@ -392,6 +392,17 @@ def test_template_uses_nest_up_to_the_expansion_limit():
     with pytest.raises(TemplateError) as err:
         run(template_chain(MAX_NESTING + 1))
     assert err.value.message == f"template expansion deeper than {MAX_NESTING} levels"
+
+
+def test_template_instantiations_stop_at_the_budget():
+    def source(groups: int) -> str:
+        return "(deftemplate nop [?a])\n(nop" + " [A]" * groups + ")"
+
+    run(source(MAX_INSTANTIATIONS))
+    with pytest.raises(TemplateError) as err:
+        run(source(MAX_INSTANTIATIONS + 1))
+    assert err.value.message == f"more than {MAX_INSTANTIATIONS} template expansions"
+    assert err.value.location == Location("<string>", 3, 1)
 
 
 def test_spliced_arguments_nest_no_deeper_than_the_reader_allows():
