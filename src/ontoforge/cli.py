@@ -20,10 +20,10 @@ from pathlib import Path
 from .errors import Diagnostic, OntoforgeError
 from .evaluator import Environment, Loader, _read_source, resolve
 from .importer import MemoTable, memorise_check, memorise_save
-from .model import AnnotationAssertion, IRI, Kind, RDFS_COMMENT, RDFS_LABEL
+from .model import AnnotationAssertion, Kind, RDFS_COMMENT, RDFS_LABEL
 from .polyglot import apply_labels, emit_skeleton, parse_properties
 from .reasoner import classify, direct_superclasses
-from .serializer import curie_or_iri, prefix_map, render_functional, render_omn
+from .serializer import CurieTable, curie_or_iri, prefix_map, render_functional, render_omn
 from .testkit import run_tests, tap_lines
 
 _SEVERITY_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
@@ -99,8 +99,10 @@ def _cmd_compile(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _last_segment(env.namespace)
     formats = ("omn", "ofn") if args.format == "both" else (args.format,)
+    curies = CurieTable(prefix_map(env.ontology))
     for fmt in formats:
-        text = render_omn(env.ontology) if fmt == "omn" else render_functional(env.ontology)
+        render = render_omn if fmt == "omn" else render_functional
+        text = render(env.ontology, curies)
         path = out_dir / f"{stem}.{fmt}"
         path.write_text(text, encoding="utf-8")
         print(path)
@@ -121,9 +123,9 @@ def _cmd_test(args) -> int:
     _print_skipped(report.skipped)
     for line in tap_lines(env, report):
         print(line)
-    prefixes = prefix_map(env.ontology)
+    curies = CurieTable(prefix_map(env.ontology))
     for iri_text in report.unsatisfiable:
-        name = curie_or_iri(IRI(iri_text), prefixes)
+        name = curie_or_iri(iri_text, curies)
         _print_diagnostic(Diagnostic("warning", f"unsatisfiable class {name}"))
     print(
         f"# {report.tests} tests, {report.assertions} assertions, "
@@ -137,11 +139,7 @@ def _cmd_classify(args) -> int:
     _print_warnings(env)
     taxonomy = classify(env.axiom_closure())
     _print_skipped(taxonomy.skipped)
-    prefixes = prefix_map(env.ontology)
-
-    def curie(iri_text: str) -> str:
-        return curie_or_iri(IRI(iri_text), prefixes)
-
+    curies = CurieTable(prefix_map(env.ontology))
     lines = []
     for iri, entity in env.ontology.entities.items():
         if entity.kind is not Kind.CLASS:
@@ -150,8 +148,9 @@ def _cmd_classify(args) -> int:
         if key in taxonomy.unsatisfiable:
             supers = ["owl:Nothing"]
         else:
-            supers = [curie(s) for s in direct_superclasses(taxonomy, key)] or ["owl:Thing"]
-        lines.append(f"{curie(key)}\t{', '.join(supers)}")
+            supers = [curie_or_iri(s, curies) for s in direct_superclasses(taxonomy, key)]
+            supers = supers or ["owl:Thing"]
+        lines.append(f"{curie_or_iri(key, curies)}\t{', '.join(supers)}")
     for line in sorted(lines):
         print(line)
     return 0

@@ -9,8 +9,12 @@ re-render byte for byte. It is written by `importer.GRAMMAR`, the table the
 parser reads by, with one CURIE-or-<IRI> rule for every name, and literals
 are escaped by the parser's `LITERAL_ESCAPES` read the other way.
 
+Every name is shortened by one rule, `shorten`. One `CurieTable` per command
+holds each IRI's CURIE, so `compile`'s two renders, and the `classify` and
+`test` printers, apply the rule once per IRI however often it is mentioned.
+
 Equal ontologies (same axioms in the same order, same prefixes) always render
-to identical bytes; there is no hidden state.
+to identical bytes, with a shared table or without; there is no hidden state.
 """
 
 from __future__ import annotations
@@ -66,15 +70,31 @@ def prefix_map(ontology: Ontology) -> dict[str, str]:
     return merged
 
 
-def shorten(iri: IRI, prefixes: dict[str, str]) -> str | None:
+def shorten(iri: IRI | str, prefixes: dict[str, str]) -> str | None:
     """The CURIE under the longest matching prefix base, or None."""
+    text = str(iri)
     best: tuple[int, str] | None = None
     for label, base in prefixes.items():
-        if iri.value.startswith(base):
-            local = iri.value[len(base):]
+        if text.startswith(base):
+            local = text[len(base):]
             if _LOCAL_RE.match(local) and (best is None or len(base) > best[0]):
                 best = (len(base), f"{label}:{local}")
     return best[1] if best else None
+
+
+class CurieTable(dict):
+    """IRI text -> its CURIE under prefixes, or None when no prefix covers it.
+
+    The first lookup of an IRI applies `shorten`; later lookups are dict hits.
+    """
+
+    def __init__(self, prefixes: dict[str, str]):
+        super().__init__()
+        self.prefixes = prefixes
+
+    def __missing__(self, text: str) -> str | None:
+        curie = self[text] = shorten(text, self.prefixes)
+        return curie
 
 
 _ESCAPES = str.maketrans({char: "\\" + esc for esc, char in LITERAL_ESCAPES.items()})
@@ -90,37 +110,37 @@ def _literal(value) -> str:
 # --- Manchester-style ------------------------------------------------------
 
 
-def _omn_name(entity: Entity, prefixes: dict[str, str]) -> str:
-    curie = shorten(entity.iri, prefixes)
+def _omn_name(entity: Entity, curies: CurieTable) -> str:
+    curie = curies[entity.iri.value]
     if curie is None:
         raise NoPrefix(f"no prefix covers <{entity.iri}>")
     return curie
 
 
-def _omn_ce(ce: ClassExpression, prefixes: dict[str, str]) -> str:
+def _omn_ce(ce: ClassExpression, curies: CurieTable) -> str:
     if isinstance(ce, Named):
-        return _omn_name(ce.entity, prefixes)
+        return _omn_name(ce.entity, curies)
     if isinstance(ce, Thing):
         return "owl:Thing"
     if isinstance(ce, Nothing):
         return "owl:Nothing"
     if isinstance(ce, And):
-        return " and ".join(_omn_wrap(op, prefixes) for op in ce.operands)
+        return " and ".join(_omn_wrap(op, curies) for op in ce.operands)
     if isinstance(ce, Or):
-        return " or ".join(_omn_wrap(op, prefixes) for op in ce.operands)
+        return " or ".join(_omn_wrap(op, curies) for op in ce.operands)
     if isinstance(ce, Not):
-        return "not " + _omn_wrap(ce.operand, prefixes)
+        return "not " + _omn_wrap(ce.operand, curies)
     if isinstance(ce, Some):
-        return f"{_omn_name(ce.property, prefixes)} some {_omn_wrap(ce.filler, prefixes)}"
+        return f"{_omn_name(ce.property, curies)} some {_omn_wrap(ce.filler, curies)}"
     if isinstance(ce, Only):
-        return f"{_omn_name(ce.property, prefixes)} only {_omn_wrap(ce.filler, prefixes)}"
+        return f"{_omn_name(ce.property, curies)} only {_omn_wrap(ce.filler, curies)}"
     raise TypeError(f"not a class expression: {ce!r}")
 
 
-def _omn_wrap(ce: ClassExpression, prefixes: dict[str, str]) -> str:
+def _omn_wrap(ce: ClassExpression, curies: CurieTable) -> str:
     if isinstance(ce, (Named, Thing, Nothing)):
-        return _omn_ce(ce, prefixes)
-    return "(" + _omn_ce(ce, prefixes) + ")"
+        return _omn_ce(ce, curies)
+    return "(" + _omn_ce(ce, curies) + ")"
 
 
 def _section(lines: list[str], keyword: str, entries: list[str]) -> None:
@@ -133,12 +153,12 @@ def _section(lines: list[str], keyword: str, entries: list[str]) -> None:
 
 
 class _FrameIndex:
-    def __init__(self, ontology: Ontology, prefixes: dict[str, str]):
-        self.prefixes = prefixes
+    def __init__(self, ontology: Ontology, curies: CurieTable):
+        self.curies = curies
         self.annotations: dict[IRI, list[AnnotationAssertion]] = {}
         self.superclasses: dict[IRI, list[ClassExpression]] = {}
         self.equivalents: dict[IRI, list[ClassExpression]] = {}
-        self.disjoints: dict[IRI, list[Entity]] = {}
+        self.disjoints: dict[IRI, dict[Entity, None]] = {}
         self.subproperties: dict[IRI, list[Entity]] = {}
         self.domains: dict[IRI, list[ClassExpression]] = {}
         self.ranges: dict[IRI, list[ClassExpression]] = {}
@@ -157,12 +177,13 @@ class _FrameIndex:
                     others = [o for j, o in enumerate(axiom.operands) if j != i]
                     self.equivalents.setdefault(op.entity.iri, []).extend(others)
         elif isinstance(axiom, DisjointClasses):
+            # Each bucket keeps the others in first-seen order across axioms;
+            # members are distinct classes, so none is in its own bucket yet.
+            members = dict.fromkeys(axiom.operands)
             for member in axiom.operands:
-                others = [o for o in axiom.operands if o != member]
-                bucket = self.disjoints.setdefault(member.iri, [])
-                for other in others:
-                    if other not in bucket:
-                        bucket.append(other)
+                bucket = self.disjoints.setdefault(member.iri, {})
+                bucket.update(members)
+                del bucket[member]
         elif isinstance(axiom, SubObjectPropertyOf):
             self.subproperties.setdefault(axiom.sub.iri, []).append(axiom.sup)
         elif isinstance(axiom, ObjectPropertyDomain):
@@ -176,63 +197,63 @@ class _FrameIndex:
 
     def annotation_entries(self, iri: IRI) -> list[str]:
         entries = sorted(
-            (_omn_name(a.property, self.prefixes), a.value.lang or "", a.value.text, _literal(a.value))
+            (_omn_name(a.property, self.curies), a.value.lang or "", a.value.text, _literal(a.value))
             for a in self.annotations.get(iri, [])
         )
         return [f"{prop} {literal}" for prop, _lang, _text, literal in entries]
 
 
 def _class_frame(entity: Entity, index: _FrameIndex) -> list[str]:
-    prefixes = index.prefixes
-    lines = [f"Class: {_omn_name(entity, prefixes)}"]
+    curies = index.curies
+    lines = [f"Class: {_omn_name(entity, curies)}"]
     _section(lines, "Annotations", index.annotation_entries(entity.iri))
     _section(
         lines,
         "EquivalentTo",
-        [_omn_ce(ce, prefixes) for ce in index.equivalents.get(entity.iri, [])],
+        [_omn_ce(ce, curies) for ce in index.equivalents.get(entity.iri, [])],
     )
     _section(
         lines,
         "SubClassOf",
-        [_omn_ce(ce, prefixes) for ce in index.superclasses.get(entity.iri, [])],
+        [_omn_ce(ce, curies) for ce in index.superclasses.get(entity.iri, [])],
     )
     _section(
         lines,
         "DisjointWith",
-        [_omn_name(e, prefixes) for e in index.disjoints.get(entity.iri, [])],
+        [_omn_name(e, curies) for e in index.disjoints.get(entity.iri, [])],
     )
     return lines
 
 
 def _property_frame(entity: Entity, index: _FrameIndex) -> list[str]:
-    prefixes = index.prefixes
-    lines = [f"ObjectProperty: {_omn_name(entity, prefixes)}"]
+    curies = index.curies
+    lines = [f"ObjectProperty: {_omn_name(entity, curies)}"]
     _section(lines, "Annotations", index.annotation_entries(entity.iri))
     traits = index.characteristics.get(entity.iri, set())
     _section(lines, "Characteristics", [t for t in ("Functional", "Transitive") if t in traits])
     _section(
         lines,
         "SubPropertyOf",
-        [_omn_name(p, prefixes) for p in index.subproperties.get(entity.iri, [])],
+        [_omn_name(p, curies) for p in index.subproperties.get(entity.iri, [])],
     )
-    _section(lines, "Domain", [_omn_ce(ce, prefixes) for ce in index.domains.get(entity.iri, [])])
-    _section(lines, "Range", [_omn_ce(ce, prefixes) for ce in index.ranges.get(entity.iri, [])])
+    _section(lines, "Domain", [_omn_ce(ce, curies) for ce in index.domains.get(entity.iri, [])])
+    _section(lines, "Range", [_omn_ce(ce, curies) for ce in index.ranges.get(entity.iri, [])])
     return lines
 
 
 def _annotation_property_frame(entity: Entity, index: _FrameIndex) -> list[str]:
-    lines = [f"AnnotationProperty: {_omn_name(entity, index.prefixes)}"]
+    lines = [f"AnnotationProperty: {_omn_name(entity, index.curies)}"]
     _section(lines, "Annotations", index.annotation_entries(entity.iri))
     return lines
 
 
-def render_omn(ontology: Ontology) -> str:
-    """Manchester-style text for the whole ontology."""
-    prefixes = prefix_map(ontology)
-    index = _FrameIndex(ontology, prefixes)
+def render_omn(ontology: Ontology, curies: CurieTable | None = None) -> str:
+    """Manchester-style text for the whole ontology, named through curies."""
+    curies = CurieTable(prefix_map(ontology)) if curies is None else curies
+    index = _FrameIndex(ontology, curies)
     blocks: list[list[str]] = []
 
-    header = [f"Prefix: {label}: <{prefixes[label]}>" for label in sorted(prefixes)]
+    header = [f"Prefix: {label}: <{base}>" for label, base in sorted(curies.prefixes.items())]
     header.append("")
     header.append(f"Ontology: <{ontology.iri}>")
     for axiom in ontology.axioms:
@@ -254,17 +275,18 @@ def render_omn(ontology: Ontology) -> str:
 # --- functional-style -------------------------------------------------------
 
 
-def curie_or_iri(iri: IRI, prefixes: dict[str, str]) -> str:
-    """The CURIE for iri, or <iri> when no prefix covers it."""
-    return shorten(iri, prefixes) or f"<{iri}>"
+def curie_or_iri(iri: IRI | str, curies: CurieTable | dict[str, str]) -> str:
+    """The CURIE for iri by a table (or a one-off prefix map), else <iri>."""
+    curies = curies if isinstance(curies, CurieTable) else CurieTable(curies)
+    return curies[str(iri)] or f"<{iri}>"
 
 
-def _fun_term(term, prefixes: dict[str, str]) -> str:
+def _fun_term(term, curies: CurieTable) -> str:
     """An axiom or class expression as functional-style text, by the grammar."""
     if isinstance(term, Named):
-        return curie_or_iri(term.entity.iri, prefixes)
+        return curie_or_iri(term.entity.iri, curies)
     if isinstance(term, Declaration):
-        return f"Declaration({term.entity.kind.value}({curie_or_iri(term.entity.iri, prefixes)}))"
+        return f"Declaration({term.entity.kind.value}({curie_or_iri(term.entity.iri, curies)}))"
     if isinstance(term, Thing):
         return "owl:Thing"
     if isinstance(term, Nothing):
@@ -274,28 +296,28 @@ def _fun_term(term, prefixes: dict[str, str]) -> str:
     for name, kind in operands:
         value = getattr(term, name)
         if kind is CE:
-            parts.append(_fun_term(value, prefixes))
+            parts.append(_fun_term(value, curies))
         elif kind is CES:
-            parts += [_fun_term(op, prefixes) for op in value]
+            parts += [_fun_term(op, curies) for op in value]
         elif kind is CLASSES:
-            parts += [curie_or_iri(e.iri, prefixes) for e in value]
+            parts += [curie_or_iri(e.iri, curies) for e in value]
         elif kind is LITERAL:
             parts.append(_literal(value))
         elif kind is IRIREF:
             parts.append(f"<{value}>")
         elif kind is IRI_OR_CURIE:
-            parts.append(curie_or_iri(value, prefixes))
+            parts.append(curie_or_iri(value, curies))
         else:
-            parts.append(curie_or_iri(value.iri, prefixes))
+            parts.append(curie_or_iri(value.iri, curies))
     return f"{head}({' '.join(parts)})"
 
 
-def render_functional(ontology: Ontology) -> str:
+def render_functional(ontology: Ontology, curies: CurieTable | None = None) -> str:
     """Functional-style text: prefixes, then one axiom per line in order."""
-    prefixes = prefix_map(ontology)
-    lines = [f"Prefix({label}:=<{prefixes[label]}>)" for label in sorted(prefixes)]
+    curies = CurieTable(prefix_map(ontology)) if curies is None else curies
+    lines = [f"Prefix({label}:=<{base}>)" for label, base in sorted(curies.prefixes.items())]
     lines.append(f"Ontology(<{ontology.iri}>")
     for axiom in ontology.axioms:
-        lines.append(_fun_term(axiom, prefixes))
+        lines.append(_fun_term(axiom, curies))
     lines.append(")")
     return "\n".join(lines) + "\n"

@@ -11,8 +11,9 @@ import pytest
 import ontoforge
 from ontoforge.cli import main
 from ontoforge.patterns import MAX_INSTANTIATIONS
+from ontoforge.serializer import render_functional, render_omn
 from ontoforge.sexpr import MAX_NESTING
-from support import BUNDLED
+from support import BUNDLED, pizza_env
 
 MENU_ONT = """\
 (defontology menu :iri "https://example.org/menu#" :prefix "menu")
@@ -81,6 +82,17 @@ def test_compile_is_deterministic(menu_tree, tmp_path, capsys):
     run_cli(capsys, "compile", "--src", str(menu_tree), "--out", str(out2))
     assert (out1 / "menu.omn").read_bytes() == (out2 / "menu.omn").read_bytes()
     assert (out1 / "menu.ofn").read_bytes() == (out2 / "menu.ofn").read_bytes()
+
+
+def test_compile_shares_one_table_and_writes_what_each_render_writes(tmp_path, capsys):
+    # compile names both formats through one CURIE table; each render on its
+    # own builds a table of its own
+    out = tmp_path / "build"
+    code, _, _ = run_cli(capsys, "compile", "--src", str(BUNDLED), "--out", str(out))
+    assert code == 0
+    ontology = pizza_env().ontology
+    assert (out / "pizza.omn").read_text(encoding="utf-8") == render_omn(ontology)
+    assert (out / "pizza.ofn").read_text(encoding="utf-8") == render_functional(ontology)
 
 
 def test_compile_output_stem_is_the_last_namespace_segment(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the Manchester-style and functional-style renderers."""
 
 import random
+import time
 
 import pytest
 
@@ -31,8 +32,10 @@ from ontoforge.model import (
     SubObjectPropertyOf,
     THING,
     TransitiveObjectProperty,
+    axiom_mentions,
 )
 from ontoforge.serializer import (
+    CurieTable,
     NoPrefix,
     curie_or_iri,
     prefix_map,
@@ -40,7 +43,7 @@ from ontoforge.serializer import (
     render_omn,
     shorten,
 )
-from support import random_full_ontology
+from support import pizza_env, random_full_ontology
 
 BASE = "https://example.org/menu#"
 
@@ -80,6 +83,48 @@ def test_curie_or_iri_falls_back_to_the_bracketed_iri():
     prefixes = {"a": "https://x.org/"}
     assert curie_or_iri(IRI("https://x.org/Top"), prefixes) == "a:Top"
     assert curie_or_iri(IRI("https://x.org/has/slash"), prefixes) == "<https://x.org/has/slash>"
+
+
+def _mentioned_iris(onto: Ontology) -> list[str]:
+    """Every IRI text a render of onto looks up, in axiom order, repeats included."""
+    texts = [iri.value for iri in onto.entities]
+    for axiom in onto.axioms:
+        texts += [e.iri.value for e in axiom_mentions(axiom)]
+        if isinstance(axiom, AnnotationAssertion):
+            texts.append(axiom.subject.value)
+        elif isinstance(axiom, Import):
+            texts.append(axiom.iri.value)
+    return texts
+
+
+def _table_cases():
+    pizza = pizza_env().ontology
+    prefixes = prefix_map(pizza)
+    base = pizza.prefixes["piz"]
+    # a longer base inside the pizza namespace wins where its local name is
+    # clean ("Pizza" + "Topping"), and loses where it is empty or rejected;
+    # a bare scheme base covers everything with a rejected local name
+    prefixes.update({"pz": base + "Pizza", "any": "https://"})
+    extra = [base + "Pizza", base + "PizzaTopping", base + "Pizza1", base + "Pizza/x",
+             base + "1st", base + "a%20b", "https://nowhere.org/x#A", "urn:isbn:0451450523"]
+    yield prefixes, _mentioned_iris(pizza) + extra
+    for seed in range(40):
+        onto = random_full_ontology(random.Random(seed))
+        prefixes = prefix_map(onto)
+        rt = onto.prefixes["rt"]
+        prefixes["deep"] = rt + "C"
+        extra = [rt + "C", rt + "Cx", rt + "-x", "https://example.org/C1"]
+        yield prefixes, _mentioned_iris(onto) + extra
+
+
+def test_curie_table_gives_what_the_rule_gives():
+    for prefixes, texts in _table_cases():
+        table = CurieTable(prefixes)
+        for text in texts:
+            assert table[text] == shorten(IRI(text), prefixes), text
+            assert curie_or_iri(text, table) == curie_or_iri(IRI(text), prefixes), text
+        assert set(table) == set(texts)
+        assert table.prefixes is prefixes
 
 
 # --- Manchester-style golden text ---------------------------------------------
@@ -218,6 +263,79 @@ def test_omn_requires_a_prefix_for_every_entity():
     onto.add_axiom(SubClassOf(Named(a), Named(stranger)))
     with pytest.raises(NoPrefix):
         render_omn(onto)
+
+
+def test_omn_raises_no_prefix_through_a_shared_table():
+    onto = menu()
+    a = onto.declare(Kind.CLASS, IRI(BASE + "A"))
+    stranger = onto.declare(Kind.CLASS, IRI("https://elsewhere.org/x#B"))
+    onto.add_axiom(SubClassOf(Named(a), Named(stranger)))
+    curies = CurieTable(prefix_map(onto))
+    assert "<https://elsewhere.org/x#B>" in render_functional(onto, curies)
+    with pytest.raises(NoPrefix, match="no prefix covers <https://elsewhere.org/x#B>"):
+        render_omn(onto, curies)
+
+
+def test_one_shared_table_renders_the_same_bytes_as_a_table_each():
+    ontologies = [pizza_env().ontology]
+    ontologies += [random_full_ontology(random.Random(seed)) for seed in range(30)]
+    for onto in ontologies:
+        curies = CurieTable(prefix_map(onto))
+        assert render_omn(onto, curies) == render_omn(onto)
+        assert render_functional(onto, curies) == render_functional(onto)
+
+
+def _disjoint_with_by_the_list_scan(onto: Ontology) -> dict[str, list[str]]:
+    """The reference rule: each member's others, appended unless already listed."""
+    buckets: dict = {}
+    for axiom in onto.axioms:
+        if isinstance(axiom, DisjointClasses):
+            for member in axiom.operands:
+                bucket = buckets.setdefault(member, [])
+                for other in axiom.operands:
+                    if other != member and other not in bucket:
+                        bucket.append(other)
+
+    def name(entity):
+        return curie_or_iri(entity.iri, onto.prefixes)
+
+    return {name(member): [name(e) for e in bucket] for member, bucket in buckets.items()}
+
+
+def _disjoint_with_sections(text: str) -> dict[str, list[str]]:
+    """Each class frame's DisjointWith entries, by the frame's class name."""
+    sections = {}
+    for block in text.split("\n\n"):
+        head = block.partition("\n")[0]
+        if head.startswith("Class: ") and "    DisjointWith: \n" in block:
+            entries = block.split("    DisjointWith: \n")[1].splitlines()
+            sections[head[len("Class: "):]] = [e.strip().rstrip(",") for e in entries]
+    return sections
+
+
+def test_omn_disjoint_with_order_follows_the_list_scan_rule():
+    for seed in range(200):
+        rng = random.Random(seed)
+        onto = menu()
+        classes = [onto.declare(Kind.CLASS, IRI(f"{BASE}C{i}")) for i in range(rng.randint(2, 9))]
+        # several axioms over a few classes, so members share axioms
+        for _ in range(rng.randint(1, 7)):
+            members = rng.sample(classes, k=rng.randint(2, min(5, len(classes))))
+            onto.add_axiom(DisjointClasses(tuple(members)))
+        assert _disjoint_with_sections(render_omn(onto)) == _disjoint_with_by_the_list_scan(onto)
+
+
+def test_omn_renders_a_400_member_disjointness_quickly():
+    onto = menu()
+    classes = [onto.declare(Kind.CLASS, IRI(f"{BASE}C{i}")) for i in range(400)]
+    onto.add_axiom(DisjointClasses(tuple(classes)))
+    start = time.perf_counter()
+    text = render_omn(onto)
+    elapsed = time.perf_counter() - start
+    sections = _disjoint_with_sections(text)
+    assert sections["m:C0"] == [f"m:C{i}" for i in range(1, 400)]
+    assert sections["m:C399"] == [f"m:C{i}" for i in range(399)]
+    assert elapsed < 0.5, f"render_omn took {elapsed:.2f} s"
 
 
 def test_omn_escapes_literal_text():
