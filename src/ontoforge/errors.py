@@ -1,7 +1,15 @@
-"""Shared diagnostic types: source locations, the error hierarchy root, warnings."""
+"""Shared diagnostic types: source locations, the error hierarchy root, warnings.
+
+A reader keeps each token's character offset into a `Source`, and
+`Source.location` is the one rule that turns an offset into a `Location`.
+It counts lines only when first asked, so a run that reports nothing never
+does; the `.ont` reader's forms and the functional-syntax parser both use it.
+"""
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -17,10 +25,38 @@ class Location:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-def location_at(file: str, text: str, offset: int) -> Location:
-    """The line and column of text[offset]."""
-    line_start = text.rfind("\n", 0, offset) + 1
-    return Location(file, text.count("\n", 0, line_start) + 1, offset - line_start + 1)
+_NEWLINE_RE = re.compile(r"\n")
+
+
+class Source:
+    """A text and the file it came from; offsets into it resolve to Locations."""
+
+    __slots__ = ("file", "text", "_line_starts")
+
+    def __init__(self, file: str, text: str):
+        self.file = file
+        self.text = text
+        self._line_starts: list[int] | None = None
+
+    def location(self, offset: int) -> Location:
+        """The line and column of text[offset]; the first call finds the line starts."""
+        starts = self._line_starts
+        if starts is None:
+            starts = [0]
+            starts.extend(m.end() for m in _NEWLINE_RE.finditer(self.text))
+            self._line_starts = starts
+        line = bisect_right(starts, offset)
+        return Location(self.file, line, offset - starts[line - 1] + 1)
+
+
+class Located:
+    """A value read at an offset of a Source; its location is resolved when read."""
+
+    __slots__ = ()
+
+    @property
+    def location(self) -> Location:
+        return self.source.location(self.offset)
 
 
 class OntoforgeError(Exception):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import patterns
-from .errors import Diagnostic, Location, OntoforgeError, location_at
+from .errors import Diagnostic, Located, Location, OntoforgeError, Source
 from .importer import InternRecord, intern_external, parse_functional
 from .model import (
     AnnotationAssertion,
@@ -99,10 +99,11 @@ class DeprecatedAlias:
 
 
 @dataclass(frozen=True)
-class TestDef:
+class TestDef(Located):
     name: str
     body: tuple[Form, ...]
-    location: Location
+    offset: int
+    source: Source
 
 
 class Environment:
@@ -151,11 +152,15 @@ class Environment:
         return out
 
 
-def resolve(env: Environment, name: str, location: Location | None = None) -> Entity:
-    """Look up a binding; deprecated aliases still work but warn."""
+def resolve(env: Environment, name: str, where: Located | None = None) -> Entity:
+    """Look up a binding; deprecated aliases still work but warn.
+
+    A warning or error is located at where, which is resolved only then.
+    """
     entity = env.bindings.get(name)
     if entity is not None:
         return entity
+    location = where.location if where is not None else None
     alias = env.deprecated.get(name)
     if alias is not None:
         env.warnings.append(
@@ -232,29 +237,29 @@ class Evaluator:
             if entity is not None:
                 break
         else:
-            entity = self.locals.get(form.name) or resolve(self.env, form.name, form.location)
+            entity = self.locals.get(form.name) or resolve(self.env, form.name, form)
         if entity.kind is not kind:
             what = "a class" if kind is Kind.CLASS else "an object property"
             raise EvalError(f"'{form.name}' is not {what}", form.location)
         return entity
 
-    def declare(self, name: str, location: Location, kind: Kind, bind: bool = True) -> Entity:
-        """Declare name as an entity of the given kind.
+    def declare(self, name: str, where: Located, kind: Kind, bind: bool = True) -> Entity:
+        """Declare name as an entity of the given kind; errors are located at where.
 
         With bind, the name takes the enclosing affixes and is bound in the
         environment; without, it is declared verbatim and left unbound.
         """
         if not is_valid_identifier(name):
-            raise EvalError(f"invalid identifier '{name}'", location)
+            raise EvalError(f"invalid identifier '{name}'", where.location)
         full = self._affixed(name) if bind else name
         if full != name and full in self.env.bindings:
-            raise DuplicateBinding(f"affixed name '{full}' is already bound", location)
+            raise DuplicateBinding(f"affixed name '{full}' is already bound", where.location)
         try:
             entity = self.env.ontology.declare(kind, IRI(self.env.ontology.iri.value + full))
         except ValueError as err:
-            raise EvalError(str(err), location)
+            raise EvalError(str(err), where.location)
         except OntoforgeError as err:
-            raise self._located(err, location)
+            raise self._located(err, where.location)
         if bind:
             self.env.bindings[full] = entity
             if full != name:
@@ -441,7 +446,7 @@ class Evaluator:
         args = form.children[1:]
         if not args or not isinstance(args[0], Text):
             raise EvalError("owlclass needs a text name", form.location)
-        entity = self.declare(args[0].value, args[0].location, Kind.CLASS, bind=False)
+        entity = self.declare(args[0].value, args[0], Kind.CLASS, bind=False)
         self.env.ontology.add_axioms(self.option_axioms(entity, args[1:], _CLASS_OPTIONS))
         return entity
 
@@ -484,7 +489,7 @@ class Evaluator:
         children = form.children
         if len(children) < 2 or not isinstance(children[1], Identifier):
             raise EvalError(f"{children[0].name} needs a name", form.location)
-        entity = self.declare(children[1].name, children[1].location, kind)
+        entity = self.declare(children[1].name, children[1], kind)
         try:
             self.env.ontology.add_axioms(self.option_axioms(entity, children[2:], allowed))
         except OntoforgeError as err:
@@ -552,7 +557,7 @@ class Evaluator:
             raise EvalError(f"invalid identifier '{name}'", children[1].location)
         if any(t.name == name for t in self.env.tests):
             raise EvalError(f"duplicate test name '{name}'", children[1].location)
-        test = TestDef(name, tuple(children[2:]), form.location)
+        test = TestDef(name, tuple(children[2:]), form.offset, form.source)
         self.env.tests.append(test)
         return test
 
@@ -590,7 +595,7 @@ def _read_source(path: Path) -> str:
         before = _universal_newlines(data[: err.start].decode("utf-8"))
         raise ParseError(
             f"not valid UTF-8: {err.reason} (byte 0x{data[err.start]:02x})",
-            location_at(str(path), before, len(before)),
+            Source(str(path), before).location(len(before)),
         ) from None
 
 

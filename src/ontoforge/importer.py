@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .errors import Diagnostic, Location, OntoforgeError, location_at
+from .errors import Diagnostic, Location, OntoforgeError, Source
 from .model import (
     And,
     AnnotationAssertion,
@@ -189,8 +189,7 @@ _AXIOM_ROWS = {
 
 class _FunctionalParser:
     def __init__(self, text: str, file: str):
-        self.text = text
-        self.file = file
+        self.source = Source(file, text)
         self.tokens = _tokenize(text)
         self.pos = 0
         self.prefixes: dict[str, str] = {"owl": OWL_NS, "rdfs": RDFS_NS}
@@ -202,7 +201,7 @@ class _FunctionalParser:
                 raise ParseError(f"unexpected character {value!r}", self._loc(offset))
 
     def _loc(self, offset: int) -> Location:
-        return location_at(self.file, self.text, offset)
+        return self.source.location(offset)
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None

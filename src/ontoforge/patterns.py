@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import Location, OntoforgeError
+from .errors import Located, OntoforgeError, Source
 from .model import (
     ClassExpression,
     DisjointClasses,
@@ -75,6 +75,7 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
     if not rest:
         raise PatternArity("as-disjoint-subclasses needs at least one subclass", form.location)
     members: list[Entity] = []
+    seen: set[Entity] = set()
     for child in rest:
         if not (
             isinstance(child, ListForm)
@@ -86,11 +87,12 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
                 "as-disjoint-subclasses children must be defclass forms", child.location
             )
         member = ev.eval_top(child)
-        if member in members:
+        if member in seen:
             raise PatternError(
                 f"'{child.children[1].name}' is listed twice; disjoint subclasses must be distinct",
                 child.location,
             )
+        seen.add(member)
         members.append(member)
     axioms = [SubClassOf(Named(m), Named(parent)) for m in members]
     if len(members) >= 2:
@@ -140,10 +142,10 @@ def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
                 f"'{v.name}' is listed twice; partition values must be distinct", v.location
             )
         seen.add(v.name)
-    name, location = children[0].name, children[0].location
-    parent = ev.declare(name, location, Kind.CLASS)
-    values = [ev.declare(v.name, v.location, Kind.CLASS) for v in value_forms]
-    prop = ev.declare("has" + name, location, Kind.OBJECT_PROPERTY)
+    name = children[0].name
+    parent = ev.declare(name, children[0], Kind.CLASS)
+    values = [ev.declare(v.name, v, Kind.CLASS) for v in value_forms]
+    prop = ev.declare("has" + name, children[0], Kind.OBJECT_PROPERTY)
     axioms = [SubClassOf(Named(v), Named(parent)) for v in values]
     axioms.append(DisjointClasses(tuple(values)))
     axioms.append(EquivalentClasses((Named(parent), _or_of(values))))
@@ -157,12 +159,13 @@ def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
 
 
 @dataclass(frozen=True)
-class TemplateDef:
+class TemplateDef(Located):
     name: str
     params: tuple[str, ...]
     rest: str | None
     body: tuple[Form, ...]
-    location: Location
+    offset: int
+    source: Source
 
 
 def _marker(form: Form) -> str | None:
@@ -245,7 +248,7 @@ def define_template(ev: "Evaluator", form: ListForm) -> TemplateDef:
     allowed = set(params) | ({rest} if rest else set())
     for body_form in body:
         _validate_body(body_form, allowed, rest)
-    template = TemplateDef(name, tuple(params), rest, tuple(body), form.location)
+    template = TemplateDef(name, tuple(params), rest, tuple(body), form.offset, form.source)
     ev.env.templates[name] = template
     return template
 
@@ -276,7 +279,7 @@ def _substitute(
                     )
             else:
                 children.append(_substitute(child, single, rest, rest_forms))
-        return type(form)(tuple(children), form.location)
+        return type(form)(tuple(children), form.offset, form.source)
     return form
 
 

@@ -153,49 +153,54 @@ def _section(lines: list[str], keyword: str, entries: list[str]) -> None:
 
 
 class _FrameIndex:
+    """What each frame lists, by the IRI text of the frame's entity.
+
+    Keys are IRI text, not `IRI`, so every lookup hashes a str in C.
+    """
+
     def __init__(self, ontology: Ontology, curies: CurieTable):
         self.curies = curies
-        self.annotations: dict[IRI, list[AnnotationAssertion]] = {}
-        self.superclasses: dict[IRI, list[ClassExpression]] = {}
-        self.equivalents: dict[IRI, list[ClassExpression]] = {}
-        self.disjoints: dict[IRI, dict[Entity, None]] = {}
-        self.subproperties: dict[IRI, list[Entity]] = {}
-        self.domains: dict[IRI, list[ClassExpression]] = {}
-        self.ranges: dict[IRI, list[ClassExpression]] = {}
-        self.characteristics: dict[IRI, set[str]] = {}
+        self.annotations: dict[str, list[AnnotationAssertion]] = {}
+        self.superclasses: dict[str, list[ClassExpression]] = {}
+        self.equivalents: dict[str, list[ClassExpression]] = {}
+        self.disjoints: dict[str, dict[str, Entity]] = {}
+        self.subproperties: dict[str, list[Entity]] = {}
+        self.domains: dict[str, list[ClassExpression]] = {}
+        self.ranges: dict[str, list[ClassExpression]] = {}
+        self.characteristics: dict[str, set[str]] = {}
         for axiom in ontology.axioms:
             self._index(axiom)
 
     def _index(self, axiom: Axiom) -> None:
         if isinstance(axiom, AnnotationAssertion):
-            self.annotations.setdefault(axiom.subject, []).append(axiom)
+            self.annotations.setdefault(axiom.subject.value, []).append(axiom)
         elif isinstance(axiom, SubClassOf) and isinstance(axiom.sub, Named):
-            self.superclasses.setdefault(axiom.sub.entity.iri, []).append(axiom.sup)
+            self.superclasses.setdefault(axiom.sub.entity.iri.value, []).append(axiom.sup)
         elif isinstance(axiom, EquivalentClasses):
             for i, op in enumerate(axiom.operands):
                 if isinstance(op, Named):
                     others = [o for j, o in enumerate(axiom.operands) if j != i]
-                    self.equivalents.setdefault(op.entity.iri, []).extend(others)
+                    self.equivalents.setdefault(op.entity.iri.value, []).extend(others)
         elif isinstance(axiom, DisjointClasses):
             # Each bucket keeps the others in first-seen order across axioms;
             # members are distinct classes, so none is in its own bucket yet.
-            members = dict.fromkeys(axiom.operands)
-            for member in axiom.operands:
-                bucket = self.disjoints.setdefault(member.iri, {})
+            members = {member.iri.value: member for member in axiom.operands}
+            for key in members:
+                bucket = self.disjoints.setdefault(key, {})
                 bucket.update(members)
-                del bucket[member]
+                del bucket[key]
         elif isinstance(axiom, SubObjectPropertyOf):
-            self.subproperties.setdefault(axiom.sub.iri, []).append(axiom.sup)
+            self.subproperties.setdefault(axiom.sub.iri.value, []).append(axiom.sup)
         elif isinstance(axiom, ObjectPropertyDomain):
-            self.domains.setdefault(axiom.property.iri, []).append(axiom.ce)
+            self.domains.setdefault(axiom.property.iri.value, []).append(axiom.ce)
         elif isinstance(axiom, ObjectPropertyRange):
-            self.ranges.setdefault(axiom.property.iri, []).append(axiom.ce)
+            self.ranges.setdefault(axiom.property.iri.value, []).append(axiom.ce)
         elif isinstance(axiom, FunctionalObjectProperty):
-            self.characteristics.setdefault(axiom.property.iri, set()).add("Functional")
+            self.characteristics.setdefault(axiom.property.iri.value, set()).add("Functional")
         elif isinstance(axiom, TransitiveObjectProperty):
-            self.characteristics.setdefault(axiom.property.iri, set()).add("Transitive")
+            self.characteristics.setdefault(axiom.property.iri.value, set()).add("Transitive")
 
-    def annotation_entries(self, iri: IRI) -> list[str]:
+    def annotation_entries(self, iri: str) -> list[str]:
         entries = sorted(
             (_omn_name(a.property, self.curies), a.value.lang or "", a.value.text, _literal(a.value))
             for a in self.annotations.get(iri, [])
@@ -204,46 +209,46 @@ class _FrameIndex:
 
 
 def _class_frame(entity: Entity, index: _FrameIndex) -> list[str]:
-    curies = index.curies
+    curies, key = index.curies, entity.iri.value
     lines = [f"Class: {_omn_name(entity, curies)}"]
-    _section(lines, "Annotations", index.annotation_entries(entity.iri))
+    _section(lines, "Annotations", index.annotation_entries(key))
     _section(
         lines,
         "EquivalentTo",
-        [_omn_ce(ce, curies) for ce in index.equivalents.get(entity.iri, [])],
+        [_omn_ce(ce, curies) for ce in index.equivalents.get(key, [])],
     )
     _section(
         lines,
         "SubClassOf",
-        [_omn_ce(ce, curies) for ce in index.superclasses.get(entity.iri, [])],
+        [_omn_ce(ce, curies) for ce in index.superclasses.get(key, [])],
     )
     _section(
         lines,
         "DisjointWith",
-        [_omn_name(e, curies) for e in index.disjoints.get(entity.iri, [])],
+        [_omn_name(e, curies) for e in index.disjoints.get(key, {}).values()],
     )
     return lines
 
 
 def _property_frame(entity: Entity, index: _FrameIndex) -> list[str]:
-    curies = index.curies
+    curies, key = index.curies, entity.iri.value
     lines = [f"ObjectProperty: {_omn_name(entity, curies)}"]
-    _section(lines, "Annotations", index.annotation_entries(entity.iri))
-    traits = index.characteristics.get(entity.iri, set())
+    _section(lines, "Annotations", index.annotation_entries(key))
+    traits = index.characteristics.get(key, set())
     _section(lines, "Characteristics", [t for t in ("Functional", "Transitive") if t in traits])
     _section(
         lines,
         "SubPropertyOf",
-        [_omn_name(p, curies) for p in index.subproperties.get(entity.iri, [])],
+        [_omn_name(p, curies) for p in index.subproperties.get(key, [])],
     )
-    _section(lines, "Domain", [_omn_ce(ce, curies) for ce in index.domains.get(entity.iri, [])])
-    _section(lines, "Range", [_omn_ce(ce, curies) for ce in index.ranges.get(entity.iri, [])])
+    _section(lines, "Domain", [_omn_ce(ce, curies) for ce in index.domains.get(key, [])])
+    _section(lines, "Range", [_omn_ce(ce, curies) for ce in index.ranges.get(key, [])])
     return lines
 
 
 def _annotation_property_frame(entity: Entity, index: _FrameIndex) -> list[str]:
     lines = [f"AnnotationProperty: {_omn_name(entity, index.curies)}"]
-    _section(lines, "Annotations", index.annotation_entries(entity.iri))
+    _section(lines, "Annotations", index.annotation_entries(entity.iri.value))
     return lines
 
 

@@ -1,17 +1,17 @@
 """Reading and printing the s-expression surface syntax.
 
-Forms are plain value dataclasses carrying the location of their first token.
-`read_forms` and `print_forms` are inverse enough that reading printed output
-reproduces the same forms (modulo locations and whitespace).
+Forms are plain value dataclasses. Each keeps the character offset of its
+first token and the `Source` it was read from, which every form of one text
+shares; `form.location` turns the offset into `file:line:col` when it is
+read, so only a diagnostic pays for counting lines. `read_forms` and
+`print_forms` are inverse enough that reading printed output reproduces the
+same forms (modulo locations and whitespace).
 
 `read_forms` makes one `re.finditer` pass over the text. Each match is one
 token with the blanks and `;` comments before it: an atom, an open or a close
 bracket, a complete string, a lone `"` (an unterminated string) or the end
 of the text. Lists are built on an explicit stack of open brackets, so
-nesting costs no recursion; `MAX_NESTING` caps it. A token's line and column
-come from the newlines between it and the previous located token
-(`str.count` and `str.rfind`), so no character is visited in Python. A close
-bracket needs no location unless it is an error. Errors are raised in text
+nesting costs no recursion; `MAX_NESTING` caps it. Errors are raised in text
 order, each at the position the message names: a string error at its open
 quote, `unclosed` at the innermost open bracket.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import Location, OntoforgeError, location_at
+from .errors import Located, OntoforgeError, Source
 
 
 class ParseError(OntoforgeError):
@@ -29,33 +29,38 @@ class ParseError(OntoforgeError):
 
 
 @dataclass(frozen=True, slots=True)
-class Identifier:
+class Identifier(Located):
     name: str
-    location: Location
+    offset: int
+    source: Source
 
 
 @dataclass(frozen=True, slots=True)
-class Keyword:
+class Keyword(Located):
     name: str
-    location: Location
+    offset: int
+    source: Source
 
 
 @dataclass(frozen=True, slots=True)
-class Text:
+class Text(Located):
     value: str
-    location: Location
+    offset: int
+    source: Source
 
 
 @dataclass(frozen=True, slots=True)
-class ListForm:
+class ListForm(Located):
     children: tuple
-    location: Location
+    offset: int
+    source: Source
 
 
 @dataclass(frozen=True, slots=True)
-class BracketForm:
+class BracketForm(Located):
     children: tuple
-    location: Location
+    offset: int
+    source: Source
 
 
 Form = Identifier | Keyword | Text | ListForm | BracketForm
@@ -107,13 +112,16 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
-def _unescape(body: str, location: Location) -> str:
-    """A string's value from the text after its open quote; escapes pair up left to right."""
+def _unescape(body: str, source: Source, offset: int) -> str:
+    """The value of the string whose open quote is at offset, from the text after it.
+
+    Escapes pair up left to right.
+    """
 
     def one(m: re.Match) -> str:
         value = _ESCAPES.get(m[1])
         if value is None:
-            raise ParseError(f"unknown escape '\\{m[1]}' in string", location)
+            raise ParseError(f"unknown escape '\\{m[1]}' in string", source.location(offset))
         return value
 
     return _ESCAPE_RE.sub(one, body)
@@ -121,57 +129,50 @@ def _unescape(body: str, location: Location) -> str:
 
 def read_forms(text: str, file: str = "<string>") -> list[Form]:
     """Parse a whole document into its top-level forms."""
+    source = Source(file, text)
     forms: list[Form] = []
     children = forms  # of the innermost open bracket, or the top level
-    stack: list[tuple[list, str, Location]] = []  # (enclosing children, bracket, location)
-    count, rfind = text.count, text.rfind
-    line, line_start, last = 1, 0, 0  # at the last located token, which starts at last
+    stack: list[tuple[list, str, int]] = []  # (enclosing children, bracket, offset)
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastindex
         pos = m.start(kind)
-        if kind == _CLOSE:
-            close = m[kind]
-            if not stack:
-                raise ParseError(f"unexpected '{close}'", location_at(file, text, pos))
-            parent, bracket, open_loc = stack.pop()
-            closing, cls = _CLOSING[bracket]
-            if close != closing:
-                raise ParseError(
-                    f"mismatched '{close}', expected '{closing}'", location_at(file, text, pos)
-                )
-            parent.append(cls(tuple(children), open_loc))
-            children = parent
-            continue
-        newlines = count("\n", last, pos)
-        if newlines:
-            line += newlines
-            line_start = rfind("\n", last, pos) + 1
-        last = pos
-        loc = Location(file, line, pos - line_start + 1)
         if kind == _ATOM:
             atom = m[kind]
             if atom[0] != ":":
-                children.append(Identifier(atom, loc))
+                children.append(Identifier(atom, pos, source))
             elif len(atom) > 1:
-                children.append(Keyword(atom[1:], loc))
+                children.append(Keyword(atom[1:], pos, source))
             else:
-                raise ParseError("':' is not a keyword", loc)
+                raise ParseError("':' is not a keyword", source.location(pos))
         elif kind == _OPEN:
             if len(stack) == MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", loc)
-            stack.append((children, m[kind], loc))
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", source.location(pos))
+            stack.append((children, m[kind], pos))
             children = []
+        elif kind == _CLOSE:
+            close = m[kind]
+            if not stack:
+                raise ParseError(f"unexpected '{close}'", source.location(pos))
+            parent, bracket, open_pos = stack.pop()
+            closing, cls = _CLOSING[bracket]
+            if close != closing:
+                raise ParseError(
+                    f"mismatched '{close}', expected '{closing}'", source.location(pos)
+                )
+            parent.append(cls(tuple(children), open_pos, source))
+            children = parent
         elif kind == _TEXT:
             body = m[kind][1:-1]
-            children.append(Text(_unescape(body, loc) if "\\" in body else body, loc))
+            value = _unescape(body, source, pos) if "\\" in body else body
+            children.append(Text(value, pos, source))
         elif kind == _QUOTE:
-            _unescape(text[pos + 1:], loc)
-            raise ParseError("unterminated string literal", loc)
+            _unescape(text[pos + 1:], source, pos)
+            raise ParseError("unterminated string literal", source.location(pos))
         else:
             break
     if stack:
-        _, bracket, open_loc = stack[-1]
-        raise ParseError(f"unclosed '{bracket}'", open_loc)
+        _, bracket, open_pos = stack[-1]
+        raise ParseError(f"unclosed '{bracket}'", source.location(open_pos))
     return forms
 
 

@@ -1,8 +1,11 @@
 """Tests for the form evaluator, namespace loading, and the use/read-external forms."""
 
+from pathlib import Path
+
 import pytest
 
-from ontoforge.errors import Diagnostic
+import ontoforge
+from ontoforge.errors import Diagnostic, Source
 from ontoforge.evaluator import (
     CycleError,
     DuplicateOntology,
@@ -447,6 +450,47 @@ def test_loader_caches_by_namespace(tmp_path):
     write_tree(tmp_path, {"base.ont": BASE_ONT})
     loader = Loader(tmp_path)
     assert loader.load("base") is loader.load("base")
+
+
+PATTERNS_ONT = """\
+(defontology shop :iri "https://example.org/shop#" :prefix "shop")
+(defoproperty hasPart)
+(defclass Part)
+(as-disjoint-subclasses Part :cover
+  (defclass Wheel)
+  (defclass Frame))
+(value-partition Size [Small Medium Large])
+(with-suffix Bike
+  (defclass Road :subclass (owlsome hasPart Wheel) :disjoint Part)
+  (with-prefix Hill
+    (defclass Mountain :subclass Road)))
+(deftemplate kit [?name & ?parts]
+  (defclass ?name :subclass (owland (each ?parts ?p (owlsome hasPart ?p)))))
+(kit [Repair Wheel Frame] [Spare Wheel])
+(deftest Sizes
+  (is (isuperclass? Small Size))
+  (is (isuperclass? HillMountainBike RoadBike)))
+"""
+
+
+def test_a_successful_load_resolves_almost_no_locations(monkeypatch, tmp_path):
+    resolved = 0
+    locate = Source.location
+
+    def counting(self, offset):
+        nonlocal resolved
+        resolved += 1
+        return locate(self, offset)
+
+    monkeypatch.setattr(Source, "location", counting)
+    pizza = Loader(Path(ontoforge.__file__).parent / "bundled").load("pizza")
+    assert len(pizza.ontology.axioms) == 97 and resolved <= 5
+    resolved = 0
+    write_tree(tmp_path, {"shop.ont": PATTERNS_ONT})
+    shop = Loader(tmp_path).load("shop")
+    assert {"RoadBike", "HillMountainBike", "hasSize", "Repair", "Spare"} <= set(shop.bindings)
+    assert shop.templates and shop.tests
+    assert resolved <= 5
 
 
 def test_loader_missing_namespace(tmp_path):

@@ -8,6 +8,7 @@ from ontoforge.model import (
     AnnotationAssertion,
     AnnotationValue,
     DisjointClasses,
+    Entity,
     EquivalentClasses,
     FunctionalObjectProperty,
     IRI,
@@ -17,7 +18,13 @@ from ontoforge.model import (
     RDFS_LABEL,
     SubClassOf,
 )
-from ontoforge.patterns import MAX_INSTANTIATIONS, PatternArity, TemplateArity, TemplateError
+from ontoforge.patterns import (
+    MAX_INSTANTIATIONS,
+    PatternArity,
+    PatternError,
+    TemplateArity,
+    TemplateError,
+)
 from ontoforge.sexpr import MAX_NESTING
 
 BASE = "https://example.org/piz#"
@@ -108,6 +115,32 @@ def test_disjoint_subclasses_argument_errors():
         run("(defclass P)\n(defclass Q)\n(as-disjoint-subclasses P Q)")
     with pytest.raises(UnboundIdentifier):
         run("(as-disjoint-subclasses Ghost (defclass A))")
+
+
+def test_a_2000_member_disjoint_block_checks_members_without_comparing_them(monkeypatch):
+    n = 2000
+    block = "(defclass P)\n(as-disjoint-subclasses P\n" + "".join(
+        f"  (defclass C{i})\n" for i in range(n)
+    )
+    comparisons = 0
+    compare = Entity.__eq__
+
+    def counting(self, other):
+        nonlocal comparisons
+        comparisons += 1
+        return compare(self, other)
+
+    monkeypatch.setattr(Entity, "__eq__", counting)
+    env = run(block + ")")
+    # a scan of the members so far compares n(n-1)/2 pairs
+    assert comparisons < n
+    monkeypatch.undo()
+    members = tuple(entity(env, f"C{i}") for i in range(n))
+    assert DisjointClasses(members) in env.ontology
+    with pytest.raises(PatternError) as err:
+        run(block + "  (defclass C7))")
+    assert err.value.message == "'C7' is listed twice; disjoint subclasses must be distinct"
+    assert err.value.location == Location("<string>", n + 4, 3)
 
 
 # --- affix blocks -------------------------------------------------------------------

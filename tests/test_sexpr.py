@@ -1,14 +1,16 @@
 """Tests for the s-expression reader and printer."""
 
+import gc
 import hashlib
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 import ontoforge
-from ontoforge.errors import Location
+from ontoforge.errors import Location, Source
 from ontoforge.sexpr import (
     MAX_NESTING,
     BracketForm,
@@ -180,7 +182,41 @@ def test_parse_error_carries_location():
     assert err.value.location == Location("y.ont", 2, 3)
 
 
+def test_resolving_every_offset_of_a_long_text_is_not_quadratic():
+    def text_of(n_lines: int) -> str:
+        return "".join("x" * (i % 7) + "\n" for i in range(n_lines))
+
+    def every_location(text: str) -> tuple[float, list]:
+        source = Source("long.ont", text)
+        collecting = gc.isenabled()
+        gc.disable()  # a full collection inside one run would swamp its time
+        try:
+            start = time.perf_counter()
+            locations = [source.location(offset) for offset in range(len(text) + 1)]
+            return time.perf_counter() - start, locations
+        finally:
+            if collecting:
+                gc.enable()
+
+    small, large = text_of(2_500), text_of(10_000)
+    _, locations = every_location(large)
+    expected, line, column = [], 1, 1
+    for ch in large + " ":
+        expected.append(Location("long.ont", line, column))
+        line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+    assert locations == expected
+    # four times the text: about four times the time when linear, sixteen when quadratic
+    ratio = min(every_location(large)[0] for _ in range(5)) / min(
+        every_location(small)[0] for _ in range(5)
+    )
+    assert ratio < 8, ratio
+
+
 # --- printing ---------------------------------------------------------------
+
+
+# Random forms are built, not read, so they point at offset 0 of an empty text.
+_NOWHERE = Source("<random>", "")
 
 
 def _random_form(rng: random.Random, depth: int):
@@ -188,13 +224,14 @@ def _random_form(rng: random.Random, depth: int):
     if depth <= 0 or pick < 0.35:
         kind = rng.randrange(3)
         if kind == 0:
-            return Identifier(rng.choice(["a", "b-c", "x_1", "ns/q", "p.q.r"]), None)
+            return Identifier(rng.choice(["a", "b-c", "x_1", "ns/q", "p.q.r"]), 0, _NOWHERE)
         if kind == 1:
-            return Keyword(rng.choice(["label", "subclass", "cover"]), None)
-        return Text(rng.choice(["plain", 'quo"te', "new\nline", "tab\t", "back\\slash", "émenthal"]), None)
+            return Keyword(rng.choice(["label", "subclass", "cover"]), 0, _NOWHERE)
+        value = rng.choice(["plain", 'quo"te', "new\nline", "tab\t", "back\\slash", "émenthal"])
+        return Text(value, 0, _NOWHERE)
     children = tuple(_random_form(rng, depth - 1) for _ in range(rng.randrange(4)))
     ctor = ListForm if pick < 0.85 else BracketForm
-    return ctor(children, None)
+    return ctor(children, 0, _NOWHERE)
 
 
 def test_print_then_read_is_identity_on_random_forms():
