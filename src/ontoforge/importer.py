@@ -11,20 +11,24 @@ its operands in text order, and `serializer.render_functional` writes by the
 same table that the parser reads by. Declarations and the atoms are the only
 terms spelled out by hand on each side.
 
-The parser tokenizes in one regex pass into plain (kind, text, offset)
-tuples; a line and column are computed from an offset only when a diagnostic
-needs them. Each distinct IRI or CURIE text is validated and built once per
-parse. Parenthesis nesting is capped at `sexpr.MAX_NESTING`, as in `.ont`
-sources. Loading registers every declaration first, then adds the axioms in
-text order, walking each axiom's signature once to import the entities it
-mentions and to check their kinds; a kind conflict is located at the head of
-the axiom that meets it.
+The parser tokenizes with one group-free regex whose `findall` gives the
+token texts alone: a token's kind follows from its text, and its offset is
+found again, by the same regex, only when a diagnostic needs a line and a
+column. Each distinct IRI or CURIE text is validated and built once per
+parse, and each distinct class text becomes one `Named` that every mention
+of it shares; both tables live as long as one parse. Parenthesis nesting is
+capped at `sexpr.MAX_NESTING`, as in `.ont` sources. Loading registers every
+declaration first, then adds the axioms in text order, walking each axiom's
+signature once to import the entities it mentions and to check their kinds;
+a kind conflict is located at the head of the axiom that meets it.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .errors import Diagnostic, Location, OntoforgeError, Source
@@ -80,34 +84,51 @@ class WrongOntology(OntoforgeError):
 
 # --- functional-style parsing -----------------------------------------------
 
-# One match per token, leading whitespace included. Any character no token
-# starts with is a `bad` token of its own, so the matches tile the text.
+# One match per token, in text order; the spaces, tabs and line breaks
+# between tokens match nothing. Any other character that starts no token is
+# a bad token of its own, so every character outside that whitespace lies in
+# exactly one token. The pattern has no groups, so `findall` returns the
+# token texts alone: a token's kind follows from its text (`_kind`), and its
+# offset is found again only for a diagnostic (`_token_start`).
 _TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*
-      (?: (?P<open>\()
-        | (?P<close>\))
-        | (?P<bind>:=)
-        | (?P<iriref><[^<>\s]+>)
-        | (?P<literal>"[^"\\]*(?:\\.[^"\\]*)*")
-        | (?P<lang>@[A-Za-z0-9][A-Za-z0-9-]*)
-        | (?P<name>[A-Za-z_][A-Za-z0-9_.-]*(?::[A-Za-z_][A-Za-z0-9_.-]*)?)
-        | (?P<bad>.)
-      )""",
+    r"""\(
+      | \)
+      | :=
+      | <[^<>\s]+>
+      | "[^"\\]*(?:\\.[^"\\]*)*"
+      | @[A-Za-z0-9][A-Za-z0-9-]*
+      | [A-Za-z_][A-Za-z0-9_.-]*(?::[A-Za-z_][A-Za-z0-9_.-]*)?
+      | [^ \t\r\n]""",
     re.VERBOSE,
 )
+
+# A token's kind by its first character; any other first character makes a
+# bad token. Alone, the four characters of `_LONE_BAD` are bad tokens too:
+# the longer token each one begins did not match there.
+_KINDS = {"(": "open", ")": "close", ":": "bind", "<": "iriref", '"': "literal", "@": "lang"}
+_KINDS.update(dict.fromkeys(string.ascii_letters + "_", "name"))
+_LONE_BAD = frozenset(':<"@')
+
+
+def _kind(token: str) -> str:
+    """open, close, bind, iriref, literal, lang, name or bad."""
+    if len(token) == 1 and token in _LONE_BAD:
+        return "bad"
+    return _KINDS.get(token[0], "bad")
+
+
+def _token_start(text: str, index: int) -> int:
+    """Where token index of text starts (0 when text has no such token).
+
+    The tokens keep no offsets; the scan runs again up to the token asked for.
+    """
+    match = next(islice(_TOKEN_RE.finditer(text), index, None), None)
+    return match.start() if match else 0
+
 
 # The escapes a literal may hold, by the character after the backslash. The
 # renderer escapes by the same table, read the other way.
 LITERAL_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) per token: its group name, its text, where it starts."""
-    end = len(text.rstrip(" \t\r\n"))
-    return [
-        (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
-        for m in _TOKEN_RE.finditer(text, 0, end)
-    ]
 
 
 def _unescape_literal(body: str) -> str:
@@ -188,63 +209,72 @@ _AXIOM_ROWS = {
 
 
 class _FunctionalParser:
+    """Reads one text. A token is its text; `pos` indexes the next one."""
+
     def __init__(self, text: str, file: str):
         self.source = Source(file, text)
-        self.tokens = _tokenize(text)
+        self.tokens: list[str] = _TOKEN_RE.findall(text)
         self.pos = 0
         self.prefixes: dict[str, str] = {"owl": OWL_NS, "rdfs": RDFS_NS}
-        # Each IRI by the IRI or CURIE text it was built from. Every Prefix
-        # comes before the first IRI, so one text always means one IRI.
+        # Each IRI by the IRI or CURIE text it was built from, and each class
+        # expression by the class token it was read from. Every Prefix comes
+        # before the first IRI, so one text always means one IRI.
         self.iris: dict[str, IRI] = {}
-        for kind, value, offset in self.tokens:
-            if kind == "bad":
-                raise ParseError(f"unexpected character {value!r}", self._loc(offset))
+        self.classes: dict[str, ClassExpression] = {}
+        # A bad character anywhere wins over any grammar error. Each distinct
+        # text is classified once.
+        bad = {token for token in set(self.tokens) if _kind(token) == "bad"}
+        if bad:
+            index = next(i for i, token in enumerate(self.tokens) if token in bad)
+            raise ParseError(f"unexpected character {self.tokens[index]!r}", self._loc(index))
 
-    def _loc(self, offset: int) -> Location:
-        return self.source.location(offset)
+    def _loc(self, index: int) -> Location:
+        return self.source.location(_token_start(self.source.text, index))
 
-    def peek(self) -> tuple[str, str, int] | None:
+    def _here(self) -> Location:
+        """Where the token that `next` or `expect` returned last starts."""
+        return self._loc(self.pos - 1)
+
+    def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> tuple[str, str, int]:
-        if self.pos >= len(self.tokens):
-            last = self.tokens[-1][2] if self.tokens else 0
-            raise ParseError("unexpected end of input", self._loc(last))
-        token = self.tokens[self.pos]
+    def next(self) -> str:
+        try:
+            token = self.tokens[self.pos]
+        except IndexError:
+            last = max(len(self.tokens) - 1, 0)
+            raise ParseError("unexpected end of input", self._loc(last)) from None
         self.pos += 1
         return token
 
-    def expect(self, kind: str, text: str | None = None) -> tuple[str, str, int]:
+    def expect(self, kind: str, text: str | None = None) -> str:
         token = self.next()
-        if token[0] != kind or (text is not None and token[1] != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {token[1]!r}", self._loc(token[2]))
+        if _kind(token) != kind or (text is not None and token != text):
+            raise ParseError(f"expected {text or kind!r}, found {token!r}", self._here())
         return token
 
-    def _unsupported(self, token: tuple[str, str, int]) -> UnsupportedConstruct:
-        loc = self._loc(token[2])
-        return UnsupportedConstruct(f"unsupported construct '{token[1]}' at line {loc.line}", loc)
+    def _unsupported(self, index: int) -> UnsupportedConstruct:
+        loc = self._loc(index)
+        return UnsupportedConstruct(
+            f"unsupported construct '{self.tokens[index]}' at line {loc.line}", loc
+        )
 
     def parse(self) -> Ontology:
-        while True:
-            token = self.peek()
-            if token is not None and token[0] == "name" and token[1] == "Prefix":
-                self.next()
-                self.expect("open")
-                label = self.expect("name")
-                if ":" in label[1]:
-                    raise ParseError(f"bad prefix label {label[1]!r}", self._loc(label[2]))
-                self.expect("bind")
-                base = self.expect("iriref")[1][1:-1]
-                self.expect("close")
-                self.prefixes[label[1]] = base
-            else:
-                break
+        while self.peek() == "Prefix":
+            self.next()
+            self.expect("open")
+            label = self.expect("name")
+            if ":" in label:
+                raise ParseError(f"bad prefix label {label!r}", self._here())
+            self.expect("bind")
+            base = self.expect("iriref")[1:-1]
+            self.expect("close")
+            self.prefixes[label] = base
 
         self.expect("name", "Ontology")
         self.expect("open")
-        iri_token = self.expect("iriref")
-        ontology = Ontology(self._iri(iri_token))
+        ontology = Ontology(self._iri(self.expect("iriref")))
+        ontology_iri = self.pos - 1
         ontology.prefixes = {
             label: base
             for label, base in self.prefixes.items()
@@ -256,16 +286,16 @@ class _FunctionalParser:
         while True:
             token = self.peek()
             if token is None:
-                raise ParseError("unterminated Ontology(...)", self._loc(iri_token[2]))
-            if token[0] == "close":
+                raise ParseError("unterminated Ontology(...)", self._loc(ontology_iri))
+            if token == ")":
                 self.next()
                 break
-            heads.append(token[2])
+            heads.append(self.pos)
             axioms.append(self._axiom())
 
         trailing = self.peek()
         if trailing is not None:
-            raise ParseError(f"unexpected {trailing[1]!r} after ontology", self._loc(trailing[2]))
+            raise ParseError(f"unexpected {trailing!r} after ontology", self._loc(self.pos))
 
         # Declarations first: an axiom may mention an entity declared below it.
         # A kind conflict is located at the head of the axiom that meets it.
@@ -279,39 +309,40 @@ class _FunctionalParser:
             raise DuplicateEntityKind(err.message, self._loc(head)) from None
         return ontology
 
-    def _iri(self, token: tuple[str, str, int]) -> IRI:
-        text = token[1]
-        iri = self.iris.get(text)
+    def _iri(self, token: str) -> IRI:
+        """The IRI of the token just read."""
+        iri = self.iris.get(token)
         if iri is not None:
             return iri
-        if token[0] == "iriref":
-            value = text[1:-1]
-        elif token[0] == "name" and ":" in text:
-            label, local = text.split(":", 1)
+        kind = _kind(token)
+        if kind == "iriref":
+            value = token[1:-1]
+        elif kind == "name" and ":" in token:
+            label, local = token.split(":", 1)
             base = self.prefixes.get(label)
             if base is None:
-                raise ParseError(f"unknown prefix '{label}'", self._loc(token[2]))
+                raise ParseError(f"unknown prefix '{label}'", self._here())
             value = base + local
         else:
-            raise ParseError(f"expected an IRI or CURIE, found {text!r}", self._loc(token[2]))
+            raise ParseError(f"expected an IRI or CURIE, found {token!r}", self._here())
         try:
-            iri = self.iris[text] = IRI(value)
+            iri = self.iris[token] = IRI(value)
         except ValueError as err:
-            raise ParseError(str(err), self._loc(token[2])) from None
+            raise ParseError(str(err), self._here()) from None
         return iri
 
     def _operands(self, operands: tuple[tuple[str, object], ...], depth: int) -> dict:
         """A term's field values, read from its "(" at nesting depth to its ")"."""
-        paren = self.expect("open")
+        self.expect("open")
         if depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._loc(paren[2]))
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._here())
         values = {}
         for name, kind in operands:
             if kind is CE:
                 value = self._class_expression(depth)
             elif kind is CES or kind is CLASSES:
                 items = []
-                while (token := self.peek()) is not None and token[0] != "close":
+                while (token := self.peek()) is not None and token != ")":
                     item = self._class_expression(depth)
                     if kind is CLASSES:
                         if not isinstance(item, Named):
@@ -334,55 +365,62 @@ class _FunctionalParser:
     def _class_expression(self, depth: int) -> ClassExpression:
         """One class expression inside depth levels of parentheses."""
         token = self.next()
-        kind, name, _ = token
-        if kind == "iriref" or (kind == "name" and ":" in name):
+        ce = self.classes.get(token)
+        if ce is not None:
+            return ce
+        kind = _kind(token)
+        if kind == "iriref" or (kind == "name" and ":" in token):
             iri = self._iri(token)
             if iri.value == OWL_NS + "Thing":
-                return THING
-            if iri.value == OWL_NS + "Nothing":
-                return NOTHING
-            return Named(Entity(Kind.CLASS, iri))
+                ce = THING
+            elif iri.value == OWL_NS + "Nothing":
+                ce = NOTHING
+            else:
+                ce = Named(Entity(Kind.CLASS, iri))
+            self.classes[token] = ce
+            return ce
+        head = self.pos - 1
         if kind != "name":
-            raise ParseError(f"expected a class expression, found {name!r}", self._loc(token[2]))
-        row = _CE_ROWS.get(name)
+            raise ParseError(f"expected a class expression, found {token!r}", self._loc(head))
+        row = _CE_ROWS.get(token)
         if row is None:
-            raise self._unsupported(token)
+            raise self._unsupported(head)
         cls, operands = row
         values = self._operands(operands, depth + 1)
         # An axiom's model class checks its operand count, located at the
         # axiom; a class expression's count is checked here, at its head.
         if any(kind is CES and len(values[key]) < 2 for key, kind in operands):
-            raise ParseError(f"{name} needs at least two operands", self._loc(token[2]))
+            raise ParseError(f"{token} needs at least two operands", self._loc(head))
         return cls(**values)
 
     def _literal(self) -> AnnotationValue:
         token = self.expect("literal")
         try:
-            text = _unescape_literal(token[1][1:-1])
+            text = _unescape_literal(token[1:-1])
         except ValueError as err:
-            raise ParseError(str(err), self._loc(token[2])) from None
+            raise ParseError(str(err), self._here()) from None
         lang = None
         nxt = self.peek()
-        if nxt is not None and nxt[0] == "lang":
-            lang = self.next()[1][1:]
+        if nxt is not None and _kind(nxt) == "lang":
+            lang = self.next()[1:]
         return AnnotationValue(text, lang)
 
     def _axiom(self) -> Axiom:
-        head = self.next()
-        if head[0] != "name":
-            raise ParseError(f"expected an axiom, found {head[1]!r}", self._loc(head[2]))
-        if head[1] == "Declaration":
+        token = self.next()
+        head = self.pos - 1
+        if _kind(token) != "name":
+            raise ParseError(f"expected an axiom, found {token!r}", self._loc(head))
+        if token == "Declaration":
             self.expect("open")
-            keyword = self.expect("name")
-            kind = _DECLARATION_KINDS.get(keyword[1])
+            kind = _DECLARATION_KINDS.get(self.expect("name"))
             if kind is None:
-                raise self._unsupported(keyword)
+                raise self._unsupported(self.pos - 1)
             self.expect("open")
             entity = Entity(kind, self._iri(self.next()))
             self.expect("close")
             self.expect("close")
             return Declaration(entity)
-        row = _AXIOM_ROWS.get(head[1])
+        row = _AXIOM_ROWS.get(token)
         if row is None:
             raise self._unsupported(head)
         cls, operands = row
@@ -390,7 +428,7 @@ class _FunctionalParser:
             # The ontology's and the axiom's parentheses enclose every operand.
             return cls(**self._operands(operands, 2))
         except ValueError as err:  # the operands broke a model constraint
-            raise ParseError(str(err), self._loc(head[2])) from None
+            raise ParseError(str(err), self._loc(head)) from None
 
 
 def parse_functional(text: str, file: str = "<functional>") -> Ontology:
