@@ -64,7 +64,7 @@ from .model import (
     THING,
     TransitiveObjectProperty,
 )
-from .sexpr import IDENTIFIER_RE, MAX_NESTING, ParseError
+from .sexpr import IDENTIFIER_RE, MAX_NESTING, ParseError, unescape
 
 if TYPE_CHECKING:
     from .evaluator import Environment
@@ -124,34 +124,6 @@ def _token_start(text: str, index: int) -> int:
     """
     match = next(islice(_TOKEN_RE.finditer(text), index, None), None)
     return match.start() if match else 0
-
-
-# The escapes a literal may hold, by the character after the backslash. The
-# renderer escapes by the same table, read the other way.
-LITERAL_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-
-
-def _unescape_literal(body: str) -> str:
-    """A literal's text from its body between the quotes.
-
-    Raises ValueError naming the first unknown escape.
-    """
-    if "\\" not in body:
-        return body
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\":
-            esc = body[i + 1]
-            if esc not in LITERAL_ESCAPES:
-                raise ValueError(f"unknown escape '\\{esc}' in literal")
-            out.append(LITERAL_ESCAPES[esc])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 # --- the grammar -----------------------------------------------------------
@@ -394,9 +366,9 @@ class _FunctionalParser:
         return cls(**values)
 
     def _literal(self) -> AnnotationValue:
-        token = self.expect("literal")
+        text = self.expect("literal")[1:-1]
         try:
-            text = _unescape_literal(token[1:-1])
+            text = unescape(text, "literal") if "\\" in text else text
         except ValueError as err:
             raise ParseError(str(err), self._here()) from None
         lang = None

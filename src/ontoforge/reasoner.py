@@ -25,9 +25,11 @@ Classification runs in two stages:
        R2: D1, D2 ∈ S(C), D1 ⊓ D2 ⊑ B  then B ∈ S(C)
        R3: D ∈ S(C), D ⊑ ∃r.B          then (C, B) ∈ R(r)
        R4: (C, D) ∈ R(r), E ∈ S(D), ∃r.E ⊑ B   then B ∈ S(C)
-       R⊥: (C, D) ∈ R(r), Nothing ∈ S(D)       then Nothing ∈ S(C)
 
-   starting from S(C) = {C, owl:Thing}. The fixpoint is unique, so the result
+   starting from S(C) = {C, owl:Thing}. Each edge (C, D) ∈ R(r) is stored
+   once, as (r, C) under its target D, where R4 looks for it. Propagating
+   owl:Nothing back over an edge is R4 too: every role r of some A ⊑ ∃r.B
+   gets ∃r.owl:Nothing ⊑ owl:Nothing. The fixpoint is unique, so the result
    does not depend on axiom order. Every rule only adds, so `extend` with
    more axioms carries on from the fixpoint it has, and a trail of the
    additions lets `undo` take an extension back exactly.
@@ -140,13 +142,16 @@ class NormalizeResult:
     next_aux: int = 1  # the number the next auxiliary name would get
 
 
-def _atom(ce: ClassExpression) -> str | None:
+def _atom(ce: ClassExpression | str) -> str | None:
+    """The atom ce is, if any; an auxiliary name is its own atom."""
     if isinstance(ce, Named):
         return ce.entity.iri.value
     if isinstance(ce, Thing):
         return TOP
     if isinstance(ce, Nothing):
         return BOT
+    if isinstance(ce, str):
+        return ce
     return None
 
 
@@ -190,10 +195,14 @@ class _Normalizer:
                 res.classes.add(axiom.entity.iri.value)
             return
         if isinstance(axiom, SubClassOf):
+            self._collect_signature(axiom.sub)
+            self._collect_signature(axiom.sup)
             self._sub(axiom.sub, axiom.sup, axiom)
             return
         if isinstance(axiom, EquivalentClasses):
             ops = axiom.operands
+            for op in ops:
+                self._collect_signature(op)
             for i, op in enumerate(ops):
                 self._sub(op, ops[(i + 1) % len(ops)], axiom)
             return
@@ -212,8 +221,6 @@ class _Normalizer:
         raise TypeError(f"not an axiom: {axiom!r}")
 
     def _sub(self, sub: ClassExpression, sup: ClassExpression, origin: Axiom) -> None:
-        self._collect_signature(sub)
-        self._collect_signature(sup)
         if isinstance(sub, Or):
             for disjunct in sub.operands:
                 self._sub(disjunct, sup, origin)
@@ -244,7 +251,7 @@ class _Normalizer:
         else:
             out.append(ce)
 
-    def _lhs_atom(self, ce: ClassExpression) -> str:
+    def _lhs_atom(self, ce: ClassExpression | str) -> str:
         """An atom A with ce ⊑ A, naming ce when it is complex."""
         atom = _atom(ce)
         if atom is not None:
@@ -259,10 +266,10 @@ class _Normalizer:
         if atom is not None:
             return atom
         aux = self.fresh()
-        self._emit_rhs(aux, ce)
+        self._emit(aux, ce)
         return aux
 
-    def _emit(self, sub: ClassExpression, sup: ClassExpression) -> None:
+    def _emit(self, sub: ClassExpression | str, sup: ClassExpression) -> None:
         sup_atom = _atom(sup)
         if sup_atom is None:
             if isinstance(sup, And):
@@ -277,7 +284,7 @@ class _Normalizer:
             return
         self._emit_lhs(sub, sup_atom)
 
-    def _emit_lhs(self, sub: ClassExpression, sup_atom: str) -> None:
+    def _emit_lhs(self, sub: ClassExpression | str, sup_atom: str) -> None:
         atom = _atom(sub)
         if atom is not None:
             self.result.normal.append(AtomAtom(atom, sup_atom))
@@ -297,19 +304,6 @@ class _Normalizer:
             acc = aux
         self.result.normal.append(ConjAtom(acc, atoms[-1], sup_atom))
 
-    def _emit_rhs(self, sub_atom: str, sup: ClassExpression) -> None:
-        if isinstance(sup, And):
-            for op in sup.operands:
-                atom = _atom(op)
-                if atom is not None:
-                    self.result.normal.append(AtomAtom(sub_atom, atom))
-                else:
-                    self._emit_rhs(sub_atom, op)
-            return
-        assert isinstance(sup, Some)
-        filler = self._rhs_atom(sup.filler)
-        self.result.normal.append(AtomExists(sub_atom, sup.property.iri.value, filler))
-
 
 def normalize(axioms, first_aux: int = 1) -> NormalizeResult:
     """Rewrite axioms into normal forms, naming auxiliaries from _aux{first_aux} on."""
@@ -320,21 +314,22 @@ def normalize(axioms, first_aux: int = 1) -> NormalizeResult:
 
 
 class Saturation:
-    """S and R of every normal axiom added so far, at the least fixpoint.
+    """S and the role edges of every normal axiom added so far, at the least fixpoint.
 
-    From the first `mark()` on, every addition to S, R and the indexes is
+    Six tables, each relation stored once: S; the edges, by target
+    (`edges_by_target[D]` holds (r, C) for each (C, D) ∈ R(r)); and one index
+    per normal form, of which `exists_lhs_by_filler[E][r]` lists the B of
+    each ∃r.E ⊑ B. From the first `mark()` on, every addition to a table is
     recorded on a trail; `undo(mark)` takes those made since mark back.
     """
 
     def __init__(self) -> None:
         self.S: dict[str, set[str]] = {}
-        self.R: dict[str, set[tuple[str, str]]] = {}
         self.edges_by_target: dict[str, set[tuple[str, str]]] = {}
         self.subs_by_lhs: dict[str, list[str]] = {}
         self.conj_by_operand: dict[str, list[tuple[str, str]]] = {}
         self.exists_rhs_by_lhs: dict[str, list[tuple[str, str]]] = {}
-        self.exists_lhs_by_key: dict[tuple[str, str], list[str]] = {}
-        self.exists_roles_by_filler: dict[str, list[str]] = {}  # E -> r of each ∃r.E ⊑ B
+        self.exists_lhs_by_filler: dict[str, dict[str, list[str]]] = {}
         self._trail: list[tuple] | None = None  # (forget, item): forget(item) undoes one
 
     def mark(self) -> int:
@@ -353,10 +348,9 @@ class Saturation:
         ("s", C, D) for each trigger D in S(C): the left atom of a new A ⊑ B or
         A ⊑ ∃r.B, one operand of a new A1 ⊓ A2 ⊑ B, or the E of a new ∃r.E ⊑ B.
         """
-        S, R, edges_by_target, trail = self.S, self.R, self.edges_by_target, self._trail
+        S, edges_by_target, trail = self.S, self.edges_by_target, self._trail
         subs_by_lhs, conj_by_operand = self.subs_by_lhs, self.conj_by_operand
-        exists_rhs_by_lhs, exists_lhs_by_key = self.exists_rhs_by_lhs, self.exists_lhs_by_key
-        exists_roles_by_filler = self.exists_roles_by_filler
+        exists_rhs_by_lhs, exists_lhs_by_filler = self.exists_rhs_by_lhs, self.exists_lhs_by_filler
         universe: set[str] = set(atoms) | {TOP}
         triggers: set[str] = set()
         queue: deque[tuple] = deque()
@@ -389,10 +383,14 @@ class Saturation:
                 universe.update((ax.sub, ax.filler))
                 index(exists_rhs_by_lhs, ax.sub, (ax.role, ax.filler))
                 triggers.add(ax.sub)
+                # R⊥ is R4 over ∃r.⊥ ⊑ ⊥, indexed before r has an edge; an
+                # ∃r.⊥ ⊑ B may have made the role's list already, so look in it
+                bot_sups = entry(exists_lhs_by_filler, BOT, dict)
+                if BOT not in bot_sups.get(ax.role, ()):
+                    index(bot_sups, ax.role, BOT)
             elif isinstance(ax, ExistsAtom):
                 universe.update((ax.filler, ax.sup))
-                index(exists_lhs_by_key, (ax.role, ax.filler), ax.sup)
-                index(exists_roles_by_filler, ax.filler, ax.role)
+                index(entry(exists_lhs_by_filler, ax.filler, dict), ax.role, ax.sup)
                 triggers.add(ax.filler)
             else:
                 raise TypeError(f"not a normal axiom: {ax!r}")
@@ -406,14 +404,11 @@ class Saturation:
                     trail.append((subsumers.remove, d))
 
         def add_edge(role: str, src: str, tgt: str) -> None:
-            edges = entry(R, role, set)
-            if (src, tgt) not in edges:
-                edges.add((src, tgt))
-                sources = entry(edges_by_target, tgt, set)
+            sources = entry(edges_by_target, tgt, set)
+            if (role, src) not in sources:
                 sources.add((role, src))
                 queue.append(("e", role, src, tgt))
                 if trail is not None:
-                    trail.append((edges.remove, (src, tgt)))
                     trail.append((sources.remove, (role, src)))
 
         for c, subsumers in S.items():
@@ -435,19 +430,18 @@ class Saturation:
                         add_sub(c, sup)
                 for role, filler in exists_rhs_by_lhs.get(d, ()):
                     add_edge(role, c, filler)
-                if d == BOT or d in exists_roles_by_filler:  # R4 and R⊥ fire only then
+                sups_by_role = exists_lhs_by_filler.get(d)
+                if sups_by_role:  # R4 fires only when d fills some ∃r.d ⊑ B
                     for role, src in edges_by_target.get(c, ()):
-                        for sup in exists_lhs_by_key.get((role, d), ()):
+                        for sup in sups_by_role.get(role, ()):
                             add_sub(src, sup)
-                        if d == BOT:
-                            add_sub(src, BOT)
             else:
                 _, role, src, tgt = event
                 for d in S[tgt].copy():
-                    for sup in exists_lhs_by_key.get((role, d), ()):
-                        add_sub(src, sup)
-                if BOT in S[tgt]:
-                    add_sub(src, BOT)
+                    sups_by_role = exists_lhs_by_filler.get(d)
+                    if sups_by_role:
+                        for sup in sups_by_role.get(role, ()):
+                            add_sub(src, sup)
 
 
 # --- the classified view ---------------------------------------------------

@@ -7,7 +7,7 @@ every entry except the last. The functional-style text is the interchange
 format: one axiom per line in axiom order, designed to survive a parse and
 re-render byte for byte. It is written by `importer.GRAMMAR`, the table the
 parser reads by, with one CURIE-or-<IRI> rule for every name, and literals
-are escaped by the parser's `LITERAL_ESCAPES` read the other way.
+are escaped by `sexpr.escape`, the inverse of the readers' `sexpr.unescape`.
 
 Every name is shortened by one rule, `shorten`. One `CurieTable` per command
 holds each IRI's CURIE, so `compile`'s two renders, and the `classify` and
@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .errors import OntoforgeError
-from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL, LITERAL_ESCAPES
+from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL
 from .model import (
     And,
     AnnotationAssertion,
@@ -52,6 +52,7 @@ from .model import (
     Thing,
     TransitiveObjectProperty,
 )
+from .sexpr import escape
 
 
 class NoPrefix(OntoforgeError):
@@ -97,11 +98,8 @@ class CurieTable(dict):
         return curie
 
 
-_ESCAPES = str.maketrans({char: "\\" + esc for esc, char in LITERAL_ESCAPES.items()})
-
-
 def _literal(value) -> str:
-    body = f'"{value.text.translate(_ESCAPES)}"'
+    body = f'"{escape(value.text)}"'
     if value.lang is not None:
         return f"{body}@{value.lang}"
     return body

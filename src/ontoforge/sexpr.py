@@ -108,23 +108,40 @@ _TOKEN_RE = re.compile(
 )
 _ATOM, _OPEN, _CLOSE, _TEXT, _QUOTE = 1, 2, 3, 4, 5
 _CLOSING = {"(": (")", ListForm), "[": ("]", BracketForm)}
+# The escapes a `.ont` string or a functional-syntax literal may hold, by the
+# character after the backslash; `escape` and `unescape` read the one table
+# in opposite directions.
+ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
-_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_ESCAPING = str.maketrans({char: "\\" + esc for esc, char in ESCAPES.items()})
 
 
-def _unescape(body: str, source: Source, offset: int) -> str:
-    """The value of the string whose open quote is at offset, from the text after it.
+def escape(value: str) -> str:
+    return value.translate(_ESCAPING)
 
-    Escapes pair up left to right.
+
+def unescape(body: str, what: str) -> str:
+    """The value of a what ("string", "literal") from its body between the quotes.
+
+    Escapes pair up left to right. Raises ValueError naming the first
+    unknown escape.
     """
 
     def one(m: re.Match) -> str:
-        value = _ESCAPES.get(m[1])
+        value = ESCAPES.get(m[1])
         if value is None:
-            raise ParseError(f"unknown escape '\\{m[1]}' in string", source.location(offset))
+            raise ValueError(f"unknown escape '\\{m[1]}' in {what}")
         return value
 
     return _ESCAPE_RE.sub(one, body)
+
+
+def _string(body: str, source: Source, offset: int) -> str:
+    """The value of the string whose open quote is at offset, from the text after it."""
+    try:
+        return unescape(body, "string")
+    except ValueError as err:
+        raise ParseError(str(err), source.location(offset)) from None
 
 
 def read_forms(text: str, file: str = "<string>") -> list[Form]:
@@ -163,10 +180,10 @@ def read_forms(text: str, file: str = "<string>") -> list[Form]:
             children = parent
         elif kind == _TEXT:
             body = m[kind][1:-1]
-            value = _unescape(body, source, pos) if "\\" in body else body
+            value = _string(body, source, pos) if "\\" in body else body
             children.append(Text(value, pos, source))
         elif kind == _QUOTE:
-            _unescape(text[pos + 1:], source, pos)
+            _string(text[pos + 1:], source, pos)
             raise ParseError("unterminated string literal", source.location(pos))
         else:
             break
@@ -176,18 +193,13 @@ def read_forms(text: str, file: str = "<string>") -> list[Form]:
     return forms
 
 
-def _escape(value: str) -> str:
-    out = value.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\t", "\\t")
-
-
 def print_form(form: Form) -> str:
     if isinstance(form, Identifier):
         return form.name
     if isinstance(form, Keyword):
         return ":" + form.name
     if isinstance(form, Text):
-        return f'"{_escape(form.value)}"'
+        return f'"{escape(form.value)}"'
     if isinstance(form, ListForm):
         return "(" + " ".join(print_form(c) for c in form.children) + ")"
     if isinstance(form, BracketForm):

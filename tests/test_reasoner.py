@@ -1,5 +1,6 @@
 """Tests for normalization, saturation, and the classified view."""
 
+import copy
 import random
 from collections.abc import Mapping
 
@@ -230,7 +231,7 @@ def test_saturation_pushes_through_existentials():
     normal = [AtomExists("A", "r", "B"), AtomAtom("B", "C"), ExistsAtom("r", "C", "D")]
     engine = saturated(normal, {"A", "B", "C", "D"})
     assert "D" in engine.S["A"]
-    assert ("A", "B") in engine.R["r"]
+    assert engine.edges_by_target["B"] == {("r", "A")}
 
 
 def test_saturation_propagates_bottom_over_edges():
@@ -253,14 +254,95 @@ def test_saturation_extends_to_the_fixpoint_from_scratch_and_undoes_exactly():
     ]
     engine = Saturation()
     engine.extend(base, atoms)
-    before = ({c: set(s) for c, s in engine.S.items()}, {r: set(e) for r, e in engine.R.items()})
+    edges = engine.edges_by_target
+    before = ({c: set(s) for c, s in engine.S.items()}, {d: set(e) for d, e in edges.items()})
     mark = engine.mark()
     engine.extend(delta, {"P", "Q"})
     scratch = saturated(base + delta, atoms | {"P", "Q"})
-    assert (engine.S, engine.R) == (scratch.S, scratch.R)
+    assert (engine.S, edges) == (scratch.S, scratch.edges_by_target)
     assert {"P", "Q", BOT} <= engine.S["A"]
     engine.undo(mark)
-    assert (engine.S, engine.R) == before
+    assert (engine.S, edges) == before
+
+
+def bottom_filler_axioms(n):
+    """∃r.⊥ ⊑ B, then A ⊑ ∃r.C and C ⊑ ⊥: A is unsatisfiable, and so below B."""
+    return [
+        SubClassOf(Some(n["r"], NOTHING), Named(n["B"])),
+        SubClassOf(Named(n["A"]), Some(n["r"], Named(n["C"]))),
+        SubClassOf(Named(n["C"]), NOTHING),
+    ]
+
+
+def assert_classifies_as_from_scratch(tax: Taxonomy, axioms) -> None:
+    scratch = classify(axioms)
+    assert dict(tax.subsumers) == dict(scratch.subsumers) == el_subsumers(axioms)
+    assert tax.unsatisfiable == scratch.unsatisfiable
+
+
+def tables(engine: Saturation) -> dict:
+    return copy.deepcopy({k: v for k, v in vars(engine).items() if k != "_trail"})
+
+
+@pytest.mark.parametrize("bottom_first", [True, False])
+def test_bottom_filler_on_the_left_keeps_bottom_propagating(bottom_first):
+    # ∃r.⊥ ⊑ B indexed before the role's first A ⊑ ∃r.C must not stand in
+    # for ∃r.⊥ ⊑ ⊥
+    onto, n = build(lambda o, _: None)
+    axioms = bottom_filler_axioms(n)
+    if not bottom_first:
+        axioms = axioms[1:] + axioms[:1]
+    tax = classify(onto.axioms + axioms)
+    assert {iri("A"), iri("C")} <= tax.unsatisfiable
+    assert iri("B") in tax.subsumers[iri("A")]
+    assert dict(tax.subsumers) == el_subsumers(onto.axioms + axioms)
+
+
+@pytest.mark.parametrize("split", [1, 2])
+@pytest.mark.parametrize("bottom_first", [True, False])
+def test_bottom_filler_split_between_base_and_extension(bottom_first, split):
+    onto, n = build(lambda o, _: None)
+    axioms = bottom_filler_axioms(n)
+    if not bottom_first:
+        axioms = axioms[1:] + axioms[:1]
+    base, delta = onto.axioms + axioms[:split], axioms[split:]
+    classifier = Classifier(base)
+    mark = classifier.mark()
+    before = tables(classifier.saturation)
+    classifier.add(delta)
+    assert iri("A") in classifier.taxonomy().unsatisfiable
+    assert_classifies_as_from_scratch(classifier.taxonomy(), base + delta)
+    classifier.undo(mark)
+    assert tables(classifier.saturation) == before
+    assert_classifies_as_from_scratch(classifier.taxonomy(), base)
+
+
+def test_bottom_reaches_a_target_after_its_edge():
+    # the edge A -r-> C exists before C becomes unsatisfiable: ("s", C, ⊥)
+    onto, n = build(lambda o, _: None)
+    base = onto.axioms + [SubClassOf(Named(n["A"]), Some(n["r"], Named(n["C"])))]
+    classifier = Classifier(base)
+    assert classifier.saturation.edges_by_target[iri("C")] == {(iri("r"), iri("A"))}
+    assert not classifier.taxonomy().unsatisfiable
+    delta = [SubClassOf(Named(n["C"]), Named(n["D"])), DisjointClasses((n["C"], n["D"]))]
+    classifier.add(delta)
+    assert classifier.taxonomy().unsatisfiable == frozenset({iri("A"), iri("C")})
+    assert_classifies_as_from_scratch(classifier.taxonomy(), base + delta)
+
+
+def test_bottom_crosses_an_edge_built_into_an_unsatisfiable_target():
+    # C is unsatisfiable before the edge A -r-> C is built: ("e", r, A, C)
+    onto, n = build(lambda o, _: None)
+    base = onto.axioms + [
+        SubClassOf(Named(n["C"]), NOTHING),
+        SubClassOf(Named(n["E"]), Some(n["r"], Named(n["F"]))),
+    ]
+    classifier = Classifier(base)
+    assert classifier.taxonomy().unsatisfiable == frozenset({iri("C")})
+    delta = [SubClassOf(Named(n["A"]), Some(n["r"], Named(n["C"])))]
+    classifier.add(delta)
+    assert classifier.taxonomy().unsatisfiable == frozenset({iri("A"), iri("C")})
+    assert_classifies_as_from_scratch(classifier.taxonomy(), base + delta)
 
 
 # --- classify ---------------------------------------------------------------
