@@ -141,10 +141,9 @@ def _cmd_classify(args) -> int:
     _print_skipped(taxonomy.skipped)
     curies = CurieTable(prefix_map(env.ontology))
     lines = []
-    for iri, entity in env.ontology.entities.items():
+    for key, entity in env.ontology.entities.items():
         if entity.kind is not Kind.CLASS:
             continue
-        key = iri.value
         if key in taxonomy.unsatisfiable:
             supers = ["owl:Nothing"]
         else:

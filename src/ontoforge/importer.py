@@ -14,13 +14,16 @@ terms spelled out by hand on each side.
 The parser tokenizes with one group-free regex whose `findall` gives the
 token texts alone: a token's kind follows from its text, and its offset is
 found again, by the same regex, only when a diagnostic needs a line and a
-column. Each distinct IRI or CURIE text is validated and built once per
-parse, and each distinct class text becomes one `Named` that every mention
-of it shares; both tables live as long as one parse. Parenthesis nesting is
-capped at `sexpr.MAX_NESTING`, as in `.ont` sources. Loading registers every
-declaration first, then adds the axioms in text order, walking each axiom's
-signature once to import the entities it mentions and to check their kinds;
-a kind conflict is located at the head of the axiom that meets it.
+column. The punctuation kinds (`(`, `)`, `:=`) have one text each, which
+`expect` compares as text before it asks for a token's kind. Each distinct
+IRI or CURIE text is validated and built once per parse, each kind and text
+of an entity becomes one `Entity`, and each distinct class text becomes one
+`Named` that every mention of it shares; the tables live as long as one
+parse. Parenthesis nesting is capped at `sexpr.MAX_NESTING`, as in `.ont`
+sources. Loading registers every declaration first, then adds the axioms in
+text order, walking each axiom's signature once to import the entities it
+mentions and to check their kinds; a kind conflict is located at the head of
+the axiom that meets it.
 """
 
 from __future__ import annotations
@@ -108,6 +111,8 @@ _TOKEN_RE = re.compile(
 _KINDS = {"(": "open", ")": "close", ":": "bind", "<": "iriref", '"': "literal", "@": "lang"}
 _KINDS.update(dict.fromkeys(string.ascii_letters + "_", "name"))
 _LONE_BAD = frozenset(':<"@')
+# The one text of each punctuation kind, which `expect` compares directly.
+_PUNCTUATION = {"open": "(", "close": ")", "bind": ":="}
 
 
 def _kind(token: str) -> str:
@@ -188,10 +193,12 @@ class _FunctionalParser:
         self.tokens: list[str] = _TOKEN_RE.findall(text)
         self.pos = 0
         self.prefixes: dict[str, str] = {"owl": OWL_NS, "rdfs": RDFS_NS}
-        # Each IRI by the IRI or CURIE text it was built from, and each class
-        # expression by the class token it was read from. Every Prefix comes
-        # before the first IRI, so one text always means one IRI.
+        # Each IRI by the IRI or CURIE text it was built from, each entity by
+        # its kind and text, and each class expression by the class token it
+        # was read from. Every Prefix comes before the first IRI, so one text
+        # always means one IRI.
         self.iris: dict[str, IRI] = {}
+        self.entities: dict[tuple[Kind, str], Entity] = {}
         self.classes: dict[str, ClassExpression] = {}
         # A bad character anywhere wins over any grammar error. Each distinct
         # text is classified once.
@@ -220,8 +227,10 @@ class _FunctionalParser:
         return token
 
     def expect(self, kind: str, text: str | None = None) -> str:
+        """The next token, which must be of kind, and be text when text is given."""
         token = self.next()
-        if _kind(token) != kind or (text is not None and token != text):
+        fixed = text or _PUNCTUATION.get(kind)
+        if token != fixed and (fixed is not None or _kind(token) != kind):
             raise ParseError(f"expected {text or kind!r}, found {token!r}", self._here())
         return token
 
@@ -303,6 +312,14 @@ class _FunctionalParser:
             raise ParseError(str(err), self._here()) from None
         return iri
 
+    def _entity(self, kind: Kind, token: str) -> Entity:
+        """The entity of kind that the token just read names."""
+        key = (kind, token)
+        entity = self.entities.get(key)
+        if entity is None:
+            entity = self.entities[key] = Entity(kind, self._iri(token))
+        return entity
+
     def _operands(self, operands: tuple[tuple[str, object], ...], depth: int) -> dict:
         """A term's field values, read from its "(" at nesting depth to its ")"."""
         self.expect("open")
@@ -329,7 +346,7 @@ class _FunctionalParser:
             elif kind is IRI_OR_CURIE:
                 value = self._iri(self.next())
             else:
-                value = Entity(kind, self._iri(self.next()))
+                value = self._entity(kind, self.next())
             values[name] = value
         self.expect("close")
         return values
@@ -348,7 +365,7 @@ class _FunctionalParser:
             elif iri.value == OWL_NS + "Nothing":
                 ce = NOTHING
             else:
-                ce = Named(Entity(Kind.CLASS, iri))
+                ce = Named(self._entity(Kind.CLASS, token))
             self.classes[token] = ce
             return ce
         head = self.pos - 1
@@ -388,7 +405,7 @@ class _FunctionalParser:
             if kind is None:
                 raise self._unsupported(self.pos - 1)
             self.expect("open")
-            entity = Entity(kind, self._iri(self.next()))
+            entity = self._entity(kind, self.next())
             self.expect("close")
             self.expect("close")
             return Declaration(entity)
@@ -456,13 +473,15 @@ class InternRecord:
 _INTERNABLE = (Kind.CLASS, Kind.OBJECT_PROPERTY, Kind.ANNOTATION_PROPERTY)
 
 
-def _labels_by_subject(ontology: Ontology) -> dict[IRI, str]:
-    found: dict[IRI, tuple[str, str]] = {}
+def _labels_by_subject(ontology: Ontology) -> dict[str, str]:
+    """Each labelled subject's IRI text to its least (text, language) label text."""
+    found: dict[str, tuple[str, str]] = {}
     for axiom in ontology.axioms:
         if isinstance(axiom, AnnotationAssertion) and axiom.property == RDFS_LABEL:
+            subject = axiom.subject.value
             key = (axiom.value.text, axiom.value.lang or "")
-            if axiom.subject not in found or key < found[axiom.subject]:
-                found[axiom.subject] = key
+            if subject not in found or key < found[subject]:
+                found[subject] = key
     return {subject: text for subject, (text, _lang) in found.items()}
 
 
@@ -501,7 +520,7 @@ def intern_external(
     added = 0
     for entity in sorted(selected, key=lambda e: e.iri.value):
         if naming == "label":
-            label = labels.get(entity.iri)
+            label = labels.get(entity.iri.value)
             if label is None:
                 base = label_to_identifier(entity.iri.fragment())
                 env.warnings.append(

@@ -3,7 +3,9 @@
 Everything except Ontology is an immutable value with structural equality, so
 axioms can live in sets and duplicate assertions collapse to no-ops. An
 Ontology keeps its axioms in insertion order next to a set index, which is
-what makes serialization deterministic. The store only grows; `mark` and
+what makes serialization deterministic. Its `entities` and `imported`
+tables map IRI text (`iri.value`) to entities, so a lookup hashes a str in C
+rather than calling `IRI.__hash__`. The store only grows; `mark` and
 `rollback` undo everything added since a mark, most recent first.
 """
 
@@ -76,7 +78,7 @@ RDFS_LABEL = Entity(Kind.ANNOTATION_PROPERTY, IRI(RDFS_NS + "label"))
 RDFS_COMMENT = Entity(Kind.ANNOTATION_PROPERTY, IRI(RDFS_NS + "comment"))
 
 # Built-in annotation properties are usable without a declaration.
-BUILTIN_ENTITIES = {RDFS_LABEL.iri: RDFS_LABEL, RDFS_COMMENT.iri: RDFS_COMMENT}
+BUILTIN_ENTITIES = {RDFS_LABEL.iri.value: RDFS_LABEL, RDFS_COMMENT.iri.value: RDFS_COMMENT}
 
 
 # --- class expressions -----------------------------------------------------
@@ -352,7 +354,8 @@ class Ontology:
 
     `entities` holds this ontology's own declarations in declaration order;
     `imported` holds entities brought in from elsewhere, which axioms may
-    mention but which are not serialized as declarations here. All three only
+    mention but which are not serialized as declarations here. Both map an
+    entity's IRI text to the entity. All three only
     grow at their ends, so a `mark` of their lengths is a complete snapshot and
     `rollback` to it is exact.
     """
@@ -361,8 +364,8 @@ class Ontology:
         self.iri = iri
         self.axioms: list[Axiom] = []
         self._axiom_set: set[Axiom] = set()
-        self.entities: dict[IRI, Entity] = {}
-        self.imported: dict[IRI, Entity] = {}
+        self.entities: dict[str, Entity] = {}
+        self.imported: dict[str, Entity] = {}
         self.prefixes: dict[str, str] = {}
 
     def __contains__(self, axiom: Axiom) -> bool:
@@ -371,7 +374,7 @@ class Ontology:
     def declare(self, kind: Kind, iri: IRI) -> Entity:
         """Register an entity, yielding the canonical one. Idempotent per kind."""
         self.add_axiom(Declaration(Entity(kind, iri)))
-        return self.entities[iri]
+        return self.entities[iri.value]
 
     def add_prefix(self, base: str, label: str | None = None) -> None:
         """Register base under a prefix label, unless it already has one.
@@ -390,19 +393,20 @@ class Ontology:
         self.prefixes[label] = base
 
     def register_imported(self, entity: Entity) -> Entity:
-        known = self.imported.get(entity.iri)
+        key = entity.iri.value
+        known = self.imported.get(key)
         if known is not None:
             if known.kind is not entity.kind:
                 raise DuplicateEntityKind(
                     f"<{entity.iri}> already imported as {known.kind.value}, now {entity.kind.value}"
                 )
             return known
-        own = self.entities.get(entity.iri)
+        own = self.entities.get(key)
         if own is not None and own.kind is not entity.kind:
             raise DuplicateEntityKind(
                 f"<{entity.iri}> already declared as {own.kind.value}, now imported as {entity.kind.value}"
             )
-        self.imported[entity.iri] = entity
+        self.imported[key] = entity
         return entity
 
     def register_declared(self, entity: Entity) -> None:
@@ -412,19 +416,21 @@ class Ontology:
         every declaration before `load_axiom` keeps such an entity declared
         instead of imported.
         """
-        known = self.entities.get(entity.iri)
+        key = entity.iri.value
+        known = self.entities.get(key)
         if known is None:
-            self.entities[entity.iri] = entity
+            self.entities[key] = entity
         elif known.kind is not entity.kind:
             raise DuplicateEntityKind(
                 f"<{entity.iri}> declared as both {known.kind.value} and {entity.kind.value}"
             )
 
     def _check_mentioned(self, entity: Entity) -> None:
+        key = entity.iri.value
         known = (
-            self.entities.get(entity.iri)
-            or self.imported.get(entity.iri)
-            or BUILTIN_ENTITIES.get(entity.iri)
+            self.entities.get(key)
+            or self.imported.get(key)
+            or BUILTIN_ENTITIES.get(key)
         )
         if known is None:
             raise UndeclaredEntity(f"axiom mentions undeclared entity <{entity.iri}>")
@@ -434,7 +440,8 @@ class Ontology:
             )
 
     def _import_mentioned(self, entity: Entity) -> None:
-        if entity.iri in self.entities or entity.iri in BUILTIN_ENTITIES:
+        key = entity.iri.value
+        if key in self.entities or key in BUILTIN_ENTITIES:
             self._check_mentioned(entity)
         else:
             self.register_imported(entity)
@@ -464,14 +471,15 @@ class Ontology:
             return False
         try:
             if isinstance(axiom, Declaration):
-                known = self.entities.get(axiom.entity.iri)
-                if known is not None and known.kind is not axiom.entity.kind:
+                entity = axiom.entity
+                known = self.entities.get(entity.iri.value)
+                if known is not None and known.kind is not entity.kind:
                     raise DuplicateEntityKind(
-                        f"<{axiom.entity.iri}> already declared as {known.kind.value}, "
-                        f"redeclared as {axiom.entity.kind.value}"
+                        f"<{entity.iri}> already declared as {known.kind.value}, "
+                        f"redeclared as {entity.kind.value}"
                     )
                 if known is None:
-                    self.entities[axiom.entity.iri] = axiom.entity
+                    self.entities[entity.iri.value] = entity
             else:
                 for entity in axiom_mentions(axiom):
                     admit(entity)

@@ -1,7 +1,12 @@
 """Reading and printing the s-expression surface syntax.
 
-Forms are plain value dataclasses. Each keeps the character offset of its
-first token and the `Source` it was read from, which every form of one text
+Forms are slot dataclasses compared by value (class and fields); they are
+not hashable. Nothing assigns to a form after the reader or
+`patterns._substitute` builds it, so template bodies share their forms
+between expansions. They are not frozen: a frozen dataclass's `__init__`
+sets each field through `object.__setattr__`, and building forms is most of
+what `read_forms` costs. Each form keeps the character offset of its first
+token and the `Source` it was read from, which every form of one text
 shares; `form.location` turns the offset into `file:line:col` when it is
 read, so only a diagnostic pays for counting lines. `read_forms` and
 `print_forms` are inverse enough that reading printed output reproduces the
@@ -28,35 +33,35 @@ class ParseError(OntoforgeError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Identifier(Located):
     name: str
     offset: int
     source: Source
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Keyword(Located):
     name: str
     offset: int
     source: Source
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Text(Located):
     value: str
     offset: int
     source: Source
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ListForm(Located):
     children: tuple
     offset: int
     source: Source
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BracketForm(Located):
     children: tuple
     offset: int

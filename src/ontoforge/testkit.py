@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import Location, OntoforgeError
 from .evaluator import Environment, Evaluator, TestDef
-from .model import IRI, Kind
+from .model import Kind
 from .reasoner import Classifier, SkippedAxiom, coherence_report, inferred_superclass
 from .sexpr import BracketForm, Form, Identifier, ListForm, Text, is_valid_identifier
 
@@ -125,7 +125,7 @@ def run_probe_block(
         for binding in bindings:
             name, maker, text = _probe_binding(binding)
             if is_valid_identifier(text.value):
-                iri = IRI(ontology.iri.value + text.value)
+                iri = ontology.iri.value + text.value
                 if iri in ontology.entities or iri in ontology.imported:
                     raise TestSyntax(
                         f"probe '{text.value}' collides with a declared entity", text.location

@@ -293,7 +293,7 @@ def test_owlclass_declares_without_binding():
         (defclass A :subclass (owlclass "Fresh" :subclass Pizza))
         """
     )
-    fresh = env.ontology.entities[IRI(BASE + "Fresh")]
+    fresh = env.ontology.entities[BASE + "Fresh"]
     assert "Fresh" not in env.bindings
     assert SubClassOf(Named(fresh), Named(env.bindings["Pizza"])) in env.ontology
     assert SubClassOf(Named(env.bindings["A"]), Named(fresh)) in env.ontology
@@ -372,10 +372,10 @@ def test_use_brings_in_qualified_bindings(tmp_path):
     env = Loader(tmp_path).load("menu")
     assert env.bindings["base/Food"].iri == IRI("https://example.org/base#Food")
     assert Import(IRI("https://example.org/base#")) in env.ontology
-    assert IRI("https://example.org/base#Food") in env.ontology.imported
+    assert "https://example.org/base#Food" in env.ontology.imported
     assert env.ontology.prefixes["base"] == "https://example.org/base#"
     # used entities stay foreign: no local declaration
-    assert IRI("https://example.org/base#Food") not in env.ontology.entities
+    assert "https://example.org/base#Food" not in env.ontology.entities
 
 
 def test_use_does_not_reexport_transitive_names(tmp_path):

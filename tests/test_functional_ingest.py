@@ -10,7 +10,15 @@ whitespace. Both must give the same kinds, texts and offsets.
 import random
 import re
 
-from ontoforge.importer import _TOKEN_RE, _kind, _token_start, parse_functional
+import pytest
+
+from ontoforge.importer import (
+    _TOKEN_RE,
+    _kind,
+    _labels_by_subject,
+    _token_start,
+    parse_functional,
+)
 from ontoforge.model import (
     And,
     AnnotationAssertion,
@@ -29,6 +37,8 @@ from ontoforge.model import (
     THING,
 )
 
+from ontoforge.sexpr import ParseError
+from support import forest_functional_text
 from test_golden_functional import DIAGNOSTICS
 from test_importer import _rendered_texts
 
@@ -178,3 +188,54 @@ def test_a_class_text_is_one_named_in_a_parse():
     again = parse_functional(_ingest_text(1))
     assert again.axioms[2].sup.filler == mentions[0]
     assert again.axioms[2].sup.filler is not mentions[0]
+
+
+# --- what loading a forest hashes and builds ---------------------------------------
+
+
+def test_loading_and_labelling_a_forest_hashes_an_iri_once_per_annotation(monkeypatch):
+    # The entity tables are keyed by IRI text, so only the axiom set index
+    # hashes an IRI: the subject of each AnnotationAssertion.
+    calls = 0
+    iri_hash = IRI.__hash__
+
+    def counting_hash(self):
+        nonlocal calls
+        calls += 1
+        return iri_hash(self)
+
+    monkeypatch.setattr(IRI, "__hash__", counting_hash)
+    ontology = parse_functional(forest_functional_text(300))
+    labels = _labels_by_subject(ontology)
+    annotations = sum(isinstance(axiom, AnnotationAssertion) for axiom in ontology.axioms)
+    assert annotations == 300 and len(labels) == 300
+    assert calls <= annotations
+
+
+def test_an_entity_text_is_one_entity_in_a_parse():
+    ontology = parse_functional(forest_functional_text(300))
+    properties = [
+        axiom.property for axiom in ontology.axioms if isinstance(axiom, AnnotationAssertion)
+    ]
+    assert len(properties) == 300
+    assert properties[0] == RDFS_LABEL
+    assert all(prop is properties[0] for prop in properties)
+    # a declared class and its mentions share one entity too
+    declared = {
+        axiom.entity.iri.value: axiom.entity
+        for axiom in ontology.axioms
+        if isinstance(axiom, Declaration)
+    }
+    subs = [axiom for axiom in ontology.axioms if isinstance(axiom, SubClassOf)]
+    assert all(declared[ax.sub.entity.iri.value] is ax.sub.entity for ax in subs)
+
+    again = parse_functional(forest_functional_text(1))
+    label = next(axiom for axiom in again.axioms if isinstance(axiom, AnnotationAssertion))
+    assert label.property == properties[0]
+    assert label.property is not properties[0]
+
+
+def test_a_missing_bind_keeps_its_diagnostic():
+    with pytest.raises(ParseError) as err:
+        parse_functional("Prefix(e <https://example.org/e#>)", "x.ofn")
+    assert str(err.value) == "x.ofn:1:10: expected 'bind', found '<https://example.org/e#>'"

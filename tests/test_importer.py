@@ -69,18 +69,18 @@ def test_parse_functional_builds_the_ontology():
     onto = parse_functional(text)
     assert onto.iri == IRI(EXT[:-1])
     assert onto.prefixes == {"e": EXT}
-    assert IRI(EXT + "Pizza") in onto.entities
+    assert EXT + "Pizza" in onto.entities
     assert SubClassOf(
-        Named(onto.entities[IRI(EXT + "Margherita")]),
-        Named(onto.entities[IRI(EXT + "Pizza")]),
+        Named(onto.entities[EXT + "Margherita"]),
+        Named(onto.entities[EXT + "Pizza"]),
     ) in onto
 
 
 def test_parse_functional_registers_undeclared_mentions_as_imported():
     text = functional("SubClassOf(e:A <https://elsewhere.org/x#B>)")
     onto = parse_functional(text)
-    assert IRI(EXT + "A") in onto.imported
-    assert IRI("https://elsewhere.org/x#B") in onto.imported
+    assert EXT + "A" in onto.imported
+    assert "https://elsewhere.org/x#B" in onto.imported
     assert onto.entities == {}
 
 
@@ -345,7 +345,7 @@ def test_intern_by_fragment_binds_every_entity():
     assert resolve(env, "Part").iri == IRI(EXT + "Part")
     assert resolve(env, "Whole").kind is Kind.CLASS
     assert resolve(env, "hasPart").kind is Kind.OBJECT_PROPERTY
-    assert IRI(EXT + "Part") in env.ontology.imported
+    assert EXT + "Part" in env.ontology.imported
 
 
 def test_intern_by_label_prefers_labels_and_falls_back():

@@ -261,7 +261,7 @@ def test_imported_entities_are_mentionable_but_not_owned():
     ext = Entity(Kind.CLASS, IRI("http://other.org/x#B"))
     onto.register_imported(ext)
     assert onto.add_axiom(SubClassOf(Named(a), Named(ext)))
-    assert ext.iri not in onto.entities
+    assert ext.iri.value not in onto.entities
     with pytest.raises(DuplicateEntityKind):
         onto.register_imported(Entity(Kind.OBJECT_PROPERTY, ext.iri))
 
@@ -284,8 +284,8 @@ def test_load_axiom_imports_unknown_mentions_in_text_order():
     assert onto.load_axiom(ax)
     assert not onto.load_axiom(ax)
     assert onto.load_axiom(label)
-    assert list(onto.imported) == [z.iri, b.iri]
-    assert list(onto.entities) == [a.iri]
+    assert list(onto.imported) == [z.iri.value, b.iri.value]
+    assert list(onto.entities) == [a.iri.value]
     assert onto.axioms == [ax, label]
 
 
@@ -357,10 +357,10 @@ def test_nested_marks_unwind_innermost_first():
     onto.add_axiom(SubClassOf(Named(c), Named(b)))
     onto.rollback(middle)
     assert onto.axioms == middle_axioms
-    assert c.iri not in onto.entities and b.iri in onto.entities
+    assert c.iri.value not in onto.entities and b.iri.value in onto.entities
     onto.rollback(outer)
     assert onto.axioms == [Declaration(a)]
-    assert list(onto.entities) == [a.iri]
+    assert list(onto.entities) == [a.iri.value]
 
 
 def test_add_axioms_counts_new_ones():

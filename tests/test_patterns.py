@@ -3,7 +3,13 @@
 import pytest
 
 from ontoforge.errors import Location
-from ontoforge.evaluator import DuplicateBinding, UnboundIdentifier, eval_text
+from ontoforge.evaluator import (
+    DuplicateBinding,
+    Environment,
+    UnboundIdentifier,
+    eval_forms,
+    eval_text,
+)
 from ontoforge.model import (
     AnnotationAssertion,
     AnnotationValue,
@@ -25,7 +31,8 @@ from ontoforge.patterns import (
     TemplateArity,
     TemplateError,
 )
-from ontoforge.sexpr import MAX_NESTING
+from ontoforge.sexpr import MAX_NESTING, BracketForm, ListForm, read_forms, strip_locations
+from ontoforge.testkit import run_tests
 
 BASE = "https://example.org/piz#"
 HEADER = f'(defontology piz :iri "{BASE}" :prefix "piz")\n'
@@ -455,3 +462,38 @@ def test_spliced_arguments_nest_no_deeper_than_the_reader_allows():
         run(source(MAX_NESTING - 2))
     assert err.value.message == f"expansion nests deeper than {MAX_NESTING} levels"
     assert err.value.location == Location("<string>", 4, 1)
+
+
+def test_evaluation_leaves_every_read_form_as_read():
+    # Template bodies are shared between expansions and forms are not frozen,
+    # so nothing on the way from reading to running tests may assign to one.
+    text = HEADER + """
+    (defclass Pizza)
+    (defoproperty hasTopping)
+    (deftemplate topped [?name & ?toppings]
+      (defclass ?name :subclass Pizza (each ?toppings ?t (owlsome hasTopping ?t))))
+    (with-suffix Topping
+      (as-disjoint-subclasses Pizza (defclass Ham) (defclass Mushroom)))
+    (topped [Regina HamTopping MushroomTopping] [Funghi MushroomTopping])
+    (deftest Toppings
+      (is (isuperclass? Regina Pizza))
+      (is (with-probe-entities [(p (owlclass "Probe" :subclass Funghi))] (isuperclass? p Pizza))))
+    """
+    forms = read_forms(text)
+    every = []
+    stack = list(forms)
+    while stack:
+        form = stack.pop()
+        every.append(form)
+        if isinstance(form, (ListForm, BracketForm)):
+            stack.extend(form.children)
+
+    def views():
+        return [(strip_locations(f), f.offset, f.source) for f in every]
+
+    before = views()
+    env = eval_forms(Environment("piz"), forms)
+    report = run_tests(env)
+    assert (report.assertions, report.failures) == (2, [])
+    assert "Regina" in env.bindings and "HamTopping" in env.bindings
+    assert views() == before

@@ -146,7 +146,7 @@ def test_apply_labels_ignores_imported_and_qualified_names():
         for name, e in env.bindings.items()
         if "/" not in name
         and e.kind.value == "Class"
-        and env.ontology.entities.get(e.iri) == e
+        and env.ontology.entities.get(e.iri.value) == e
     )
     report = apply_labels(env, {}, "it")
     assert len(report.missing) == own_class_count

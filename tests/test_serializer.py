@@ -87,7 +87,7 @@ def test_curie_or_iri_falls_back_to_the_bracketed_iri():
 
 def _mentioned_iris(onto: Ontology) -> list[str]:
     """Every IRI text a render of onto looks up, in axiom order, repeats included."""
-    texts = [iri.value for iri in onto.entities]
+    texts = list(onto.entities)
     for axiom in onto.axioms:
         texts += [e.iri.value for e in axiom_mentions(axiom)]
         if isinstance(axiom, AnnotationAssertion):
@@ -210,7 +210,7 @@ def test_omn_property_frame_sections():
     onto.add_axiom(FunctionalObjectProperty(p))
     onto.add_axiom(TransitiveObjectProperty(p))
     onto.add_axiom(SubObjectPropertyOf(p, top))
-    onto.add_axiom(ObjectPropertyDomain(p, Named(onto.entities[IRI(BASE + "Pizza")])))
+    onto.add_axiom(ObjectPropertyDomain(p, Named(onto.entities[BASE + "Pizza"])))
     onto.add_axiom(ObjectPropertyRange(p, THING))
     text = render_omn(onto)
     frame = (

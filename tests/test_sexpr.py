@@ -250,6 +250,24 @@ def test_print_forms_is_one_form_per_line():
     assert text == "(a b)\n(c)\n"
 
 
+def test_forms_are_slot_values_compared_by_class_and_fields():
+    source = Source("<string>", "x")
+    forms = [
+        Identifier("x", 0, source),
+        Keyword("x", 0, source),
+        Text("x", 0, source),
+        ListForm((), 0, source),
+        BracketForm((), 0, source),
+    ]
+    for form in forms:
+        assert not hasattr(form, "__dict__")
+        with pytest.raises(TypeError):
+            hash(form)
+    assert Identifier("x", 0, source) == forms[0]
+    assert forms[0] != forms[1]
+    assert forms[3] != forms[4]
+
+
 # --- name helpers -----------------------------------------------------------
 
 

@@ -215,7 +215,7 @@ def el_env(seed: int):
     onto = random_el_ontology(random.Random(seed))
     env = eval_text('(defontology gen :iri "https://example.org/gen#" :prefix "g")', "gen")
     env.ontology.add_axioms(onto.axioms)
-    env.bindings.update({iri.value.rpartition("#")[2]: e for iri, e in onto.entities.items()})
+    env.bindings.update({iri.rpartition("#")[2]: e for iri, e in onto.entities.items()})
     return env
 
 
