@@ -10,7 +10,9 @@ Every entity kind takes one definition path: `define` (for `defclass` and
 `defoproperty`), `owlclass` and the pattern forms create entities through
 `declare` and read options through `option_axioms`, given the keywords of the
 form's kind (`_CLASS_OPTIONS` or `_PROPERTY_OPTIONS`). References go through
-`resolve_ref`, which checks the kind.
+`resolve_ref`, which checks the kind. Every axiom a form states, other than a
+declaration, enters the ontology through `add_axioms`, which locates an error
+at the stating form.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from . import patterns
 from .errors import Diagnostic, Located, Location, OntoforgeError, Source
-from .importer import InternRecord, intern_external, parse_functional
+from .importer import DeprecatedAlias, InternRecord, intern_external, parse_functional
 from .model import (
     AnnotationAssertion,
     AnnotationValue,
@@ -50,7 +52,6 @@ from .model import (
     TransitiveObjectProperty,
 )
 from .sexpr import (
-    BracketForm,
     Form,
     Identifier,
     Keyword,
@@ -91,13 +92,6 @@ class CycleError(OntoforgeError):
     pass
 
 
-@dataclass
-class DeprecatedAlias:
-    old: str
-    current: str
-    entity: Entity
-
-
 @dataclass(frozen=True)
 class TestDef(Located):
     name: str
@@ -112,7 +106,6 @@ class Environment:
     def __init__(self, namespace: str | None = None):
         self.namespace = namespace
         self.ontology: Ontology | None = None
-        self.ontology_name: str | None = None
         self.bindings: dict[str, Entity] = {}
         self.deprecated: dict[str, DeprecatedAlias] = {}
         self.templates: dict[str, patterns.TemplateDef] = {}
@@ -216,6 +209,16 @@ class Evaluator:
         if err.location is None:
             err.location = location
         return err
+
+    def add_axioms(self, axioms, form: Located) -> None:
+        """Add the axioms form states; every stated axiom comes in here.
+
+        An error is located at form, whose location is resolved only then.
+        """
+        try:
+            self.env.ontology.add_axioms(axioms)
+        except OntoforgeError as err:
+            raise self._located(err, form.location)
 
     def push_affix(self, where: str, text: str) -> None:
         self._affixes.append(_AffixScope(where, text))
@@ -447,7 +450,7 @@ class Evaluator:
         if not args or not isinstance(args[0], Text):
             raise EvalError("owlclass needs a text name", form.location)
         entity = self.declare(args[0].value, args[0], Kind.CLASS, bind=False)
-        self.env.ontology.add_axioms(self.option_axioms(entity, args[1:], _CLASS_OPTIONS))
+        self.add_axioms(self.option_axioms(entity, args[1:], _CLASS_OPTIONS), form)
         return entity
 
     # --- definition forms ---
@@ -479,7 +482,6 @@ class Evaluator:
             raise EvalError(f"invalid prefix label '{prefix}'", form.location)
         ontology.add_prefix(iri_text, prefix)
         self.env.ontology = ontology
-        self.env.ontology_name = name
         if self.env.namespace is None:
             self.env.namespace = name
         return ontology
@@ -490,10 +492,7 @@ class Evaluator:
         if len(children) < 2 or not isinstance(children[1], Identifier):
             raise EvalError(f"{children[0].name} needs a name", form.location)
         entity = self.declare(children[1].name, children[1], kind)
-        try:
-            self.env.ontology.add_axioms(self.option_axioms(entity, children[2:], allowed))
-        except OntoforgeError as err:
-            raise self._located(err, form.location)
+        self.add_axioms(self.option_axioms(entity, children[2:], allowed), form)
         return entity
 
     def _use(self, form: ListForm) -> "Environment":
@@ -508,7 +507,7 @@ class Evaluator:
         except OntoforgeError as err:
             raise self._located(err, children[1].location)
         self.env.uses.append(dep)
-        self.env.ontology.add_axiom(Import(dep.ontology.iri))
+        self.add_axioms([Import(dep.ontology.iri)], form)
         for name, entity in dep.bindings.items():
             if "/" in name:
                 continue

@@ -173,9 +173,7 @@ GRAMMAR: dict[type, tuple[str, tuple[tuple[str, object], ...]]] = {
 }
 
 # The entity kinds a Declaration names, by the keyword that is the Kind's value.
-_DECLARATION_KINDS = {
-    kind.value: kind for kind in (Kind.CLASS, Kind.OBJECT_PROPERTY, Kind.ANNOTATION_PROPERTY)
-}
+_DECLARATION_KINDS = {kind.value: kind for kind in Kind}
 
 _CE_ROWS = {
     head: (cls, ops) for cls, (head, ops) in GRAMMAR.items() if issubclass(cls, ClassExpression)
@@ -470,9 +468,6 @@ class InternRecord:
     bindings: dict[str, Entity] = field(default_factory=dict)
 
 
-_INTERNABLE = (Kind.CLASS, Kind.OBJECT_PROPERTY, Kind.ANNOTATION_PROPERTY)
-
-
 def _labels_by_subject(ontology: Ontology) -> dict[str, str]:
     """Each labelled subject's IRI text to its least (text, language) label text."""
     found: dict[str, tuple[str, str]] = {}
@@ -513,9 +508,7 @@ def intern_external(
         external.iri.value, InternRecord(external.iri.value)
     )
     selected = [
-        e
-        for e in external.entities.values()
-        if e.kind in _INTERNABLE and (prefix is None or e.iri.value.startswith(prefix))
+        e for e in external.entities.values() if prefix is None or e.iri.value.startswith(prefix)
     ]
     added = 0
     for entity in sorted(selected, key=lambda e: e.iri.value):
@@ -601,6 +594,15 @@ class MemoReport:
     vanished: tuple[str, ...]
 
 
+@dataclass
+class DeprecatedAlias:
+    """An identifier a snapshot held that the source now names `current`."""
+
+    old: str
+    current: str
+    entity: Entity
+
+
 def memorise_save(env: "Environment", source_iri: str) -> MemoTable:
     """Snapshot the current identifier-to-IRI table for one interned source."""
     record = env.interned.get(source_iri)
@@ -616,8 +618,6 @@ def memorise_check(env: "Environment", saved: MemoTable) -> MemoReport:
     Renamed identifiers become deprecated aliases (resolve keeps working,
     with a warning); IRIs gone from the source are listed as vanished.
     """
-    from .evaluator import DeprecatedAlias
-
     record = env.interned.get(saved.source_iri)
     if record is None:
         raise WrongOntology(f"nothing interned from <{saved.source_iri}>")

@@ -57,7 +57,10 @@ class Kind(Enum):
     CLASS = "Class"
     OBJECT_PROPERTY = "ObjectProperty"
     ANNOTATION_PROPERTY = "AnnotationProperty"
-    ONTOLOGY = "Ontology"
+
+    # Members are singletons compared by identity, so their identity is their
+    # hash; it is computed in C, where Enum's own hashes the name in Python.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -325,18 +328,6 @@ def axiom_mentions(axiom: Axiom) -> list[Entity]:
     elif not isinstance(axiom, Import):
         raise TypeError(f"not an axiom: {axiom!r}")
     return out
-
-
-def expression_signature(ce: ClassExpression) -> set[Entity]:
-    """Every entity mentioned inside a class expression."""
-    out: list[Entity] = []
-    _collect(ce, out)
-    return set(out)
-
-
-def axiom_signature(axiom: Axiom) -> set[Entity]:
-    """Every entity mentioned by an axiom."""
-    return set(axiom_mentions(axiom))
 
 
 # --- the ontology store ----------------------------------------------------

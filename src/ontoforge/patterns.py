@@ -99,7 +99,7 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
         axioms.append(DisjointClasses(tuple(members)))
     if cover:
         axioms.append(EquivalentClasses((Named(parent), _or_of(members))))
-    ev.env.ontology.add_axioms(axioms)
+    ev.add_axioms(axioms, form)
     return members
 
 
@@ -151,7 +151,7 @@ def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
     axioms.append(EquivalentClasses((Named(parent), _or_of(values))))
     axioms.append(FunctionalObjectProperty(prop))
     axioms.append(ObjectPropertyRange(prop, Named(parent)))
-    ev.env.ontology.add_axioms(axioms)
+    ev.add_axioms(axioms, form)
     return parent
 
 

@@ -3,7 +3,10 @@
 Two formats come out of here. The Manchester-style text is the human-facing
 one: one frame per declared entity in declaration order, fixed section order
 inside each frame, eight-space entry indentation, and a trailing comma on
-every entry except the last. The functional-style text is the interchange
+every entry except the last. The frames come from one table, `_FRAMES`,
+which gives each entity kind its sections in writing order: one pass files
+every axiom's items by entity and section, and one loop writes each frame's
+sections from the table. The functional-style text is the interchange
 format: one axiom per line in axiom order, designed to survive a parse and
 re-render byte for byte. It is written by `importer.GRAMMAR`, the table the
 parser reads by, with one CURIE-or-<IRI> rule for every name, and literals
@@ -26,7 +29,6 @@ from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL
 from .model import (
     And,
     AnnotationAssertion,
-    Axiom,
     ClassExpression,
     Declaration,
     DisjointClasses,
@@ -141,120 +143,75 @@ def _omn_wrap(ce: ClassExpression, curies: CurieTable) -> str:
     return "(" + _omn_ce(ce, curies) + ")"
 
 
-def _section(lines: list[str], keyword: str, entries: list[str]) -> None:
-    if not entries:
-        return
-    lines.append(f"    {keyword}: ")
-    for i, entry in enumerate(entries):
-        comma = "," if i < len(entries) - 1 else ""
-        lines.append(f"        {entry}{comma}")
+# Each kind's frame sections in writing order, as the OWL 2 Manchester Syntax
+# frames name them; a frame's keyword is its kind's value.
+_FRAMES: dict[Kind, tuple[str, ...]] = {
+    Kind.CLASS: ("Annotations", "EquivalentTo", "SubClassOf", "DisjointWith"),
+    Kind.OBJECT_PROPERTY: ("Annotations", "Characteristics", "SubPropertyOf", "Domain", "Range"),
+    Kind.ANNOTATION_PROPERTY: ("Annotations",),
+}
 
 
-class _FrameIndex:
-    """What each frame lists, by the IRI text of the frame's entity.
+def _frame_items(ontology: Ontology) -> dict[str, dict[str, list]]:
+    """What each frame lists, in axiom order, as items[IRI text][section].
 
     Keys are IRI text, not `IRI`, so every lookup hashes a str in C.
     """
+    items: dict[str, dict[str, list]] = {}
 
-    def __init__(self, ontology: Ontology, curies: CurieTable):
-        self.curies = curies
-        self.annotations: dict[str, list[AnnotationAssertion]] = {}
-        self.superclasses: dict[str, list[ClassExpression]] = {}
-        self.equivalents: dict[str, list[ClassExpression]] = {}
-        self.disjoints: dict[str, dict[str, Entity]] = {}
-        self.subproperties: dict[str, list[Entity]] = {}
-        self.domains: dict[str, list[ClassExpression]] = {}
-        self.ranges: dict[str, list[ClassExpression]] = {}
-        self.characteristics: dict[str, set[str]] = {}
-        for axiom in ontology.axioms:
-            self._index(axiom)
+    def file(iri: str, section: str, found) -> None:
+        items.setdefault(iri, {}).setdefault(section, []).extend(found)
 
-    def _index(self, axiom: Axiom) -> None:
+    for axiom in ontology.axioms:
         if isinstance(axiom, AnnotationAssertion):
-            self.annotations.setdefault(axiom.subject.value, []).append(axiom)
+            file(axiom.subject.value, "Annotations", (axiom,))
         elif isinstance(axiom, SubClassOf) and isinstance(axiom.sub, Named):
-            self.superclasses.setdefault(axiom.sub.entity.iri.value, []).append(axiom.sup)
+            file(axiom.sub.entity.iri.value, "SubClassOf", (axiom.sup,))
         elif isinstance(axiom, EquivalentClasses):
-            for i, op in enumerate(axiom.operands):
+            ops = axiom.operands
+            for i, op in enumerate(ops):
                 if isinstance(op, Named):
-                    others = [o for j, o in enumerate(axiom.operands) if j != i]
-                    self.equivalents.setdefault(op.entity.iri.value, []).extend(others)
+                    file(op.entity.iri.value, "EquivalentTo", ops[:i] + ops[i + 1:])
         elif isinstance(axiom, DisjointClasses):
-            # Each bucket keeps the others in first-seen order across axioms;
-            # members are distinct classes, so none is in its own bucket yet.
-            members = {member.iri.value: member for member in axiom.operands}
-            for key in members:
-                bucket = self.disjoints.setdefault(key, {})
-                bucket.update(members)
-                del bucket[key]
+            ops = axiom.operands
+            for i, op in enumerate(ops):
+                file(op.iri.value, "DisjointWith", ops[:i] + ops[i + 1:])
         elif isinstance(axiom, SubObjectPropertyOf):
-            self.subproperties.setdefault(axiom.sub.iri.value, []).append(axiom.sup)
+            file(axiom.sub.iri.value, "SubPropertyOf", (axiom.sup,))
         elif isinstance(axiom, ObjectPropertyDomain):
-            self.domains.setdefault(axiom.property.iri.value, []).append(axiom.ce)
+            file(axiom.property.iri.value, "Domain", (axiom.ce,))
         elif isinstance(axiom, ObjectPropertyRange):
-            self.ranges.setdefault(axiom.property.iri.value, []).append(axiom.ce)
+            file(axiom.property.iri.value, "Range", (axiom.ce,))
         elif isinstance(axiom, FunctionalObjectProperty):
-            self.characteristics.setdefault(axiom.property.iri.value, set()).add("Functional")
+            file(axiom.property.iri.value, "Characteristics", ("Functional",))
         elif isinstance(axiom, TransitiveObjectProperty):
-            self.characteristics.setdefault(axiom.property.iri.value, set()).add("Transitive")
+            file(axiom.property.iri.value, "Characteristics", ("Transitive",))
+    return items
 
-    def annotation_entries(self, iri: str) -> list[str]:
+
+def _entries(section: str, found: list, curies: CurieTable) -> list[str]:
+    """One section's items as text, in the order the section's rule gives."""
+    if section == "Annotations":
         entries = sorted(
-            (_omn_name(a.property, self.curies), a.value.lang or "", a.value.text, _literal(a.value))
-            for a in self.annotations.get(iri, [])
+            (_omn_name(a.property, curies), a.value.lang or "", a.value.text, _literal(a.value))
+            for a in found
         )
         return [f"{prop} {literal}" for prop, _lang, _text, literal in entries]
-
-
-def _class_frame(entity: Entity, index: _FrameIndex) -> list[str]:
-    curies, key = index.curies, entity.iri.value
-    lines = [f"Class: {_omn_name(entity, curies)}"]
-    _section(lines, "Annotations", index.annotation_entries(key))
-    _section(
-        lines,
-        "EquivalentTo",
-        [_omn_ce(ce, curies) for ce in index.equivalents.get(key, [])],
-    )
-    _section(
-        lines,
-        "SubClassOf",
-        [_omn_ce(ce, curies) for ce in index.superclasses.get(key, [])],
-    )
-    _section(
-        lines,
-        "DisjointWith",
-        [_omn_name(e, curies) for e in index.disjoints.get(key, {}).values()],
-    )
-    return lines
-
-
-def _property_frame(entity: Entity, index: _FrameIndex) -> list[str]:
-    curies, key = index.curies, entity.iri.value
-    lines = [f"ObjectProperty: {_omn_name(entity, curies)}"]
-    _section(lines, "Annotations", index.annotation_entries(key))
-    traits = index.characteristics.get(key, set())
-    _section(lines, "Characteristics", [t for t in ("Functional", "Transitive") if t in traits])
-    _section(
-        lines,
-        "SubPropertyOf",
-        [_omn_name(p, curies) for p in index.subproperties.get(key, [])],
-    )
-    _section(lines, "Domain", [_omn_ce(ce, curies) for ce in index.domains.get(key, [])])
-    _section(lines, "Range", [_omn_ce(ce, curies) for ce in index.ranges.get(key, [])])
-    return lines
-
-
-def _annotation_property_frame(entity: Entity, index: _FrameIndex) -> list[str]:
-    lines = [f"AnnotationProperty: {_omn_name(entity, index.curies)}"]
-    _section(lines, "Annotations", index.annotation_entries(entity.iri.value))
-    return lines
+    if section == "Characteristics":
+        return [trait for trait in ("Functional", "Transitive") if trait in found]
+    if section == "DisjointWith":
+        # each other member once, in first-seen order across axioms
+        found = {member.iri.value: member for member in found}.values()
+    return [
+        _omn_name(item, curies) if isinstance(item, Entity) else _omn_ce(item, curies)
+        for item in found
+    ]
 
 
 def render_omn(ontology: Ontology, curies: CurieTable | None = None) -> str:
     """Manchester-style text for the whole ontology, named through curies."""
     curies = CurieTable(prefix_map(ontology)) if curies is None else curies
-    index = _FrameIndex(ontology, curies)
-    blocks: list[list[str]] = []
+    items = _frame_items(ontology)
 
     header = [f"Prefix: {label}: <{base}>" for label, base in sorted(curies.prefixes.items())]
     header.append("")
@@ -262,15 +219,19 @@ def render_omn(ontology: Ontology, curies: CurieTable | None = None) -> str:
     for axiom in ontology.axioms:
         if isinstance(axiom, Import):
             header.append(f"Import: <{axiom.iri}>")
-    blocks.append(header)
+    blocks = [header]
 
     for entity in ontology.entities.values():
-        if entity.kind is Kind.CLASS:
-            blocks.append(_class_frame(entity, index))
-        elif entity.kind is Kind.OBJECT_PROPERTY:
-            blocks.append(_property_frame(entity, index))
-        elif entity.kind is Kind.ANNOTATION_PROPERTY:
-            blocks.append(_annotation_property_frame(entity, index))
+        lines = [f"{entity.kind.value}: {_omn_name(entity, curies)}"]
+        sections = items.get(entity.iri.value, {})
+        for section in _FRAMES[entity.kind]:
+            found = sections.get(section)
+            if found:
+                *entries, last = _entries(section, found, curies)
+                lines.append(f"    {section}: ")
+                lines += [f"        {entry}," for entry in entries]
+                lines.append(f"        {last}")
+        blocks.append(lines)
 
     return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 

@@ -87,14 +87,6 @@ def is_valid_namespace(name: str) -> bool:
     return bool(_NS_RE.match(name))
 
 
-def split_qualified(name: str) -> tuple[str | None, str]:
-    """Split 'ns/ident' into (ns, ident); plain names give (None, name)."""
-    if "/" in name:
-        ns, _, local = name.rpartition("/")
-        return ns, local
-    return None, name
-
-
 # One match per token. Blanks and `;` comments before a token are folded into
 # its match, so the matches tile the text; every position that is not blank
 # starts one of the groups, and the `end` group takes the blanks and comment

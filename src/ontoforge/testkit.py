@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import Location, OntoforgeError
-from .evaluator import Environment, Evaluator, TestDef
+from .evaluator import Environment, Evaluator
 from .model import Kind
 from .reasoner import Classifier, SkippedAxiom, coherence_report, inferred_superclass
 from .sexpr import BracketForm, Form, Identifier, ListForm, Text, is_valid_identifier

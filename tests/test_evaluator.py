@@ -59,7 +59,8 @@ def test_defontology_sets_iri_prefix_and_name():
     env = run("")
     assert env.ontology.iri == IRI(BASE)
     assert env.ontology.prefixes == {"piz": BASE}
-    assert env.ontology_name == "piz"
+    # the name is the namespace of a text evaluated without one
+    assert eval_text(HEADER).namespace == "piz"
 
 
 def test_defontology_must_come_first():
@@ -443,7 +444,6 @@ def test_loader_resolves_dotted_namespaces(tmp_path):
     )
     env = Loader(tmp_path).load("take.away")
     assert env.namespace == "take.away"
-    assert env.ontology_name == "away"
 
 
 def test_loader_caches_by_namespace(tmp_path):

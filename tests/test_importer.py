@@ -130,6 +130,13 @@ def test_parse_functional_flags_unsupported_declaration_kinds():
     assert "NamedIndividual" in str(err.value)
 
 
+def test_parse_functional_flags_an_ontology_declaration():
+    text = functional("Declaration(Ontology(e:other))")
+    with pytest.raises(UnsupportedConstruct) as err:
+        parse_functional(text)
+    assert "Ontology" in str(err.value)
+
+
 def test_parse_functional_flags_unsupported_expressions():
     text = functional("SubClassOf(e:A DataSomeValuesFrom(e:age e:Int))")
     with pytest.raises(UnsupportedConstruct) as err:

@@ -6,6 +6,8 @@ from ontoforge.errors import Location
 from ontoforge.evaluator import (
     DuplicateBinding,
     Environment,
+    Evaluator,
+    Loader,
     UnboundIdentifier,
     eval_forms,
     eval_text,
@@ -13,6 +15,7 @@ from ontoforge.evaluator import (
 from ontoforge.model import (
     AnnotationAssertion,
     AnnotationValue,
+    Declaration,
     DisjointClasses,
     Entity,
     EquivalentClasses,
@@ -497,3 +500,49 @@ def test_evaluation_leaves_every_read_form_as_read():
     assert (report.assertions, report.failures) == (2, [])
     assert "Regina" in env.bindings and "HamTopping" in env.bindings
     assert views() == before
+
+
+def test_every_stated_axiom_comes_in_through_the_evaluator(monkeypatch, tmp_path):
+    # Pattern forms drive evaluator primitives and never touch the ontology
+    # themselves: every axiom but a declaration passes Evaluator.add_axioms.
+    stated = set()
+    add_axioms = Evaluator.add_axioms
+
+    def recording(self, axioms, form):
+        axioms = list(axioms)
+        stated.update(axioms)
+        return add_axioms(self, axioms, form)
+
+    monkeypatch.setattr(Evaluator, "add_axioms", recording)
+    (tmp_path / "base.ont").write_text(
+        '(defontology base :iri "https://example.org/base#")\n(defclass Food)\n'
+    )
+    (tmp_path / "piz.ont").write_text(
+        HEADER
+        + """
+        (use base)
+        (defclass Pizza :subclass base/Food :label "pizza")
+        (defoproperty hasTopping :characteristic :transitive)
+        (deftemplate topped [?name & ?toppings]
+          (defclass ?name :subclass Pizza (each ?toppings ?t (owlsome hasTopping ?t))))
+        (with-suffix Topping
+          (as-disjoint-subclasses Pizza :cover (defclass Ham) (defclass Mushroom)))
+        (with-prefix Thin
+          (defclass Crust :equivalent (owlclass "Dough" :comment "raw" :subclass Pizza)))
+        (value-partition Spiciness [Mild Hot])
+        (topped [Regina HamTopping MushroomTopping])
+        """
+    )
+    env = Loader(tmp_path).load("piz")
+    own = [axiom for axiom in env.ontology.axioms if not isinstance(axiom, Declaration)]
+    assert {type(axiom).__name__ for axiom in own} == {
+        "AnnotationAssertion",
+        "DisjointClasses",
+        "EquivalentClasses",
+        "FunctionalObjectProperty",
+        "Import",
+        "ObjectPropertyRange",
+        "SubClassOf",
+        "TransitiveObjectProperty",
+    }
+    assert [axiom for axiom in own if axiom not in stated] == []

@@ -1,7 +1,9 @@
 """Tests for the Manchester-style and functional-style renderers."""
 
+import hashlib
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +37,7 @@ from ontoforge.model import (
     axiom_mentions,
 )
 from ontoforge.serializer import (
+    _FRAMES,
     CurieTable,
     NoPrefix,
     curie_or_iri,
@@ -228,6 +231,41 @@ def test_omn_property_frame_sections():
     assert frame in text
 
 
+NOTES_OFN = """\
+Prefix(ex:=<https://example.org/notes#>)
+Ontology(<https://example.org/notes>
+Declaration(AnnotationProperty(ex:note))
+Declaration(Class(ex:A))
+AnnotationAssertion(rdfs:comment ex:note "a remark on a class"@en)
+AnnotationAssertion(rdfs:label ex:note "note")
+AnnotationAssertion(ex:note ex:A "see the menu")
+)
+"""
+
+
+def test_omn_annotation_property_frame():
+    assert render_omn(parse_functional(NOTES_OFN, "notes.ofn")) == (
+        "Prefix: ex: <https://example.org/notes#>\n"
+        "Prefix: owl: <http://www.w3.org/2002/07/owl#>\n"
+        "Prefix: rdfs: <http://www.w3.org/2000/01/rdf-schema#>\n"
+        "\n"
+        "Ontology: <https://example.org/notes>\n"
+        "\n"
+        "AnnotationProperty: ex:note\n"
+        "    Annotations: \n"
+        '        rdfs:comment "a remark on a class"@en,\n'
+        '        rdfs:label "note"\n'
+        "\n"
+        "Class: ex:A\n"
+        "    Annotations: \n"
+        '        ex:note "see the menu"\n'
+    )
+
+
+def test_omn_frames_cover_every_kind():
+    assert set(_FRAMES) == set(Kind)
+
+
 def test_omn_annotations_sort_within_the_section():
     onto = menu()
     a = onto.declare(Kind.CLASS, IRI(BASE + "A"))
@@ -352,6 +390,22 @@ def test_omn_is_deterministic():
     for seed in (5, 6, 7):
         onto = random_full_ontology(random.Random(seed))
         assert render_omn(onto) == render_omn(onto)
+
+
+# "seed sha256" per line: the digest of render_omn for random_full_ontology at
+# that seed. A digest that changes is a change to the Manchester-style output.
+OMN_DIGESTS = Path(__file__).parent / "data" / "random_full_omn.sha256"
+
+
+def test_omn_bytes_of_random_ontologies_are_pinned():
+    pinned = dict(line.split() for line in OMN_DIGESTS.read_text().splitlines())
+    assert len(pinned) == 100
+
+    def digest(seed: str) -> str:
+        text = render_omn(random_full_ontology(random.Random(int(seed))))
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert [seed for seed, want in pinned.items() if digest(seed) != want] == []
 
 
 # --- functional-style ----------------------------------------------------------

@@ -23,7 +23,6 @@ from ontoforge.sexpr import (
     is_valid_namespace,
     print_forms,
     read_forms,
-    split_qualified,
     strip_locations,
 )
 
@@ -283,12 +282,6 @@ def test_namespace_validity():
         assert is_valid_namespace(good)
     for bad in ("", ".a", "a.", "a..b", "a/b", "1a.b"):
         assert not is_valid_namespace(bad)
-
-
-def test_split_qualified():
-    assert split_qualified("pizza/Margherita") == ("pizza", "Margherita")
-    assert split_qualified("take.away/Box") == ("take.away", "Box")
-    assert split_qualified("Margherita") == (None, "Margherita")
 
 
 # --- golden file: the reader's output on seeded mutants ---------------------
