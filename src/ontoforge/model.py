@@ -463,14 +463,16 @@ class Ontology:
         try:
             if isinstance(axiom, Declaration):
                 entity = axiom.entity
-                known = self.entities.get(entity.iri.value)
+                key = entity.iri.value
+                known, how = self.entities.get(key), "declared"
+                if known is None:
+                    known, how = self.imported.get(key), "imported"
                 if known is not None and known.kind is not entity.kind:
                     raise DuplicateEntityKind(
-                        f"<{entity.iri}> already declared as {known.kind.value}, "
+                        f"<{entity.iri}> already {how} as {known.kind.value}, "
                         f"redeclared as {entity.kind.value}"
                     )
-                if known is None:
-                    self.entities[entity.iri.value] = entity
+                self.entities.setdefault(key, entity)
             else:
                 for entity in axiom_mentions(axiom):
                     admit(entity)

@@ -26,24 +26,28 @@ Classification runs in two stages:
        R3: D ∈ S(C), D ⊑ ∃r.B          then (C, B) ∈ R(r)
        R4: (C, D) ∈ R(r), E ∈ S(D), ∃r.E ⊑ B   then B ∈ S(C)
 
-   starting from S(C) = {C, owl:Thing}. Each edge (C, D) ∈ R(r) is stored
-   once, as (r, C) under its target D, where R4 looks for it. Propagating
-   owl:Nothing back over an edge is R4 too: every role r of some A ⊑ ∃r.B
-   gets ∃r.owl:Nothing ⊑ owl:Nothing. The fixpoint is unique, so the result
-   does not depend on axiom order. Every rule only adds, so `extend` with
-   more axioms carries on from the fixpoint it has, and a trail of the
-   additions lets `undo` take an extension back exactly.
+   starting from S(C) = {C, owl:Thing}. It runs context by context, as ELK
+   does: each atom C keeps a worklist of the subsumers added to S(C) whose
+   rules have not run yet, and R1 and R2 add straight to C's own list. Each
+   edge (C, D) ∈ R(r) is stored once, as (r, C) under its target D, where
+   R4 looks for it; a new edge meets S(D) with the set of every E of some
+   ∃r.E ⊑ B. Propagating owl:Nothing back over an edge is R4 too: every
+   role r of some A ⊑ ∃r.B gets ∃r.owl:Nothing ⊑ owl:Nothing. The fixpoint
+   is unique, so the result does not depend on axiom order. Every rule only
+   adds, so `extend` with more axioms carries on from the fixpoint it has,
+   and a trail of the additions lets `undo` take an extension back exactly.
 
 A `Classifier` runs both stages on a base that probe blocks extend and undo;
 `classify(axioms)` is `Classifier(axioms).taxonomy()`. A `Taxonomy` is a view
-of the live S on the named classes, read on demand, direct superclasses
-included. `Taxonomy.skipped` lists skipped axioms with their reasons, and the
-`classify` and `test` commands sum them up in one warning on stderr.
+of the live S on the named classes, read on demand. S is closed (D ∈ S(C)
+gives S(D) ⊆ S(C)), so `direct_superclasses` tells a strict subsumer from an
+equivalent one by the size of its S. `Taxonomy.skipped` lists skipped
+axioms with their reasons, and the `classify` and `test` commands sum them
+up in one warning on stderr.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -93,28 +97,29 @@ class UnknownEntity(OntoforgeError):
 
 # --- normal forms ----------------------------------------------------------
 
+# Compared and hashed by value; nothing assigns to a normal form once it is built.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AtomAtom:
     sub: str
     sup: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConjAtom:
     left1: str
     left2: str
     sup: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AtomExists:
     sub: str
     role: str
     filler: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExistsAtom:
     role: str
     filler: str
@@ -317,19 +322,23 @@ class Saturation:
     """S and the role edges of every normal axiom added so far, at the least fixpoint.
 
     Six tables, each relation stored once: S; the edges, by target
-    (`edges_by_target[D]` holds (r, C) for each (C, D) ∈ R(r)); and one index
-    per normal form, of which `exists_lhs_by_filler[E][r]` lists the B of
-    each ∃r.E ⊑ B. From the first `mark()` on, every addition to a table is
-    recorded on a trail; `undo(mark)` takes those made since mark back.
+    (`edges_by_target[D]` holds (r, C) for each (C, D) ∈ R(r));
+    `conj_by_operand[A]`, the (A', B) of each A ⊓ A' ⊑ B, where A ⊑ B is
+    filed as A ⊓ owl:Thing ⊑ B; `exists_rhs_by_lhs[A]`, the (r, B) of each
+    A ⊑ ∃r.B; and two indexes of the ∃r.E ⊑ B: `exists_lhs_by_filler[E][r]`
+    lists their B, and `fillers_by_role[r]` holds their E, so a new edge
+    (C, D) ∈ R(r) meets S(D) in one set intersection. From the first
+    `mark()` on, every addition to a table is recorded on a trail;
+    `undo(mark)` takes those made since mark back.
     """
 
     def __init__(self) -> None:
         self.S: dict[str, set[str]] = {}
         self.edges_by_target: dict[str, set[tuple[str, str]]] = {}
-        self.subs_by_lhs: dict[str, list[str]] = {}
         self.conj_by_operand: dict[str, list[tuple[str, str]]] = {}
         self.exists_rhs_by_lhs: dict[str, list[tuple[str, str]]] = {}
         self.exists_lhs_by_filler: dict[str, dict[str, list[str]]] = {}
+        self.fillers_by_role: dict[str, set[str]] = {}
         self._trail: list[tuple] | None = None  # (forget, item): forget(item) undoes one
 
     def mark(self) -> int:
@@ -344,16 +353,17 @@ class Saturation:
     def extend(self, normal: list[NormalAxiom], atoms=()) -> None:
         """Add normal axioms and atoms, then saturate from the old fixpoint.
 
-        A new atom starts from {itself, owl:Thing}. An old atom C re-fires
-        ("s", C, D) for each trigger D in S(C): the left atom of a new A ⊑ B or
-        A ⊑ ∃r.B, one operand of a new A1 ⊓ A2 ⊑ B, or the E of a new ∃r.E ⊑ B.
+        Each context C (an atom) keeps a worklist of the subsumers added to
+        S(C) whose rules have not run yet. A new atom starts with {itself,
+        owl:Thing}; an old atom C re-runs each trigger D in S(C): the left
+        atom of a new A ⊑ B or A ⊑ ∃r.B, one operand of a new A1 ⊓ A2 ⊑ B,
+        or the E of a new ∃r.E ⊑ B.
         """
         S, edges_by_target, trail = self.S, self.edges_by_target, self._trail
-        subs_by_lhs, conj_by_operand = self.subs_by_lhs, self.conj_by_operand
-        exists_rhs_by_lhs, exists_lhs_by_filler = self.exists_rhs_by_lhs, self.exists_lhs_by_filler
+        conj_by_operand, exists_rhs_by_lhs = self.conj_by_operand, self.exists_rhs_by_lhs
+        exists_lhs_by_filler, fillers_by_role = self.exists_lhs_by_filler, self.fillers_by_role
         universe: set[str] = set(atoms) | {TOP}
         triggers: set[str] = set()
-        queue: deque[tuple] = deque()
 
         def entry(table: dict, key, make):
             value = table.get(key)
@@ -369,10 +379,23 @@ class Saturation:
             if trail is not None:
                 trail.append((entries.pop, -1))
 
+        def member(table: dict, key, value) -> bool:
+            values = entry(table, key, set)
+            if value in values:
+                return False
+            values.add(value)
+            if trail is not None:
+                trail.append((values.remove, value))
+            return True
+
+        def exists_lhs(role: str, filler: str, sup: str) -> None:
+            index(entry(exists_lhs_by_filler, filler, dict), role, sup)
+            member(fillers_by_role, role, filler)
+
         for ax in normal:
             if isinstance(ax, AtomAtom):
                 universe.update((ax.sub, ax.sup))
-                index(subs_by_lhs, ax.sub, ax.sup)
+                index(conj_by_operand, ax.sub, (TOP, ax.sup))  # owl:Thing is in every S(C)
                 triggers.add(ax.sub)
             elif isinstance(ax, ConjAtom):
                 universe.update((ax.left1, ax.left2, ax.sup))
@@ -385,63 +408,52 @@ class Saturation:
                 triggers.add(ax.sub)
                 # R⊥ is R4 over ∃r.⊥ ⊑ ⊥, indexed before r has an edge; an
                 # ∃r.⊥ ⊑ B may have made the role's list already, so look in it
-                bot_sups = entry(exists_lhs_by_filler, BOT, dict)
-                if BOT not in bot_sups.get(ax.role, ()):
-                    index(bot_sups, ax.role, BOT)
+                if BOT not in exists_lhs_by_filler.get(BOT, {}).get(ax.role, ()):
+                    exists_lhs(ax.role, BOT, BOT)
             elif isinstance(ax, ExistsAtom):
                 universe.update((ax.filler, ax.sup))
-                index(entry(exists_lhs_by_filler, ax.filler, dict), ax.role, ax.sup)
+                exists_lhs(ax.role, ax.filler, ax.sup)
                 triggers.add(ax.filler)
             else:
                 raise TypeError(f"not a normal axiom: {ax!r}")
 
-        def add_sub(c: str, d: str) -> None:
-            subsumers = S[c]
-            if d not in subsumers:
-                subsumers.add(d)
-                queue.append(("s", c, d))
-                if trail is not None:
-                    trail.append((subsumers.remove, d))
-
-        def add_edge(role: str, src: str, tgt: str) -> None:
-            sources = entry(edges_by_target, tgt, set)
-            if (role, src) not in sources:
-                sources.add((role, src))
-                queue.append(("e", role, src, tgt))
-                if trail is not None:
-                    trail.append((sources.remove, (role, src)))
-
-        for c, subsumers in S.items():
-            for d in triggers.intersection(subsumers):
-                queue.append(("s", c, d))
+        # context -> its pending subsumers; every key is on `active` or being drained
+        todo = {c: list(fired) for c, sups in S.items() if (fired := triggers.intersection(sups))}
         for a in universe.difference(S):
-            entry(S, a, set)
-            add_sub(a, a)
-            add_sub(a, TOP)
+            entry(S, a, set).update((a, TOP))
+            todo[a] = list(S[a])
+        active = list(todo)
 
-        while queue:
-            event = queue.popleft()
-            if event[0] == "s":
-                _, c, d = event
-                for sup in subs_by_lhs.get(d, ()):
-                    add_sub(c, sup)
-                for other, sup in conj_by_operand.get(d, ()):
-                    if other in S[c]:
-                        add_sub(c, sup)
-                for role, filler in exists_rhs_by_lhs.get(d, ()):
-                    add_edge(role, c, filler)
+        def add_sub(c: str, d: str) -> None:
+            if member(S, c, d):
+                if c in todo:
+                    todo[c].append(d)
+                else:
+                    todo[c] = [d]
+                    active.append(c)
+
+        while active:
+            c = active.pop()
+            pending, Sc = todo[c], S[c]
+            while pending:
+                d = pending.pop()
+                for other, sup in conj_by_operand.get(d, ()):  # R1 and R2
+                    if other in Sc and sup not in Sc:
+                        Sc.add(sup)
+                        pending.append(sup)
+                        if trail is not None:
+                            trail.append((Sc.remove, sup))
+                for role, filler in exists_rhs_by_lhs.get(d, ()):  # R3, then R4 over the new edge
+                    if member(edges_by_target, filler, (role, c)):
+                        for e in fillers_by_role[role].intersection(S[filler]):
+                            for sup in exists_lhs_by_filler[e][role]:
+                                add_sub(c, sup)
                 sups_by_role = exists_lhs_by_filler.get(d)
-                if sups_by_role:  # R4 fires only when d fills some ∃r.d ⊑ B
+                if sups_by_role:  # R4 over the edges into c, when d fills some ∃r.d ⊑ B
                     for role, src in edges_by_target.get(c, ()):
                         for sup in sups_by_role.get(role, ()):
                             add_sub(src, sup)
-            else:
-                _, role, src, tgt = event
-                for d in S[tgt].copy():
-                    sups_by_role = exists_lhs_by_filler.get(d)
-                    if sups_by_role:
-                        for sup in sups_by_role.get(role, ()):
-                            add_sub(src, sup)
+            del todo[c]
 
 
 # --- the classified view ---------------------------------------------------
@@ -551,15 +563,23 @@ def coherence_report(taxonomy: Taxonomy) -> CoherenceReport:
 def direct_superclasses(taxonomy: Taxonomy, name: str) -> list[str]:
     """Named strict superclasses with nothing strictly between, sorted.
 
-    d is strictly above e when d ∈ S(e) and e ∉ S(d), so equivalent classes
-    never hide each other.
+    S is closed: d ∈ S(e) gives S(d) ⊆ S(e), so d is strictly above e
+    exactly when |S(d)| < |S(e)|, and equivalent classes never hide each
+    other. The candidate with the largest S is the only direct one when it
+    holds every other candidate and none ties it, which settles a class in a
+    tree with one subset test.
     """
     S = taxonomy.S
-    strict = {d for d in taxonomy.subsumers[_lookup(taxonomy, name)] if name not in S[d]}
-    strict -= {TOP, BOT}
-    direct = set(strict)
-    for e in strict:
-        for d in S[e] & direct:
-            if e not in S[d]:
-                direct.discard(d)
-    return sorted(direct)
+    subsumers = S[_lookup(taxonomy, name)]
+    size = len(subsumers)
+    strict = {d: n for d in subsumers.intersection(taxonomy.classes) if (n := len(S[d])) < size}
+    strict.pop(TOP, None)
+    strict.pop(BOT, None)
+    if not strict:
+        return []
+    largest = max(strict, key=strict.get)
+    if S[largest].issuperset(strict) and list(strict.values()).count(strict[largest]) == 1:
+        return [largest]
+    return sorted(
+        d for d, n in strict.items() if not any(n < m and d in S[e] for e, m in strict.items())
+    )

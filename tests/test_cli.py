@@ -625,6 +625,48 @@ def test_kind_conflict_through_use_is_located_at_the_namespace(tmp_path, capsys)
     assert "already declared as Class, now imported as ObjectProperty" in stderr
 
 
+LABELLED_FOO_OFN = """\
+Prefix(a:=<https://x.org/a#>)
+Prefix(rdfs:=<http://www.w3.org/2000/01/rdf-schema#>)
+Ontology(<https://x.org/ext>
+Declaration(Class(a:Foo))
+AnnotationAssertion(rdfs:label a:Foo "Foo")
+)
+"""
+
+
+def imported_foo_tree(root, form: str) -> None:
+    """A class a:Foo read from ext.ofn by label, then `form` in the same namespace."""
+    (root / "ext.ofn").write_text(LABELLED_FOO_OFN, encoding="utf-8")
+    (root / "a.ont").write_text(
+        '(defontology a :iri "https://x.org/a#")\n'
+        '(read-external "ext.ofn" :naming :label)\n' + form + "\n",
+        encoding="utf-8",
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_declaring_an_imported_class_as_a_property_exits_two(tmp_path, capsys, command):
+    src = tmp_path / "src"
+    src.mkdir()
+    imported_foo_tree(src, "(defoproperty Foo)")
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "compile" else []
+    code, stdout, stderr = run_cli(capsys, command, "--src", str(src), *extra)
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"{src / 'a.ont'}:3:15: error: <https://x.org/a#Foo> already imported as Class, "
+        "redeclared as ObjectProperty\n"
+    )
+    assert not out.exists()
+
+
+def test_declaring_an_imported_class_again_as_a_class_is_allowed(tmp_path, capsys):
+    imported_foo_tree(tmp_path, "(defclass Foo)")
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
+    assert (code, stdout, stderr) == (0, "a: 1 axioms, 0 tests\n", "")
+
+
 def test_unmappable_label_is_located_at_the_read_external_path(interning_tree, capsys):
     (interning_tree / "ext.ofn").write_text(
         EXT_OFN.replace("\n)\n", '\nAnnotationAssertion(rdfs:label e:Part "!!!")\n)\n'),

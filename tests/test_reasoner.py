@@ -318,7 +318,7 @@ def test_bottom_filler_split_between_base_and_extension(bottom_first, split):
 
 
 def test_bottom_reaches_a_target_after_its_edge():
-    # the edge A -r-> C exists before C becomes unsatisfiable: ("s", C, ⊥)
+    # the edge A -r-> C exists before C becomes unsatisfiable: owl:Nothing runs in context C
     onto, n = build(lambda o, _: None)
     base = onto.axioms + [SubClassOf(Named(n["A"]), Some(n["r"], Named(n["C"])))]
     classifier = Classifier(base)
@@ -331,7 +331,7 @@ def test_bottom_reaches_a_target_after_its_edge():
 
 
 def test_bottom_crosses_an_edge_built_into_an_unsatisfiable_target():
-    # C is unsatisfiable before the edge A -r-> C is built: ("e", r, A, C)
+    # C is unsatisfiable before the edge A -r-> C is built: the new edge meets S(C)
     onto, n = build(lambda o, _: None)
     base = onto.axioms + [
         SubClassOf(Named(n["C"]), NOTHING),
@@ -343,6 +343,40 @@ def test_bottom_crosses_an_edge_built_into_an_unsatisfiable_target():
     classifier.add(delta)
     assert classifier.taxonomy().unsatisfiable == frozenset({iri("A"), iri("C")})
     assert_classifies_as_from_scratch(classifier.taxonomy(), base + delta)
+
+
+@pytest.mark.parametrize("role", ["r", "s"])
+def test_an_existential_on_the_left_extends_and_undoes_with_its_filler_index(role):
+    # r has an edge A -r-> C before the extension; s has none until it
+    onto, n = build(lambda o, _: None)
+    base = onto.axioms + [
+        SubClassOf(Named(n["A"]), Some(n["r"], Named(n["C"]))),
+        SubClassOf(Named(n["C"]), Named(n["D"])),
+    ]
+    delta = [SubClassOf(Some(n[role], Named(n["D"])), Named(n["B"]))]
+    if role == "s":
+        delta.append(SubClassOf(Named(n["E"]), Some(n["s"], Named(n["C"]))))
+    classifier = Classifier(base)
+    mark = classifier.mark()
+    before = tables(classifier.saturation)
+    classifier.add(delta)
+    assert iri("B") in classifier.taxonomy().subsumers[iri("A" if role == "r" else "E")]
+    assert tables(classifier.saturation)["fillers_by_role"] != before["fillers_by_role"]
+    assert_classifies_as_from_scratch(classifier.taxonomy(), base + delta)
+    classifier.undo(mark)
+    assert tables(classifier.saturation) == before
+    assert_classifies_as_from_scratch(classifier.taxonomy(), base)
+
+
+def test_saturation_does_not_depend_on_the_order_of_the_normal_forms():
+    rng = random.Random(7)
+    for seed in range(50):
+        norm = normalize(random_el_ontology(random.Random(seed)).axioms)
+        shuffled = norm.normal[:]
+        rng.shuffle(shuffled)
+        one, other = saturated(norm.normal, norm.classes), saturated(shuffled, norm.classes)
+        assert one.S == other.S, seed
+        assert one.edges_by_target == other.edges_by_target, seed
 
 
 # --- classify ---------------------------------------------------------------
@@ -536,6 +570,42 @@ def test_direct_superclasses_match_the_pairwise_reference():
             with_equivalent += any(d != name and name in subsumers.get(d, ()) for d in sups)
     # the seeds hold thousands of classes, many in equivalence cycles
     assert checked > 3000 and with_equivalent > 1000
+
+
+def assert_direct_superclasses(tax: Taxonomy, name: str, want: list[str]) -> None:
+    assert direct_superclasses(tax, name) == want
+    assert pairwise_direct_superclasses(dict(tax.subsumers), name) == want
+
+
+def test_direct_superclasses_keep_the_equivalent_of_the_largest_subsumer():
+    # S(B) = S(D) is the largest strict S above A and holds E, so the
+    # largest covers the rest, yet D ties B and is direct too
+    def fill(onto, n):
+        onto.add_axiom(SubClassOf(Named(n["A"]), Named(n["B"])))
+        onto.add_axiom(EquivalentClasses((Named(n["B"]), Named(n["D"]))))
+        onto.add_axiom(SubClassOf(Named(n["B"]), Named(n["E"])))
+
+    onto, _ = build(fill)
+    tax = classify(onto.axioms)
+    assert_direct_superclasses(tax, iri("A"), [iri("B"), iri("D")])
+    assert_direct_superclasses(tax, iri("B"), [iri("E")])
+    assert_direct_superclasses(tax, iri("D"), [iri("E")])
+
+
+def test_direct_superclasses_of_an_unsatisfiable_class():
+    # A points into C ⊑ ⊥, so S(A) holds owl:Nothing beside B ≡ D ⊑ E
+    def fill(onto, n):
+        onto.add_axiom(SubClassOf(Named(n["A"]), Named(n["B"])))
+        onto.add_axiom(EquivalentClasses((Named(n["B"]), Named(n["D"]))))
+        onto.add_axiom(SubClassOf(Named(n["B"]), Named(n["E"])))
+        onto.add_axiom(SubClassOf(Named(n["A"]), Some(n["r"], Named(n["C"]))))
+        onto.add_axiom(SubClassOf(Named(n["C"]), NOTHING))
+
+    onto, _ = build(fill)
+    tax = classify(onto.axioms)
+    assert tax.unsatisfiable == frozenset({iri("A"), iri("C")})
+    assert_direct_superclasses(tax, iri("A"), [iri("B"), iri("D")])
+    assert_direct_superclasses(tax, iri("C"), [])
 
 
 def test_direct_superclasses_rejects_unknown_names():
