@@ -27,6 +27,7 @@ from .importer import DeprecatedAlias, InternRecord, intern_external, parse_func
 from .model import (
     AnnotationAssertion,
     AnnotationValue,
+    Arrival,
     Axiom,
     ClassExpression,
     DisjointClasses,
@@ -250,7 +251,8 @@ class Evaluator:
         """Declare name as an entity of the given kind; errors are located at where.
 
         With bind, the name takes the enclosing affixes and is bound in the
-        environment; without, it is declared verbatim and left unbound.
+        environment; without, it is declared verbatim and left unbound. A
+        name already bound to another entity is refused, never rebound.
         """
         if not is_valid_identifier(name):
             raise EvalError(f"invalid identifier '{name}'", where.location)
@@ -264,6 +266,10 @@ class Evaluator:
         except OntoforgeError as err:
             raise self._located(err, where.location)
         if bind:
+            bound = self.env.bindings.get(full)
+            if bound is not None and bound != entity:
+                message = f"'{full}' is already bound to <{bound.iri}>"
+                raise DuplicateBinding(message, where.location)
             self.env.bindings[full] = entity
             if full != name:
                 self._affixes[-1].aliases[name] = entity
@@ -504,18 +510,14 @@ class Evaluator:
             raise EvalError("no source loader available for (use ...)", form.location)
         try:
             dep = self.loader.load(ns)
+            for name, entity in dep.bindings.items():
+                if "/" not in name:
+                    self.env.bindings[f"{ns}/{name}"] = entity
+                    self.env.ontology.admit(entity, Arrival.IMPORT)
         except OntoforgeError as err:
             raise self._located(err, children[1].location)
         self.env.uses.append(dep)
         self.add_axioms([Import(dep.ontology.iri)], form)
-        for name, entity in dep.bindings.items():
-            if "/" in name:
-                continue
-            self.env.bindings[f"{ns}/{name}"] = entity
-            try:
-                self.env.ontology.register_imported(entity)
-            except OntoforgeError as err:
-                raise self._located(err, children[1].location)
         for label, base in dep.ontology.prefixes.items():
             self.env.ontology.add_prefix(base, label)
         return dep

@@ -39,6 +39,7 @@ from .model import (
     And,
     AnnotationAssertion,
     AnnotationValue,
+    Arrival,
     Axiom,
     ClassExpression,
     Declaration,
@@ -281,7 +282,7 @@ class _FunctionalParser:
         try:
             for axiom, head in zip(axioms, heads):
                 if isinstance(axiom, Declaration):
-                    ontology.register_declared(axiom.entity)
+                    ontology.admit(axiom.entity, Arrival.REGISTRATION)
             for axiom, head in zip(axioms, heads):
                 ontology.load_axiom(axiom)
         except DuplicateEntityKind as err:
@@ -542,7 +543,7 @@ def intern_external(
                 )
             )
         env.bindings[name] = entity
-        env.ontology.register_imported(entity)
+        env.ontology.admit(entity, Arrival.IMPORT)
         record.bindings[name] = entity
         added += 1
         env.ontology.add_prefix(_entity_base(entity.iri))

@@ -5,8 +5,11 @@ axioms can live in sets and duplicate assertions collapse to no-ops. An
 Ontology keeps its axioms in insertion order next to a set index, which is
 what makes serialization deterministic. Its `entities` and `imported`
 tables map IRI text (`iri.value`) to entities, so a lookup hashes a str in C
-rather than calling `IRI.__hash__`. The store only grows; `mark` and
-`rollback` undo everything added since a mark, most recent first.
+rather than calling `IRI.__hash__`. `Ontology.lookup` is the one lookup order
+(`entities`, then `imported`, then `BUILTIN_ENTITIES`) and `Ontology.admit`
+the one admission method: an entity, however it arrives (`Arrival`), keeps
+the kind its IRI is known by. The store only grows; `mark` and `rollback`
+undo everything added since a mark, most recent first.
 """
 
 from __future__ import annotations
@@ -340,15 +343,46 @@ def _prefix_stem(base: str) -> str:
     return stem if stem[0].isalpha() else "ext" + stem
 
 
+class Arrival:
+    """How an entity comes into an ontology, for `Ontology.admit`.
+
+    Plain strings: an Enum member reads several times slower, once per axiom.
+    """
+
+    DECLARATION = "declaration"  # a stated Declaration
+    REGISTRATION = "registration"  # a document's declaration, ahead of its axioms
+    IMPORT = "import"  # a binding brought in by use or read-external
+    MENTION = "mention"  # a mention in a stated axiom
+    LOAD = "load"  # a mention in an axiom read from a document
+
+
+_DECLARING = {Arrival.DECLARATION, Arrival.REGISTRATION}
+
+# The refusal of an entity whose IRI is known with another kind, by (where the
+# IRI is known, how the entity arrives); where None stands for every place
+# without an entry of its own. {0} is the known kind, {1} the arriving one.
+_REFUSALS = {
+    (None, Arrival.DECLARATION): "already {where} as {0}, redeclared as {1}",
+    (None, Arrival.REGISTRATION): "already {where} as {0}, redeclared as {1}",
+    ("declared", Arrival.REGISTRATION): "declared as both {0} and {1}",
+    (None, Arrival.IMPORT): "already {where} as {0}, now imported as {1}",
+    ("imported", Arrival.IMPORT): "already imported as {0}, now {1}",
+    (None, Arrival.MENTION): "declared as {0} but used as {1}",
+    (None, Arrival.LOAD): "declared as {0} but used as {1}",
+    ("imported", Arrival.LOAD): "already imported as {0}, now {1}",
+}
+
+
 class Ontology:
     """An ordered, duplicate-free axiom store with a declaration registry.
 
     `entities` holds this ontology's own declarations in declaration order;
     `imported` holds entities brought in from elsewhere, which axioms may
     mention but which are not serialized as declarations here. Both map an
-    entity's IRI text to the entity. All three only
-    grow at their ends, so a `mark` of their lengths is a complete snapshot and
-    `rollback` to it is exact.
+    entity's IRI text to the entity. Every entity comes in through `admit`,
+    which finds its IRI by the one `lookup` and refuses a second kind. All
+    three only grow at their ends, so a `mark` of their lengths is a complete
+    snapshot and `rollback` to it is exact.
     """
 
     def __init__(self, iri: IRI):
@@ -372,9 +406,9 @@ class Ontology:
 
         base takes the first free label of `label`, `label2`, `label3`, ...;
         label defaults to base's last path segment, lowercased and cut down to
-        letters and digits.
+        letters and digits. The owl and rdfs bases always have their own.
         """
-        if base in self.prefixes.values():
+        if base in self.prefixes.values() or base in (OWL_NS, RDFS_NS):
             return
         stem = label or _prefix_stem(base)
         label, counter = stem, 2
@@ -383,99 +417,65 @@ class Ontology:
             counter += 1
         self.prefixes[label] = base
 
-    def register_imported(self, entity: Entity) -> Entity:
-        key = entity.iri.value
-        known = self.imported.get(key)
-        if known is not None:
-            if known.kind is not entity.kind:
-                raise DuplicateEntityKind(
-                    f"<{entity.iri}> already imported as {known.kind.value}, now {entity.kind.value}"
-                )
-            return known
-        own = self.entities.get(key)
-        if own is not None and own.kind is not entity.kind:
-            raise DuplicateEntityKind(
-                f"<{entity.iri}> already declared as {own.kind.value}, now imported as {entity.kind.value}"
-            )
-        self.imported[key] = entity
-        return entity
+    def lookup(self, key: str) -> Entity | None:
+        """The entity IRI text key names: declared here, else imported, else built in."""
+        return self.entities.get(key) or self.imported.get(key) or BUILTIN_ENTITIES.get(key)
 
-    def register_declared(self, entity: Entity) -> None:
-        """Register a declared entity ahead of its Declaration axiom.
+    def admit(self, entity: Entity, how: str) -> Entity:
+        """Accept entity arriving how (an `Arrival`), file it, or refuse it.
 
-        A document may mention an entity above its declaration; registering
-        every declaration before `load_axiom` keeps such an entity declared
-        instead of imported.
+        A known IRI keeps its kind. A declaration files an IRI not declared
+        yet as declared; any other arrival files an unknown one as imported,
+        except a stated mention, which refuses it. Returns the entity kept.
         """
         key = entity.iri.value
-        known = self.entities.get(key)
+        # `lookup`, written out: this runs once per mention of every axiom.
+        known = self.entities.get(key) or self.imported.get(key) or BUILTIN_ENTITIES.get(key)
         if known is None:
-            self.entities[key] = entity
+            if how == Arrival.MENTION:
+                raise UndeclaredEntity(f"axiom mentions undeclared entity <{entity.iri}>")
         elif known.kind is not entity.kind:
-            raise DuplicateEntityKind(
-                f"<{entity.iri}> declared as both {known.kind.value} and {entity.kind.value}"
-            )
-
-    def _check_mentioned(self, entity: Entity) -> None:
-        key = entity.iri.value
-        known = (
-            self.entities.get(key)
-            or self.imported.get(key)
-            or BUILTIN_ENTITIES.get(key)
-        )
-        if known is None:
-            raise UndeclaredEntity(f"axiom mentions undeclared entity <{entity.iri}>")
-        if known.kind is not entity.kind:
-            raise DuplicateEntityKind(
-                f"<{entity.iri}> declared as {known.kind.value} but used as {entity.kind.value}"
-            )
-
-    def _import_mentioned(self, entity: Entity) -> None:
-        key = entity.iri.value
-        if key in self.entities or key in BUILTIN_ENTITIES:
-            self._check_mentioned(entity)
-        else:
-            self.register_imported(entity)
+            where = "declared" if key in self.entities else (
+                "imported" if key in self.imported else "built in")
+            message = _REFUSALS.get((where, how)) or _REFUSALS[None, how]
+            message = message.format(known.kind.value, entity.kind.value, where=where)
+            raise DuplicateEntityKind(f"<{entity.iri}> {message}")
+        elif how not in _DECLARING or key in self.entities:
+            return known
+        (self.entities if how in _DECLARING else self.imported)[key] = entity
+        return entity
 
     def add_axiom(self, axiom: Axiom) -> bool:
-        """Add one axiom; False when it is already present (structurally)."""
-        return self._add(axiom, self._check_mentioned)
+        """Add one stated axiom; False when it is already present (structurally)."""
+        return self._add(axiom, Arrival.MENTION)
 
     def load_axiom(self, axiom: Axiom) -> bool:
         """Add one axiom read from a document; False when already present.
 
-        Unlike `add_axiom`, a mentioned entity that is neither declared nor
-        built in is registered as imported instead of refused.
+        Unlike `add_axiom`, a mentioned entity that is not known is admitted
+        as imported instead of refused.
         """
-        return self._add(axiom, self._import_mentioned)
+        return self._add(axiom, Arrival.LOAD)
 
-    def _add(self, axiom: Axiom, admit) -> bool:
-        """Append axiom after admit(entity) accepts each entity it mentions.
+    def _add(self, axiom: Axiom, how: str) -> bool:
+        """Append axiom once `admit` accepts every entity it mentions.
 
-        The axiom is hashed once: it joins the set index first and leaves it
-        again if it is refused.
+        A Declaration arrives as one, whatever how says. The axiom is hashed
+        once: it joins the set index first and leaves it again if it is
+        refused.
         """
         index = self._axiom_set
         size = len(index)
         index.add(axiom)
         if len(index) == size:
             return False
+        admit = self.admit
         try:
             if isinstance(axiom, Declaration):
-                entity = axiom.entity
-                key = entity.iri.value
-                known, how = self.entities.get(key), "declared"
-                if known is None:
-                    known, how = self.imported.get(key), "imported"
-                if known is not None and known.kind is not entity.kind:
-                    raise DuplicateEntityKind(
-                        f"<{entity.iri}> already {how} as {known.kind.value}, "
-                        f"redeclared as {entity.kind.value}"
-                    )
-                self.entities.setdefault(key, entity)
+                admit(axiom.entity, Arrival.DECLARATION)
             else:
                 for entity in axiom_mentions(axiom):
-                    admit(entity)
+                    admit(entity, how)
         except BaseException:
             index.discard(axiom)
             raise

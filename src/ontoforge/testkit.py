@@ -126,7 +126,7 @@ def run_probe_block(
             name, maker, text = _probe_binding(binding)
             if is_valid_identifier(text.value):
                 iri = ontology.iri.value + text.value
-                if iri in ontology.entities or iri in ontology.imported:
+                if ontology.lookup(iri) is not None:
                     raise TestSyntax(
                         f"probe '{text.value}' collides with a declared entity", text.location
                     )

@@ -667,6 +667,67 @@ def test_declaring_an_imported_class_again_as_a_class_is_allowed(tmp_path, capsy
     assert (code, stdout, stderr) == (0, "a: 1 axioms, 0 tests\n", "")
 
 
+EXTERNAL_HEAD = "Prefix(b:=<https://y.org/b#>)\nOntology(<https://y.org/ext>\n"
+
+
+def run_with_external(tmp_path, capsys, command, declarations, host_body):
+    """Run command on a.ont, which reads ext.ofn: the declarations in <https://y.org/ext>."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "ext.ofn").write_text(EXTERNAL_HEAD + declarations + ")\n", encoding="utf-8")
+    (src / "a.ont").write_text(
+        '(defontology a :iri "https://x.org/a#")\n(read-external "ext.ofn")\n' + host_body,
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    extra = ["--out", str(out), "--format", "ofn"] if command == "compile" else []
+    code, stdout, stderr = run_cli(capsys, command, "--src", str(src), *extra)
+    return src, out, code, stdout, stderr
+
+
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_an_external_class_declaration_of_a_builtin_exits_two(tmp_path, capsys, command):
+    src, out, code, stdout, stderr = run_with_external(
+        tmp_path, capsys, command, "Declaration(Class(rdfs:label))",
+        "(defclass Bar :subclass label)\n",
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"{src / 'ext.ofn'}:3:1: error: <http://www.w3.org/2000/01/rdf-schema#label> "
+        "already built in as AnnotationProperty, redeclared as Class\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "compile"])
+def test_defining_a_name_bound_to_an_external_entity_exits_two(tmp_path, capsys, command):
+    src, out, code, stdout, stderr = run_with_external(
+        tmp_path, capsys, command, "Declaration(Class(b:Foo))",
+        "(defclass Bar :subclass Foo)\n(defclass Foo)\n(defclass Baz :subclass Foo)\n",
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"{src / 'a.ont'}:4:11: error: 'Foo' is already bound to <https://y.org/b#Foo>\n"
+    )
+    assert not out.exists()
+
+
+def test_an_interned_rdfs_property_adds_no_second_rdfs_prefix(tmp_path, capsys):
+    _, out, code, _, stderr = run_with_external(
+        tmp_path, capsys, "compile", "Declaration(AnnotationProperty(rdfs:seeAlso))",
+        "(defclass Bar)\n",
+    )
+    assert (code, stderr) == (0, "")
+    assert (out / "a.ofn").read_text(encoding="utf-8") == (
+        "Prefix(a:=<https://x.org/a#>)\n"
+        "Prefix(owl:=<http://www.w3.org/2002/07/owl#>)\n"
+        "Prefix(rdfs:=<http://www.w3.org/2000/01/rdf-schema#>)\n"
+        "Ontology(<https://x.org/a#>\n"
+        "Declaration(Class(a:Bar))\n"
+        ")\n"
+    )
+
+
 def test_unmappable_label_is_located_at_the_read_external_path(interning_tree, capsys):
     (interning_tree / "ext.ofn").write_text(
         EXT_OFN.replace("\n)\n", '\nAnnotationAssertion(rdfs:label e:Part "!!!")\n)\n'),

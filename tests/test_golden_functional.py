@@ -142,6 +142,11 @@ DIAGNOSTICS = [
      "DuplicateEntityKind",
      "<http://www.w3.org/2000/01/rdf-schema#label> declared as AnnotationProperty but used as Class",
      3, 1),
+    ("kind-conflict-builtin-declared", ofn("SubClassOf(e:A e:B)", "Declaration(Class(rdfs:label))"),
+     "DuplicateEntityKind",
+     "<http://www.w3.org/2000/01/rdf-schema#label> already built in as AnnotationProperty, "
+     "redeclared as Class",
+     4, 1),
     ("parse-error-beats-kind-conflict",
      ofn("Declaration(Class(e:A))", "Declaration(ObjectProperty(e:A))", "SubClassOf(e:A $)"),
      "ParseError", "unexpected character '$'", 5, 16),

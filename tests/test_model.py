@@ -8,6 +8,7 @@ from ontoforge.model import (
     And,
     AnnotationAssertion,
     AnnotationValue,
+    Arrival,
     Declaration,
     DisjointClasses,
     DuplicateEntityKind,
@@ -19,8 +20,10 @@ from ontoforge.model import (
     Not,
     NOTHING,
     Ontology,
+    OWL_NS,
     Or,
     RDFS_LABEL,
+    RDFS_NS,
     Some,
     SubClassOf,
     THING,
@@ -256,11 +259,11 @@ def test_imported_entities_are_mentionable_but_not_owned():
     onto = make_ontology()
     a = cls(onto, "A")
     ext = Entity(Kind.CLASS, IRI("http://other.org/x#B"))
-    onto.register_imported(ext)
+    onto.admit(ext, Arrival.IMPORT)
     assert onto.add_axiom(SubClassOf(Named(a), Named(ext)))
     assert ext.iri.value not in onto.entities
     with pytest.raises(DuplicateEntityKind):
-        onto.register_imported(Entity(Kind.OBJECT_PROPERTY, ext.iri))
+        onto.admit(Entity(Kind.OBJECT_PROPERTY, ext.iri), Arrival.IMPORT)
 
 
 def test_axiom_mentions_follow_the_text_with_repeats():
@@ -274,7 +277,7 @@ def test_axiom_mentions_follow_the_text_with_repeats():
 def test_load_axiom_imports_unknown_mentions_in_text_order():
     onto = make_ontology()
     a = Entity(Kind.CLASS, IRI(NS + "A"))
-    onto.register_declared(a)
+    onto.admit(a, Arrival.REGISTRATION)
     z, b = (Entity(Kind.CLASS, IRI(f"http://other.org/x#{n}")) for n in "ZB")
     ax = SubClassOf(Named(z), And((Named(a), Named(b))))
     label = AnnotationAssertion(z.iri, RDFS_LABEL, AnnotationValue("z"))
@@ -284,24 +287,6 @@ def test_load_axiom_imports_unknown_mentions_in_text_order():
     assert list(onto.imported) == [z.iri.value, b.iri.value]
     assert list(onto.entities) == [a.iri.value]
     assert onto.axioms == [ax, label]
-
-
-def test_load_axiom_keeps_the_kind_checks_of_add_axiom():
-    onto = make_ontology()
-    a = Entity(Kind.CLASS, IRI(NS + "A"))
-    onto.register_declared(a)
-    with pytest.raises(DuplicateEntityKind, match="declared as both Class and ObjectProperty"):
-        onto.register_declared(Entity(Kind.OBJECT_PROPERTY, a.iri))
-    as_property = Entity(Kind.OBJECT_PROPERTY, a.iri)
-    with pytest.raises(DuplicateEntityKind, match="declared as Class but used as ObjectProperty"):
-        onto.load_axiom(SubClassOf(THING, Some(as_property, THING)))
-    q = Entity(Kind.OBJECT_PROPERTY, IRI(NS + "q"))
-    onto.load_axiom(SubClassOf(Some(q, THING), Named(a)))
-    with pytest.raises(DuplicateEntityKind, match="already imported as ObjectProperty, now Class"):
-        onto.load_axiom(SubClassOf(Named(Entity(Kind.CLASS, q.iri)), Named(a)))
-    label_as_class = Entity(Kind.CLASS, RDFS_LABEL.iri)
-    with pytest.raises(DuplicateEntityKind, match="AnnotationProperty but used as Class"):
-        onto.load_axiom(SubClassOf(Named(label_as_class), Named(a)))
 
 
 def test_axioms_keep_insertion_order():
@@ -320,12 +305,12 @@ def test_rollback_restores_the_store_to_its_mark():
     a, b = cls(onto, "A"), cls(onto, "B")
     kept = SubClassOf(Named(a), Named(b))
     onto.add_axiom(kept)
-    ext = onto.register_imported(Entity(Kind.CLASS, IRI("http://other.org/x#E")))
+    ext = onto.admit(Entity(Kind.CLASS, IRI("http://other.org/x#E")), Arrival.IMPORT)
     before = (list(onto.axioms), dict(onto.entities), dict(onto.imported))
     mark = onto.mark()
 
     c = cls(onto, "C")
-    onto.register_imported(Entity(Kind.CLASS, IRI("http://other.org/x#F")))
+    onto.admit(Entity(Kind.CLASS, IRI("http://other.org/x#F")), Arrival.IMPORT)
     added = [
         SubClassOf(Named(c), Named(ext)),
         AnnotationAssertion(c.iri, RDFS_LABEL, AnnotationValue("c", "en")),
@@ -383,3 +368,112 @@ def test_add_prefix_keeps_a_registered_base_and_numbers_taken_labels():
         "x": "urn:x-2:",
         "ext7": "urn:7",
     }
+
+
+# Every (where an IRI is known, how an entity arrives) pair. The known entity
+# is the class ex:K, or rdfs:label when built in; the entity that arrives has
+# the other kind, and is refused with these words.
+_REFUSALS = {
+    ("declared", Arrival.DECLARATION): "already declared as Class, redeclared as ObjectProperty",
+    ("declared", Arrival.REGISTRATION): "declared as both Class and ObjectProperty",
+    ("declared", Arrival.IMPORT): "already declared as Class, now imported as ObjectProperty",
+    ("declared", Arrival.MENTION): "declared as Class but used as ObjectProperty",
+    ("declared", Arrival.LOAD): "declared as Class but used as ObjectProperty",
+    ("imported", Arrival.DECLARATION): "already imported as Class, redeclared as ObjectProperty",
+    ("imported", Arrival.REGISTRATION): "already imported as Class, redeclared as ObjectProperty",
+    ("imported", Arrival.IMPORT): "already imported as Class, now ObjectProperty",
+    ("imported", Arrival.MENTION): "declared as Class but used as ObjectProperty",
+    ("imported", Arrival.LOAD): "already imported as Class, now ObjectProperty",
+    ("built in", Arrival.DECLARATION): "already built in as AnnotationProperty, redeclared as Class",
+    ("built in", Arrival.REGISTRATION): "already built in as AnnotationProperty, redeclared as Class",
+    ("built in", Arrival.IMPORT): "already built in as AnnotationProperty, now imported as Class",
+    ("built in", Arrival.MENTION): "declared as AnnotationProperty but used as Class",
+    ("built in", Arrival.LOAD): "declared as AnnotationProperty but used as Class",
+}
+_OTHER_KIND = {Kind.CLASS: Kind.OBJECT_PROPERTY, Kind.ANNOTATION_PROPERTY: Kind.CLASS}
+
+
+def _known(onto: Ontology, where: str | None) -> Entity:
+    """An entity whose IRI onto knows where; None: not known at all."""
+    if where == "built in":
+        return RDFS_LABEL
+    entity = Entity(Kind.CLASS, IRI(NS + "K"))
+    if where == "declared":
+        onto.add_axiom(Declaration(entity))
+    elif where == "imported":
+        onto.load_axiom(SubClassOf(Named(entity), THING))
+    return entity
+
+
+def _arrive(onto: Ontology, entity: Entity, how: str) -> None:
+    """Bring entity into onto the way how names, as the package's callers do."""
+    if how is Arrival.DECLARATION:
+        onto.add_axiom(Declaration(entity))
+    elif how is Arrival.REGISTRATION or how is Arrival.IMPORT:
+        onto.admit(entity, how)
+    else:
+        if entity.kind is Kind.CLASS:
+            axiom = SubClassOf(Named(entity), THING)
+        elif entity.kind is Kind.OBJECT_PROPERTY:
+            axiom = SubClassOf(Some(entity, THING), THING)
+        else:
+            axiom = AnnotationAssertion(IRI(NS + "s"), entity, AnnotationValue("s"))
+        (onto.add_axiom if how is Arrival.MENTION else onto.load_axiom)(axiom)
+
+
+def _state(onto: Ontology):
+    return list(onto.axioms), dict(onto.entities), dict(onto.imported)
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["", "after-rollback"])
+@pytest.mark.parametrize(
+    "how",
+    [Arrival.DECLARATION, Arrival.REGISTRATION, Arrival.IMPORT, Arrival.MENTION, Arrival.LOAD],
+)
+@pytest.mark.parametrize("where", [None, "declared", "imported", "built in"], ids=str)
+def test_every_arrival_keeps_the_kind_its_iri_is_known_by(where, how, probe):
+    """Refused with the table's words, or accepted and filed; rollback undoes both.
+
+    With probe, the entity was made known inside a mark that was rolled back,
+    as a probe block does, so only a built-in IRI still has a kind.
+    """
+    onto = make_ontology()
+    if probe:
+        mark = onto.mark()
+        known = _known(onto, where)
+        onto.rollback(mark)
+        where = "built in" if where == "built in" else None
+    else:
+        known = _known(onto, where)
+    key = known.iri.value
+    other = Entity(_OTHER_KIND[known.kind], known.iri)
+    before = _state(onto)
+    if where is not None:
+        with pytest.raises(DuplicateEntityKind) as refused:
+            _arrive(onto, other, how)
+        assert refused.value.message == f"<{key}> {_REFUSALS[where, how]}"
+        assert _state(onto) == before
+    # An unknown IRI takes any kind: the one a rolled-back probe did not have.
+    arriving = known if where is not None else other
+    mark = onto.mark()
+    if where is None and how is Arrival.MENTION:
+        with pytest.raises(UndeclaredEntity, match=f"undeclared entity <{key}>"):
+            _arrive(onto, arriving, how)
+    else:
+        _arrive(onto, arriving, how)
+        declares = how is Arrival.DECLARATION or how is Arrival.REGISTRATION
+        assert onto.lookup(key) == arriving
+        assert (key in onto.entities) is (where == "declared" or declares)
+        assert (key in onto.imported) is (
+            where == "imported" or (where is None and not declares)
+        )
+    onto.rollback(mark)
+    assert _state(onto) == before
+    assert onto.lookup(key) == (known if where is not None else None)
+
+
+def test_add_prefix_leaves_the_owl_and_rdfs_bases_to_their_own_labels():
+    onto = make_ontology()
+    onto.add_prefix(RDFS_NS)
+    onto.add_prefix(OWL_NS, "web")
+    assert onto.prefixes == {}
