@@ -8,8 +8,8 @@ deprecated aliases instead of silent breakage.
 The module also holds the functional-style grammar that both directions
 use: `GRAMMAR` gives each axiom and complex class expression its head and
 its operands in text order, and `serializer.render_functional` writes by the
-same table that the parser reads by. Declarations and the atoms are the only
-terms spelled out by hand on each side.
+same table that the parser reads by. Declarations and named classes are the
+only terms spelled out by hand on each side.
 
 The parser tokenizes with one group-free regex whose `findall` gives the
 token texts alone: a token's kind follows from its text, and its offset is
@@ -41,6 +41,7 @@ from .model import (
     AnnotationValue,
     Arrival,
     Axiom,
+    BUILTIN_PREFIXES,
     ClassExpression,
     Declaration,
     DisjointClasses,
@@ -52,20 +53,16 @@ from .model import (
     IRI,
     Kind,
     Named,
-    NOTHING,
     Not,
     ObjectPropertyDomain,
     ObjectPropertyRange,
     Only,
     Ontology,
     Or,
-    OWL_NS,
     RDFS_LABEL,
-    RDFS_NS,
     Some,
     SubClassOf,
     SubObjectPropertyOf,
-    THING,
     TransitiveObjectProperty,
 )
 from .sexpr import IDENTIFIER_RE, MAX_NESTING, ParseError, unescape
@@ -144,8 +141,8 @@ LITERAL = "literal"
 
 # The functional-style syntax of every axiom and complex class expression:
 # model class -> (head, (field, operand kind) in text order). The parser and
-# `serializer.render_functional` both read it. Declarations and the atoms
-# (named classes, owl:Thing, owl:Nothing) are written out by hand on each side.
+# `serializer.render_functional` both read it. Declarations and named classes
+# are written out by hand on each side.
 GRAMMAR: dict[type, tuple[str, tuple[tuple[str, object], ...]]] = {
     And: ("ObjectIntersectionOf", (("operands", CES),)),
     Or: ("ObjectUnionOf", (("operands", CES),)),
@@ -191,14 +188,14 @@ class _FunctionalParser:
         self.source = Source(file, text)
         self.tokens: list[str] = _TOKEN_RE.findall(text)
         self.pos = 0
-        self.prefixes: dict[str, str] = {"owl": OWL_NS, "rdfs": RDFS_NS}
+        self.prefixes: dict[str, str] = dict(BUILTIN_PREFIXES)
         # Each IRI by the IRI or CURIE text it was built from, each entity by
         # its kind and text, and each class expression by the class token it
         # was read from. Every Prefix comes before the first IRI, so one text
         # always means one IRI.
         self.iris: dict[str, IRI] = {}
         self.entities: dict[tuple[Kind, str], Entity] = {}
-        self.classes: dict[str, ClassExpression] = {}
+        self.classes: dict[str, Named] = {}
         # A bad character anywhere wins over any grammar error. Each distinct
         # text is classified once.
         bad = {token for token in set(self.tokens) if _kind(token) == "bad"}
@@ -258,7 +255,7 @@ class _FunctionalParser:
         ontology.prefixes = {
             label: base
             for label, base in self.prefixes.items()
-            if label not in ("owl", "rdfs")
+            if label not in BUILTIN_PREFIXES
         }
 
         axioms: list[Axiom] = []
@@ -358,14 +355,7 @@ class _FunctionalParser:
             return ce
         kind = _kind(token)
         if kind == "iriref" or (kind == "name" and ":" in token):
-            iri = self._iri(token)
-            if iri.value == OWL_NS + "Thing":
-                ce = THING
-            elif iri.value == OWL_NS + "Nothing":
-                ce = NOTHING
-            else:
-                ce = Named(self._entity(Kind.CLASS, token))
-            self.classes[token] = ce
+            ce = self.classes[token] = Named(self._entity(Kind.CLASS, token))
             return ce
         head = self.pos - 1
         if kind != "name":

@@ -1,5 +1,11 @@
 """The axiom model: IRIs, entities, class expressions, axioms, and the ontology store.
 
+The reserved vocabulary lives here and nowhere else: the owl and rdfs
+prefixes (`BUILTIN_PREFIXES`), and the built-in entities (`BUILTIN_ENTITIES`):
+the classes owl:Thing and owl:Nothing, which are plain `Named` classes
+(`THING`, `NOTHING`), and the annotation properties rdfs:label and
+rdfs:comment.
+
 Everything except Ontology is an immutable value with structural equality, so
 axioms can live in sets and duplicate assertions collapse to no-ops. An
 Ontology keeps its axioms in insertion order next to a set index, which is
@@ -80,11 +86,17 @@ class Entity:
 OWL_NS = "http://www.w3.org/2002/07/owl#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
 
+# The reserved prefixes: every rendering declares them, and `Ontology.add_prefix`
+# gives their bases no other label.
+BUILTIN_PREFIXES = {"owl": OWL_NS, "rdfs": RDFS_NS}
+
+OWL_THING = Entity(Kind.CLASS, IRI(OWL_NS + "Thing"))
+OWL_NOTHING = Entity(Kind.CLASS, IRI(OWL_NS + "Nothing"))
 RDFS_LABEL = Entity(Kind.ANNOTATION_PROPERTY, IRI(RDFS_NS + "label"))
 RDFS_COMMENT = Entity(Kind.ANNOTATION_PROPERTY, IRI(RDFS_NS + "comment"))
 
-# Built-in annotation properties are usable without a declaration.
-BUILTIN_ENTITIES = {RDFS_LABEL.iri.value: RDFS_LABEL, RDFS_COMMENT.iri.value: RDFS_COMMENT}
+# The reserved vocabulary: usable without a declaration, and always of its kind.
+BUILTIN_ENTITIES = {e.iri.value: e for e in (OWL_THING, OWL_NOTHING, RDFS_LABEL, RDFS_COMMENT)}
 
 
 # --- class expressions -----------------------------------------------------
@@ -103,18 +115,8 @@ class Named(ClassExpression):
             raise ValueError(f"named class expression needs a class entity, got {self.entity.kind.value}")
 
 
-@dataclass(frozen=True)
-class Thing(ClassExpression):
-    pass
-
-
-@dataclass(frozen=True)
-class Nothing(ClassExpression):
-    pass
-
-
-THING = Thing()
-NOTHING = Nothing()
+THING = Named(OWL_THING)
+NOTHING = Named(OWL_NOTHING)
 
 
 def _as_operand_tuple(operands) -> tuple[ClassExpression, ...]:
@@ -221,8 +223,9 @@ class DisjointClasses(Axiom):
             raise ValueError("disjointness needs at least two classes")
         if len(set(ops)) != len(ops):
             raise ValueError("disjoint classes must be pairwise distinct")
+        thing_or_nothing = (OWL_THING.iri.value, OWL_NOTHING.iri.value)
         for e in ops:
-            if e.kind is not Kind.CLASS:
+            if e.kind is not Kind.CLASS or e.iri.value in thing_or_nothing:
                 raise ValueError("disjointness members must be named classes")
         object.__setattr__(self, "operands", ops)
 
@@ -302,7 +305,7 @@ def _collect(ce: ClassExpression, out: list[Entity]) -> None:
     elif isinstance(ce, (Some, Only)):
         out.append(ce.property)
         _collect(ce.filler, out)
-    elif not isinstance(ce, (Thing, Nothing)):
+    else:
         raise TypeError(f"not a class expression: {ce!r}")
 
 
@@ -406,9 +409,9 @@ class Ontology:
 
         base takes the first free label of `label`, `label2`, `label3`, ...;
         label defaults to base's last path segment, lowercased and cut down to
-        letters and digits. The owl and rdfs bases always have their own.
+        letters and digits. A base of `BUILTIN_PREFIXES` always has its own.
         """
-        if base in self.prefixes.values() or base in (OWL_NS, RDFS_NS):
+        if base in self.prefixes.values() or base in BUILTIN_PREFIXES.values():
             return
         stem = label or _prefix_stem(base)
         label, counter = stem, 2

@@ -1,12 +1,13 @@
 """Polynomial classification for the EL fragment with disjointness.
 
-The fragment covered: named classes, owl:Thing, owl:Nothing, intersections,
-and existential restrictions, in subsumptions, equivalences, and pairwise
-disjointness. A union at the top level of a subsumption's left-hand side is
-decomposed into one subsumption per disjunct. Everything else (universal
-restrictions, complements, remaining unions, and the property axioms) is
-outside the fragment: those axioms are skipped and reported, never silently
-dropped.
+The fragment covered: named classes, intersections, and existential
+restrictions, in subsumptions, equivalences, and pairwise disjointness.
+owl:Thing and owl:Nothing are named classes (`model.THING`, `model.NOTHING`),
+so their atoms, `TOP` and `BOT`, are their IRI text like any other. A union
+at the top level of a subsumption's left-hand side is decomposed into one
+subsumption per disjunct. Everything else (universal restrictions,
+complements, remaining unions, and the property axioms) is outside the
+fragment: those axioms are skipped and reported, never silently dropped.
 
 Classification runs in two stages:
 
@@ -14,9 +15,9 @@ Classification runs in two stages:
 
        A ⊑ B      A1 ⊓ A2 ⊑ B      A ⊑ ∃r.B      ∃r.A ⊑ B
 
-   where every letter is an atom: a named class, owl:Thing, owl:Nothing, or
-   a fresh auxiliary name `_aux1`, `_aux2`, ... handed out in axiom order, so
-   the output is deterministic for a given input sequence.
+   where every letter is an atom: the IRI text of a named class, or a fresh
+   auxiliary name `_aux1`, `_aux2`, ... handed out in axiom order, so the
+   output is deterministic for a given input sequence.
 
 2. `Saturation` computes, for every atom C, the set S(C) of entailed atomic
    subsumers and the role edge relation R(r), as the least fixpoint of
@@ -39,8 +40,11 @@ Classification runs in two stages:
 
 A `Classifier` runs both stages on a base that probe blocks extend and undo;
 `classify(axioms)` is `Classifier(axioms).taxonomy()`. A `Taxonomy` is a view
-of the live S on the named classes, read on demand. S is closed (D ∈ S(C)
-gives S(D) ⊆ S(C)), so `direct_superclasses` tells a strict subsumer from an
+of the live S on the named classes, read on demand. owl:Thing and
+owl:Nothing are contexts of every saturation but classes of no taxonomy: a
+declared owl:Nothing is not an unsatisfiable class, and the queries accept
+both whether or not the axioms mention them. S is closed (D ∈ S(C) gives
+S(D) ⊆ S(C)), so `direct_superclasses` tells a strict subsumer from an
 equivalent one by the size of its S. `Taxonomy.skipped` lists skipped
 axioms with their reasons, and the `classify` and `test` commands sum them
 up in one warning on stderr.
@@ -67,20 +71,20 @@ from .model import (
     Kind,
     Named,
     Not,
-    Nothing,
     ObjectPropertyDomain,
     ObjectPropertyRange,
     Only,
     Or,
+    OWL_NOTHING,
+    OWL_THING,
     Some,
     SubClassOf,
     SubObjectPropertyOf,
-    Thing,
     TransitiveObjectProperty,
 )
 
-TOP = "owl:Thing"
-BOT = "owl:Nothing"
+TOP = OWL_THING.iri.value
+BOT = OWL_NOTHING.iri.value
 
 _PROPERTY_AXIOMS = (
     ObjectPropertyDomain,
@@ -151,10 +155,6 @@ def _atom(ce: ClassExpression | str) -> str | None:
     """The atom ce is, if any; an auxiliary name is its own atom."""
     if isinstance(ce, Named):
         return ce.entity.iri.value
-    if isinstance(ce, Thing):
-        return TOP
-    if isinstance(ce, Nothing):
-        return BOT
     if isinstance(ce, str):
         return ce
     return None
@@ -191,6 +191,9 @@ class _Normalizer:
     def run(self, axioms) -> NormalizeResult:
         for axiom in axioms:
             self._axiom(axiom)
+        # owl:Thing and owl:Nothing are atoms of every saturation, not classes
+        # of the ontology, even when it declares them.
+        self.result.classes.difference_update((TOP, BOT))
         return self.result
 
     def _axiom(self, axiom: Axiom) -> None:
@@ -362,7 +365,7 @@ class Saturation:
         S, edges_by_target, trail = self.S, self.edges_by_target, self._trail
         conj_by_operand, exists_rhs_by_lhs = self.conj_by_operand, self.exists_rhs_by_lhs
         exists_lhs_by_filler, fillers_by_role = self.exists_lhs_by_filler, self.fillers_by_role
-        universe: set[str] = set(atoms) | {TOP}
+        universe: set[str] = set(atoms) | {TOP, BOT}
         triggers: set[str] = set()
 
         def entry(table: dict, key, make):
@@ -539,7 +542,7 @@ def classify(axioms) -> Taxonomy:
 
 
 def _lookup(taxonomy: Taxonomy, key: str) -> str:
-    if key not in taxonomy.classes:
+    if key not in taxonomy.classes and key not in (TOP, BOT):
         raise UnknownEntity(f"<{key}> is not a named class of the classified ontology")
     return key
 
@@ -573,8 +576,6 @@ def direct_superclasses(taxonomy: Taxonomy, name: str) -> list[str]:
     subsumers = S[_lookup(taxonomy, name)]
     size = len(subsumers)
     strict = {d: n for d in subsumers.intersection(taxonomy.classes) if (n := len(S[d])) < size}
-    strict.pop(TOP, None)
-    strict.pop(BOT, None)
     if not strict:
         return []
     largest = max(strict, key=strict.get)

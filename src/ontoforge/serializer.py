@@ -29,6 +29,7 @@ from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL
 from .model import (
     And,
     AnnotationAssertion,
+    BUILTIN_PREFIXES,
     ClassExpression,
     Declaration,
     DisjointClasses,
@@ -40,18 +41,14 @@ from .model import (
     Kind,
     Named,
     Not,
-    Nothing,
     Only,
     ObjectPropertyDomain,
     ObjectPropertyRange,
     Ontology,
     Or,
-    OWL_NS,
-    RDFS_NS,
     Some,
     SubClassOf,
     SubObjectPropertyOf,
-    Thing,
     TransitiveObjectProperty,
 )
 from .sexpr import escape
@@ -63,12 +60,10 @@ class NoPrefix(OntoforgeError):
 
 _LOCAL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
-_BUILTIN_PREFIXES = {"owl": OWL_NS, "rdfs": RDFS_NS}
-
 
 def prefix_map(ontology: Ontology) -> dict[str, str]:
-    """Registered prefixes plus the always-available owl/rdfs pair."""
-    merged = dict(_BUILTIN_PREFIXES)
+    """Registered prefixes plus the reserved ones, `BUILTIN_PREFIXES`."""
+    merged = dict(BUILTIN_PREFIXES)
     merged.update(ontology.prefixes)
     return merged
 
@@ -120,10 +115,6 @@ def _omn_name(entity: Entity, curies: CurieTable) -> str:
 def _omn_ce(ce: ClassExpression, curies: CurieTable) -> str:
     if isinstance(ce, Named):
         return _omn_name(ce.entity, curies)
-    if isinstance(ce, Thing):
-        return "owl:Thing"
-    if isinstance(ce, Nothing):
-        return "owl:Nothing"
     if isinstance(ce, And):
         return " and ".join(_omn_wrap(op, curies) for op in ce.operands)
     if isinstance(ce, Or):
@@ -138,7 +129,7 @@ def _omn_ce(ce: ClassExpression, curies: CurieTable) -> str:
 
 
 def _omn_wrap(ce: ClassExpression, curies: CurieTable) -> str:
-    if isinstance(ce, (Named, Thing, Nothing)):
+    if isinstance(ce, Named):
         return _omn_ce(ce, curies)
     return "(" + _omn_ce(ce, curies) + ")"
 
@@ -251,10 +242,6 @@ def _fun_term(term, curies: CurieTable) -> str:
         return curie_or_iri(term.entity.iri, curies)
     if isinstance(term, Declaration):
         return f"Declaration({term.entity.kind.value}({curie_or_iri(term.entity.iri, curies)}))"
-    if isinstance(term, Thing):
-        return "owl:Thing"
-    if isinstance(term, Nothing):
-        return "owl:Nothing"
     head, operands = GRAMMAR[type(term)]
     parts = []
     for name, kind in operands:

@@ -28,15 +28,13 @@ from ontoforge.model import (
     Kind,
     Named,
     NOTHING,
-    Nothing,
     Some,
     SubClassOf,
     THING,
-    Thing,
 )
 
-TOP = "owl:Thing"
-BOT = "owl:Nothing"
+TOP = THING.entity.iri.value
+BOT = NOTHING.entity.iri.value
 
 
 def _subexpressions(ce: ClassExpression, into: set) -> None:
@@ -114,16 +112,12 @@ def el_subsumers(axioms) -> dict[str, frozenset[str]]:
             if len(sx) != before:
                 changed = True
 
-    named_iris = {entity.iri.value for entity in classes}
+    named_iris = {entity.iri.value for entity in classes} | {TOP, BOT}
     out: dict[str, frozenset[str]] = {}
     for entity in classes:
         subs = set()
         for d in S[Named(entity)]:
             if isinstance(d, Named) and d.entity.iri.value in named_iris:
                 subs.add(d.entity.iri.value)
-            elif isinstance(d, Thing):
-                subs.add(TOP)
-            elif isinstance(d, Nothing):
-                subs.add(BOT)
         out[entity.iri.value] = frozenset(subs)
     return out

@@ -10,7 +10,9 @@ import pytest
 
 import ontoforge
 from ontoforge.cli import main
+from ontoforge.importer import parse_functional
 from ontoforge.patterns import MAX_INSTANTIATIONS
+from ontoforge.reasoner import classify
 from ontoforge.serializer import render_functional, render_omn
 from ontoforge.sexpr import MAX_NESTING
 from support import BUNDLED, pizza_env
@@ -710,6 +712,25 @@ def test_defining_a_name_bound_to_an_external_entity_exits_two(tmp_path, capsys,
         f"{src / 'a.ont'}:4:11: error: 'Foo' is already bound to <https://y.org/b#Foo>\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "test", "compile"])
+def test_an_external_owl_nothing_is_the_built_in_one(tmp_path, capsys, command):
+    _, out, code, stdout, stderr = run_with_external(
+        tmp_path, capsys, command, "Declaration(Class(owl:Nothing))",
+        "(defclass A :subclass Nothing)\n(defclass B :subclass A)\n"
+        "(deftest T (is (coherent?)))\n",
+    )
+    if command == "classify":
+        assert (code, stdout, stderr) == (0, "a:A\towl:Nothing\na:B\towl:Nothing\n", "")
+    elif command == "test":
+        assert code == 1
+        assert stdout.startswith("not ok 1 T (assertion 1 at ")
+        assert stderr == "warning: unsatisfiable class a:A\nwarning: unsatisfiable class a:B\n"
+    else:
+        assert code == 0
+        tax = classify(parse_functional((out / "a.ofn").read_text(encoding="utf-8")).axioms)
+        assert tax.unsatisfiable == {"https://x.org/a#A", "https://x.org/a#B"}
 
 
 def test_an_interned_rdfs_property_adds_no_second_rdfs_prefix(tmp_path, capsys):

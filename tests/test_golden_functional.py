@@ -147,6 +147,15 @@ DIAGNOSTICS = [
      "<http://www.w3.org/2000/01/rdf-schema#label> already built in as AnnotationProperty, "
      "redeclared as Class",
      4, 1),
+    ("kind-conflict-builtin-class-declared", ofn("Declaration(ObjectProperty(owl:Thing))"),
+     "DuplicateEntityKind",
+     "<http://www.w3.org/2002/07/owl#Thing> already built in as Class, redeclared as ObjectProperty",
+     3, 1),
+    ("kind-conflict-builtin-class-as-property",
+     ofn("SubClassOf(e:A ObjectSomeValuesFrom(owl:Nothing e:A))"),
+     "DuplicateEntityKind",
+     "<http://www.w3.org/2002/07/owl#Nothing> declared as Class but used as ObjectProperty",
+     3, 1),
     ("parse-error-beats-kind-conflict",
      ofn("Declaration(Class(e:A))", "Declaration(ObjectProperty(e:A))", "SubClassOf(e:A $)"),
      "ParseError", "unexpected character '$'", 5, 16),

@@ -208,7 +208,7 @@ def test_class_expressions_nest_up_to_the_shared_limit():
 
 
 def test_the_grammar_covers_every_axiom_and_class_expression():
-    written_by_hand = {model.Declaration, model.Named, model.Thing, model.Nothing}
+    written_by_hand = {model.Declaration, model.Named}
     concrete = {
         cls
         for cls in vars(model).values()

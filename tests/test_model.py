@@ -20,7 +20,9 @@ from ontoforge.model import (
     Not,
     NOTHING,
     Ontology,
+    OWL_NOTHING,
     OWL_NS,
+    OWL_THING,
     Or,
     RDFS_LABEL,
     RDFS_NS,
@@ -119,8 +121,8 @@ def test_expression_signature_walks_the_tree():
     a = Entity(Kind.CLASS, IRI(NS + "A"))
     b = Entity(Kind.CLASS, IRI(NS + "B"))
     ce = And((Named(a), Not(Some(p, Or((Named(b), THING))))))
-    assert set(axiom_mentions(SubClassOf(ce, THING))) == {a, b, p}
-    assert set(axiom_mentions(SubClassOf(THING, NOTHING))) == set()
+    assert set(axiom_mentions(SubClassOf(ce, THING))) == {a, b, p, OWL_THING}
+    assert set(axiom_mentions(SubClassOf(THING, NOTHING))) == {OWL_THING, OWL_NOTHING}
 
 
 # --- annotations ------------------------------------------------------------
@@ -270,8 +272,8 @@ def test_axiom_mentions_follow_the_text_with_repeats():
     onto = make_ontology()
     a, b, p = cls(onto, "A"), cls(onto, "B"), prop(onto, "p")
     ax = SubClassOf(Named(b), And((Some(p, Named(a)), Not(Named(b)), THING)))
-    assert axiom_mentions(ax) == [b, p, a, b]
-    assert set(axiom_mentions(ax)) == {a, b, p}
+    assert axiom_mentions(ax) == [b, p, a, b, OWL_THING]
+    assert set(axiom_mentions(ax)) == {a, b, p, OWL_THING}
 
 
 def test_load_axiom_imports_unknown_mentions_in_text_order():

@@ -9,6 +9,7 @@ import pytest
 from el_oracle import el_subsumers
 from ontoforge.model import (
     And,
+    Declaration,
     DisjointClasses,
     Entity,
     EquivalentClasses,
@@ -21,6 +22,8 @@ from ontoforge.model import (
     Only,
     Ontology,
     Or,
+    OWL_NOTHING,
+    OWL_THING,
     Some,
     SubClassOf,
     SubObjectPropertyOf,
@@ -412,6 +415,35 @@ def test_classify_reports_unsatisfiable_classes():
     report = coherence_report(tax)
     assert not report.coherent
     assert report.unsatisfiable == (iri("A"), iri("D"))
+
+
+def test_a_class_at_the_iri_owl_nothing_is_an_ordinary_class():
+    # "owl:Nothing" read as an IRI (scheme owl) is not the built-in owl:Nothing
+    def fill(onto, n):
+        lookalike = onto.declare(Kind.CLASS, IRI("owl:Nothing"))
+        onto.add_axiom(SubClassOf(Named(n["A"]), Named(lookalike)))
+
+    onto, _ = build(fill)
+    tax = classify(onto.axioms)
+    assert tax.unsatisfiable == frozenset()
+    assert "owl:Nothing" in tax.subsumers[iri("A")]
+
+
+def test_thing_and_nothing_are_classes_of_no_taxonomy():
+    def fill(onto, n):
+        onto.add_axiom(SubClassOf(Named(n["A"]), NOTHING))
+        onto.add_axiom(SubClassOf(Named(n["B"]), THING))
+
+    onto, n = build(fill)
+    tax = classify([*onto.axioms, Declaration(OWL_THING), Declaration(OWL_NOTHING)])
+    assert set(tax.subsumers) == {iri(c) for c in "ABCDEF"}
+    assert tax.unsatisfiable == frozenset({iri("A")})  # a declared owl:Nothing is not listed
+    # the queries accept both, mentioned or not
+    empty = classify(build(lambda o, _: None)[0].axioms)
+    for view in (tax, empty):
+        assert inferred_superclass(view, n["C"], OWL_THING)
+        assert not inferred_superclass(view, n["C"], OWL_NOTHING)
+    assert inferred_superclass(tax, n["A"], OWL_NOTHING)
 
 
 def test_classify_keeps_aux_atoms_out_of_the_view():
