@@ -20,7 +20,7 @@ from pathlib import Path
 from .errors import Diagnostic, OntoforgeError
 from .evaluator import Environment, Loader, _read_source, resolve
 from .importer import MemoTable, memorise_check, memorise_save
-from .model import AnnotationAssertion, Kind, RDFS_COMMENT, RDFS_LABEL
+from .model import AnnotationAssertion, RDFS_COMMENT, RDFS_LABEL
 from .polyglot import apply_labels, emit_skeleton, parse_properties
 from .reasoner import classify, direct_superclasses
 from .serializer import CurieTable, curie_or_iri, prefix_map, render_functional, render_omn
@@ -141,8 +141,8 @@ def _cmd_classify(args) -> int:
     _print_skipped(taxonomy.skipped)
     curies = CurieTable(prefix_map(env.ontology))
     lines = []
-    for key, entity in env.ontology.entities.items():
-        if entity.kind is not Kind.CLASS:
+    for key in env.ontology.entities:
+        if key not in taxonomy.classes:  # a property, or owl:Thing or owl:Nothing
             continue
         if key in taxonomy.unsatisfiable:
             supers = ["owl:Nothing"]

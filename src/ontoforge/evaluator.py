@@ -29,6 +29,7 @@ from .model import (
     AnnotationValue,
     Arrival,
     Axiom,
+    BUILTIN_PREFIXES,
     ClassExpression,
     DisjointClasses,
     Entity,
@@ -486,6 +487,8 @@ class Evaluator:
             raise EvalError(str(err), form.location)
         if prefix is not None and not _PREFIX_LABEL_RE.match(prefix):
             raise EvalError(f"invalid prefix label '{prefix}'", form.location)
+        if prefix in BUILTIN_PREFIXES:
+            raise EvalError(f"prefix label '{prefix}' is reserved", form.location)
         ontology.add_prefix(iri_text, prefix)
         self.env.ontology = ontology
         if self.env.namespace is None:

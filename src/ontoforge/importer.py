@@ -423,26 +423,22 @@ def parse_functional(text: str, file: str = "<functional>") -> Ontology:
 # --- identifier derivation ---------------------------------------------------
 
 
-_BLANKS_RE = re.compile(r"\s+")
-_NON_IDENTIFIER_RE = re.compile(r"[^A-Za-z0-9_-]")
-_UNDERSCORES_RE = re.compile(r"_{2,}")
-_IDENTIFIER_START_RE = re.compile(r"[A-Za-z_]")
+# One maximal run of characters an identifier cannot hold, '_' included.
+_NON_IDENTIFIER_RUN_RE = re.compile(r"[^A-Za-z0-9-]+")
+_IDENTIFIER_START = frozenset(string.ascii_letters + "_")
 
 
 def label_to_identifier(label: str) -> str:
     """Derive a DSL identifier from free label text.
 
-    Whitespace runs and charset-breaking characters become '_', consecutive
-    '_' collapse, trailing '_' is trimmed, and a leading digit gets an
-    '_' prefix.
+    Each run of whitespace, '_' and charset-breaking characters in the
+    stripped label becomes one '_', a trailing '_' is trimmed, and a leading
+    digit or '-' gets an '_' prefix.
     """
-    s = _BLANKS_RE.sub("_", label.strip())
-    s = _NON_IDENTIFIER_RE.sub("_", s)
-    s = _UNDERSCORES_RE.sub("_", s)
-    s = s.rstrip("_")
+    s = _NON_IDENTIFIER_RUN_RE.sub("_", label.strip()).rstrip("_")
     if not s:
         raise UnmappableLabel(f"label {label!r} maps to an empty identifier")
-    if not _IDENTIFIER_START_RE.match(s[0]):
+    if s[0] not in _IDENTIFIER_START:
         s = "_" + s
     assert IDENTIFIER_RE.match(s), s
     return s

@@ -7,11 +7,17 @@ the classes owl:Thing and owl:Nothing, which are plain `Named` classes
 rdfs:comment.
 
 Everything except Ontology is an immutable value with structural equality, so
-axioms can live in sets and duplicate assertions collapse to no-ops. An
-Ontology keeps its axioms in insertion order next to a set index, which is
-what makes serialization deterministic. Its `entities` and `imported`
-tables map IRI text (`iri.value`) to entities, so a lookup hashes a str in C
-rather than calling `IRI.__hash__`. `Ontology.lookup` is the one lookup order
+axioms can live in sets and duplicate assertions collapse to no-ops. Every
+value class is made by `_value`: a frozen dataclass with slots, so a term
+carries no `__dict__`, and with a generated `__init__` that writes each field
+through its slot descriptor. Every command builds thousands of terms, and a
+frozen dataclass's own `__init__` spends about half of each construction in
+`object.__setattr__`.
+
+An Ontology keeps its axioms in insertion order next to a set index, which is
+what makes serialization deterministic. Its `entities` and `imported` tables
+map IRI text (`iri.value`) to entities, so a lookup hashes a str in C rather
+than calling `IRI.__hash__`. `Ontology.lookup` is the one lookup order
 (`entities`, then `imported`, then `BUILTIN_ENTITIES`) and `Ontology.admit`
 the one admission method: an entity, however it arrives (`Arrival`), keeps
 the kind its IRI is known by. The store only grows; `mark` and `rollback`
@@ -21,7 +27,7 @@ undo everything added since a mark, most recent first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 
 from .errors import OntoforgeError
@@ -38,7 +44,44 @@ class UndeclaredEntity(OntoforgeError):
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:\S+$")
 
 
-@dataclass(frozen=True)
+def _value(cls):
+    """Make cls a frozen dataclass with slots and a descriptor-writing `__init__`.
+
+    The `__init__` takes the fields positionally or by keyword, calls each
+    field's slot descriptor (bound once the slots exist), then
+    `__post_init__` if cls has one. It is made before the dataclass, so the
+    dataclass's signature docstring reads it. Instances refuse assignment
+    and `del` of any attribute with `FrozenInstanceError`: once the slots
+    have replaced the class, the dataclass's own refusal raises TypeError
+    for a name that is not a field.
+    """
+    names = cls.__annotations__  # the fields, in order
+    env = {f"_default_{n}": vars(cls)[n] for n in names if n in vars(cls)}
+    params = "".join(f", {n}=_default_{n}" if f"_default_{n}" in env else f", {n}" for n in names)
+    body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+    if hasattr(cls, "__post_init__"):
+        body += "\n    self.__post_init__()"
+    exec(f"def __init__(self{params}):{body}", env)
+    init = cls.__init__ = env["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**names, "return": None}
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    for n in names:
+        env[f"_set_{n}"] = getattr(cls, n).__set__
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    return cls
+
+
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@_value
 class IRI:
     value: str
 
@@ -72,7 +115,14 @@ class Kind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+# The kind checks of the constructors below read these aliases: reading a
+# member off the Enum class costs about ten times as much as a global.
+_CLASS = Kind.CLASS
+_OBJECT_PROPERTY = Kind.OBJECT_PROPERTY
+_ANNOTATION_PROPERTY = Kind.ANNOTATION_PROPERTY
+
+
+@_value
 class Entity:
     kind: Kind
     iri: IRI
@@ -106,12 +156,12 @@ class ClassExpression:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_value
 class Named(ClassExpression):
     entity: Entity
 
     def __post_init__(self) -> None:
-        if self.entity.kind is not Kind.CLASS:
+        if self.entity.kind is not _CLASS:
             raise ValueError(f"named class expression needs a class entity, got {self.entity.kind.value}")
 
 
@@ -126,7 +176,7 @@ def _as_operand_tuple(operands) -> tuple[ClassExpression, ...]:
     return ops
 
 
-@dataclass(frozen=True)
+@_value
 class And(ClassExpression):
     operands: tuple[ClassExpression, ...]
 
@@ -134,7 +184,7 @@ class And(ClassExpression):
         object.__setattr__(self, "operands", _as_operand_tuple(self.operands))
 
 
-@dataclass(frozen=True)
+@_value
 class Or(ClassExpression):
     operands: tuple[ClassExpression, ...]
 
@@ -142,17 +192,17 @@ class Or(ClassExpression):
         object.__setattr__(self, "operands", _as_operand_tuple(self.operands))
 
 
-@dataclass(frozen=True)
+@_value
 class Not(ClassExpression):
     operand: ClassExpression
 
 
 def _check_object_property(entity: Entity) -> None:
-    if entity.kind is not Kind.OBJECT_PROPERTY:
+    if entity.kind is not _OBJECT_PROPERTY:
         raise ValueError(f"restriction needs an object property, got {entity.kind.value}")
 
 
-@dataclass(frozen=True)
+@_value
 class Some(ClassExpression):
     property: Entity
     filler: ClassExpression
@@ -161,7 +211,7 @@ class Some(ClassExpression):
         _check_object_property(self.property)
 
 
-@dataclass(frozen=True)
+@_value
 class Only(ClassExpression):
     property: Entity
     filler: ClassExpression
@@ -173,7 +223,7 @@ class Only(ClassExpression):
 # --- annotations -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value
 class AnnotationValue:
     """A text literal with an optional BCP 47 language tag, held lowercase."""
 
@@ -194,18 +244,18 @@ class Axiom:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_value
 class Declaration(Axiom):
     entity: Entity
 
 
-@dataclass(frozen=True)
+@_value
 class SubClassOf(Axiom):
     sub: ClassExpression
     sup: ClassExpression
 
 
-@dataclass(frozen=True)
+@_value
 class EquivalentClasses(Axiom):
     operands: tuple[ClassExpression, ...]
 
@@ -213,7 +263,7 @@ class EquivalentClasses(Axiom):
         object.__setattr__(self, "operands", _as_operand_tuple(self.operands))
 
 
-@dataclass(frozen=True)
+@_value
 class DisjointClasses(Axiom):
     operands: tuple[Entity, ...]
 
@@ -225,12 +275,12 @@ class DisjointClasses(Axiom):
             raise ValueError("disjoint classes must be pairwise distinct")
         thing_or_nothing = (OWL_THING.iri.value, OWL_NOTHING.iri.value)
         for e in ops:
-            if e.kind is not Kind.CLASS or e.iri.value in thing_or_nothing:
+            if e.kind is not _CLASS or e.iri.value in thing_or_nothing:
                 raise ValueError("disjointness members must be named classes")
         object.__setattr__(self, "operands", ops)
 
 
-@dataclass(frozen=True)
+@_value
 class SubObjectPropertyOf(Axiom):
     sub: Entity
     sup: Entity
@@ -240,7 +290,7 @@ class SubObjectPropertyOf(Axiom):
         _check_object_property(self.sup)
 
 
-@dataclass(frozen=True)
+@_value
 class ObjectPropertyDomain(Axiom):
     property: Entity
     ce: ClassExpression
@@ -249,7 +299,7 @@ class ObjectPropertyDomain(Axiom):
         _check_object_property(self.property)
 
 
-@dataclass(frozen=True)
+@_value
 class ObjectPropertyRange(Axiom):
     property: Entity
     ce: ClassExpression
@@ -258,7 +308,7 @@ class ObjectPropertyRange(Axiom):
         _check_object_property(self.property)
 
 
-@dataclass(frozen=True)
+@_value
 class FunctionalObjectProperty(Axiom):
     property: Entity
 
@@ -266,7 +316,7 @@ class FunctionalObjectProperty(Axiom):
         _check_object_property(self.property)
 
 
-@dataclass(frozen=True)
+@_value
 class TransitiveObjectProperty(Axiom):
     property: Entity
 
@@ -274,18 +324,18 @@ class TransitiveObjectProperty(Axiom):
         _check_object_property(self.property)
 
 
-@dataclass(frozen=True)
+@_value
 class AnnotationAssertion(Axiom):
     subject: IRI
     property: Entity
     value: AnnotationValue
 
     def __post_init__(self) -> None:
-        if self.property.kind is not Kind.ANNOTATION_PROPERTY:
+        if self.property.kind is not _ANNOTATION_PROPERTY:
             raise ValueError("annotation assertions need an annotation property")
 
 
-@dataclass(frozen=True)
+@_value
 class Import(Axiom):
     iri: IRI
 
@@ -409,13 +459,14 @@ class Ontology:
 
         base takes the first free label of `label`, `label2`, `label3`, ...;
         label defaults to base's last path segment, lowercased and cut down to
-        letters and digits. A base of `BUILTIN_PREFIXES` always has its own.
+        letters and digits. A base of `BUILTIN_PREFIXES` always has its own,
+        and their labels are never free.
         """
         if base in self.prefixes.values() or base in BUILTIN_PREFIXES.values():
             return
         stem = label or _prefix_stem(base)
         label, counter = stem, 2
-        while label in self.prefixes:
+        while label in self.prefixes or label in BUILTIN_PREFIXES:
             label = f"{stem}{counter}"
             counter += 1
         self.prefixes[label] = base

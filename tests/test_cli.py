@@ -229,6 +229,15 @@ def test_classify_marks_unsatisfiable_classes(tmp_path, capsys):
     assert table["menu:Broken"] == "owl:Nothing"
 
 
+def test_classify_lists_no_builtin_class(tmp_path, capsys):
+    (tmp_path / "w.ont").write_text(
+        '(defontology w :iri "http://www.w3.org/2002/07/owl#")\n'
+        "(defclass Nothing)\n(defclass Thing)\n(defclass A :subclass Thing)\n",
+        encoding="utf-8",
+    )
+    assert run_cli(capsys, "classify", "--src", str(tmp_path)) == (0, "owl:A\towl:Thing\n", "")
+
+
 SKIPPING_ONT = """\
 (defontology menu :iri "https://example.org/menu#" :prefix "menu")
 (defclass Pizza)
@@ -826,3 +835,66 @@ def test_python_dash_m_runs_the_cli_from_the_source_tree(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (
         0, "pizza: 97 axioms, 2 tests\n", ""
     )
+
+
+OWL_PREFIX = "Prefix(owl:=<http://www.w3.org/2002/07/owl#>)\n"
+RDFS_PREFIX = "Prefix(rdfs:=<http://www.w3.org/2000/01/rdf-schema#>)\n"
+
+
+@pytest.mark.parametrize(
+    "base, option, ofn",
+    [
+        (
+            "https://example.org/owl#",
+            "",
+            OWL_PREFIX
+            + "Prefix(owl2:=<https://example.org/owl#>)\n"
+            + RDFS_PREFIX
+            + "Ontology(<https://example.org/owl#>\n"
+            "Declaration(Class(owl2:A))\n"
+            ")\n",
+        ),
+        (
+            "https://example.org/rdfs/",
+            ' :label "a"',
+            OWL_PREFIX
+            + RDFS_PREFIX
+            + "Prefix(rdfs2:=<https://example.org/rdfs/>)\n"
+            "Ontology(<https://example.org/rdfs/>\n"
+            "Declaration(Class(rdfs2:A))\n"
+            'AnnotationAssertion(rdfs:label rdfs2:A "a"@en)\n'
+            ")\n",
+        ),
+    ],
+    ids=["owl", "rdfs"],
+)
+def test_a_base_named_owl_or_rdfs_takes_a_numbered_label(tmp_path, capsys, base, option, ofn):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "w.ont").write_text(
+        f'(defontology w :iri "{base}")\n(defclass A{option})\n', encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(
+        capsys, "compile", "--src", str(src), "--out", str(out), "--format", "ofn"
+    )
+    assert (code, stderr) == (0, "")
+    assert (out / "w.ofn").read_text(encoding="utf-8") == ofn
+
+
+@pytest.mark.parametrize("command", ["check", "compile"])
+@pytest.mark.parametrize("prefix", ["owl", "rdfs"])
+def test_a_reserved_prefix_label_exits_two(tmp_path, capsys, command, prefix):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "w.ont").write_text(
+        f'(defontology w :iri "https://example.org/w#" :prefix "{prefix}")\n'
+        '(defclass A :label "a")\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if command == "compile" else []
+    code, stdout, stderr = run_cli(capsys, command, "--src", str(src), *extra)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"{src / 'w.ont'}:1:1: error: prefix label '{prefix}' is reserved\n"
+    assert not out.exists()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -329,6 +330,61 @@ def test_label_to_identifier_rejects_empty_results():
     for label in ("", "   ", "???", "###"):
         with pytest.raises(UnmappableLabel):
             label_to_identifier(label)
+
+
+@pytest.mark.parametrize(
+    "label, expected",
+    [
+        ("a_b", "a_b"),
+        ("a__b", "a_b"),
+        ("a _ b", "a_b"),
+        ("_private", "_private"),
+        ("__dunder__", "_dunder"),
+        ("-dash", "_-dash"),
+        ("a--b-", "a--b-"),
+        ("layer-1 / 2", "layer-1_2"),
+        ("9", "_9"),
+        ("café au lait", "caf_au_lait"),
+        ("no\u00a0break", "no_break"),
+        ("\u3000ideographic\u3000space\u3000", "ideographic_space"),
+        ("\u0663 arabic digit", "_arabic_digit"),
+        ("tab\tand\nnewline", "tab_and_newline"),
+        ("zero\u200bwidth", "zero_width"),
+        ("", UnmappableLabel),
+        ("\u3000\t", UnmappableLabel),
+        ("___", UnmappableLabel),
+        ("_ ! _", UnmappableLabel),
+        ("\u0663", UnmappableLabel),
+    ],
+)
+def test_label_to_identifier_table(label, expected):
+    if expected is UnmappableLabel:
+        with pytest.raises(UnmappableLabel):
+            label_to_identifier(label)
+    else:
+        assert label_to_identifier(label) == expected
+
+
+def _four_pass_label_to_identifier(label: str) -> str | None:
+    """The reference: blanks, then other characters, then '_' runs, one pass each."""
+    s = re.sub(r"\s+", "_", label.strip())
+    s = re.sub(r"[^A-Za-z0-9_-]", "_", s)
+    s = re.sub(r"_{2,}", "_", s).rstrip("_")
+    if not s:
+        return None
+    return s if re.match(r"[A-Za-z_]", s) else "_" + s
+
+
+def test_label_to_identifier_matches_the_four_pass_reference():
+    alphabet = list("aZ09-_ !?.()/\t\n\x1c\x85\u00a0\u2003\u3000\u200b\u0663\u00e9\u0416")
+    rng = random.Random(5)
+    for _ in range(20000):
+        label = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        try:
+            got = label_to_identifier(label)
+        except UnmappableLabel:
+            got = None
+        assert got == _four_pass_label_to_identifier(label), repr(label)
 
 
 # --- interning -------------------------------------------------------------------

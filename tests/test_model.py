@@ -1,9 +1,13 @@
 """Tests for the axiom model and the ontology store."""
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
+from ontoforge import model
 from ontoforge.model import (
     And,
     AnnotationAssertion,
@@ -479,3 +483,85 @@ def test_add_prefix_leaves_the_owl_and_rdfs_bases_to_their_own_labels():
     onto.add_prefix(RDFS_NS)
     onto.add_prefix(OWL_NS, "web")
     assert onto.prefixes == {}
+
+
+def test_add_prefix_never_gives_away_the_owl_and_rdfs_labels():
+    onto = make_ontology()
+    onto.add_prefix("https://example.org/owl#")
+    onto.add_prefix("https://example.org/rdfs/")
+    onto.add_prefix("https://example.org/other#", "owl")
+    assert onto.prefixes == {
+        "owl2": "https://example.org/owl#",
+        "rdfs2": "https://example.org/rdfs/",
+        "owl3": "https://example.org/other#",
+    }
+
+
+# --- the value classes -----------------------------------------------------------
+
+_A = Entity(Kind.CLASS, IRI(NS + "A"))
+_B = Entity(Kind.CLASS, IRI(NS + "B"))
+_P = Entity(Kind.OBJECT_PROPERTY, IRI(NS + "p"))
+_Q = Entity(Kind.OBJECT_PROPERTY, IRI(NS + "q"))
+
+# One positional argument tuple per value class of `model`.
+_SAMPLE_ARGS = {
+    model.IRI: (NS + "A",),
+    model.Entity: (Kind.CLASS, IRI(NS + "A")),
+    model.AnnotationValue: ("text", "EN"),
+    model.Named: (_A,),
+    model.And: ((Named(_A), Named(_B)),),
+    model.Or: ([Named(_A), Named(_B)],),
+    model.Not: (Named(_A),),
+    model.Some: (_P, Named(_A)),
+    model.Only: (_P, Named(_B)),
+    model.Declaration: (_A,),
+    model.SubClassOf: (Named(_A), Named(_B)),
+    model.EquivalentClasses: ((Named(_A), Named(_B)),),
+    model.DisjointClasses: ([_A, _B],),
+    model.SubObjectPropertyOf: (_P, _Q),
+    model.ObjectPropertyDomain: (_P, Named(_A)),
+    model.ObjectPropertyRange: (_P, Named(_B)),
+    model.FunctionalObjectProperty: (_P,),
+    model.TransitiveObjectProperty: (_Q,),
+    model.AnnotationAssertion: (IRI(NS + "A"), RDFS_LABEL, AnnotationValue("a", "en")),
+    model.Import: (IRI("http://example.com/other"),),
+}
+
+VALUE_CLASSES = sorted(
+    (
+        value
+        for value in vars(model).values()
+        if isinstance(value, type)
+        and dataclasses.is_dataclass(value)
+        and value.__module__ == model.__name__
+    ),
+    key=lambda value: value.__name__,
+)
+
+
+def test_every_value_class_has_sample_arguments():
+    assert set(_SAMPLE_ARGS) == set(VALUE_CLASSES)
+
+
+@pytest.mark.parametrize("value_class", VALUE_CLASSES, ids=lambda c: c.__name__)
+def test_every_value_class_is_a_slotted_frozen_value(value_class):
+    args = _SAMPLE_ARGS[value_class]
+    names = [f.name for f in dataclasses.fields(value_class)]
+    term = value_class(*args)
+    keyword = value_class(**dict(zip(names, args)))
+    assert term == keyword and hash(term) == hash(keyword)
+    assert repr(term).startswith(f"{value_class.__name__}({names[0]}=")
+    assert not hasattr(term, "__dict__")
+    for name in [*names, "extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(term, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(term, name)
+    assert [getattr(term, name) for name in names] == [getattr(keyword, name) for name in names]
+    for twin in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert type(twin) is value_class and twin == term and hash(twin) == hash(term)
+    for field in dataclasses.fields(value_class):
+        if field.default is not dataclasses.MISSING:
+            required = args[: names.index(field.name)]
+            assert getattr(value_class(*required), field.name) == field.default
