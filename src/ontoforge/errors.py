@@ -82,6 +82,15 @@ class Diagnostic:
     location: Location | None = None
 
     def render(self) -> str:
-        if self.location is not None:
-            return f"{self.location}: {self.severity}: {self.message}"
-        return f"{self.severity}: {self.message}"
+        """One line, `file:line:col: severity: message`, its line breaks escaped."""
+        where = f"{self.location}: " if self.location is not None else ""
+        return _LINE_BREAK_RE.sub(_escaped, f"{where}{self.severity}: {self.message}")
+
+
+# Every character `str.splitlines` breaks at, so a message quoting input
+# (a label file's key, say) cannot start a line that is not a diagnostic.
+_LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _escaped(match: re.Match) -> str:
+    return repr(match.group())[1:-1]

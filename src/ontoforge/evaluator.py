@@ -8,8 +8,8 @@ tests, and the CLI can resolve them by name.
 
 Every entity kind takes one definition path: `define` (for `defclass` and
 `defoproperty`), `owlclass` and the pattern forms create entities through
-`declare` and read options through `option_axioms`, given the keywords of the
-form's kind (`_CLASS_OPTIONS` or `_PROPERTY_OPTIONS`). References go through
+`declare` and read options through `option_axioms`, whose keywords come from
+one table keyed by the entity's kind, `_OPTIONS`. References go through
 `resolve_ref`, which checks the kind. Every axiom a form states, other than a
 declaration, enters the ontology through `add_axioms`, which locates an error
 at the stating form.
@@ -179,6 +179,7 @@ _PROPERTY_OPTIONS = {
     "subproperty",
     "characteristic",
 }
+_OPTIONS = {Kind.CLASS: _CLASS_OPTIONS, Kind.OBJECT_PROPERTY: _PROPERTY_OPTIONS}
 _ONTOLOGY_OPTIONS = {"iri", "prefix"}
 
 _PREFIX_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$")
@@ -300,9 +301,9 @@ class Evaluator:
         if name == "defontology":
             return self._defontology(form)
         if name == "defclass":
-            return self.define(form, Kind.CLASS, _CLASS_OPTIONS)
+            return self.define(form, Kind.CLASS)
         if name == "defoproperty":
-            return self.define(form, Kind.OBJECT_PROPERTY, _PROPERTY_OPTIONS)
+            return self.define(form, Kind.OBJECT_PROPERTY)
         if name == "use":
             return self._use(form)
         if name == "read-external":
@@ -374,10 +375,10 @@ class Evaluator:
             raise EvalError(f"option ':{kw.name}' needs exactly one text value", kw.location)
         return values[0].value
 
-    def option_axioms(self, entity: Entity, forms, allowed: set[str]) -> list[Axiom]:
-        """The axioms a form's options state about entity; allowed names its options."""
+    def option_axioms(self, entity: Entity, forms) -> list[Axiom]:
+        """The axioms a form's options state about entity, from its kind's options."""
         axioms: list[Axiom] = []
-        for kw, values in self._option_groups(forms, allowed):
+        for kw, values in self._option_groups(forms, _OPTIONS[entity.kind]):
             self._require_values(kw, values)
             if kw.name in ("label", "comment"):
                 prop = RDFS_LABEL if kw.name == "label" else RDFS_COMMENT
@@ -457,7 +458,7 @@ class Evaluator:
         if not args or not isinstance(args[0], Text):
             raise EvalError("owlclass needs a text name", form.location)
         entity = self.declare(args[0].value, args[0], Kind.CLASS, bind=False)
-        self.add_axioms(self.option_axioms(entity, args[1:], _CLASS_OPTIONS), form)
+        self.add_axioms(self.option_axioms(entity, args[1:]), form)
         return entity
 
     # --- definition forms ---
@@ -495,13 +496,13 @@ class Evaluator:
             self.env.namespace = name
         return ontology
 
-    def define(self, form: ListForm, kind: Kind, allowed: set[str]) -> Entity:
+    def define(self, form: ListForm, kind: Kind) -> Entity:
         """(defclass Name options...) or (defoproperty Name options...)"""
         children = form.children
         if len(children) < 2 or not isinstance(children[1], Identifier):
             raise EvalError(f"{children[0].name} needs a name", form.location)
         entity = self.declare(children[1].name, children[1], kind)
-        self.add_axioms(self.option_axioms(entity, children[2:], allowed), form)
+        self.add_axioms(self.option_axioms(entity, children[2:]), form)
         return entity
 
     def _use(self, form: ListForm) -> "Environment":

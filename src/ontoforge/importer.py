@@ -85,6 +85,10 @@ class WrongOntology(OntoforgeError):
 
 # --- functional-style parsing -----------------------------------------------
 
+# A name token, and each side of a CURIE: a prefix label or a local name.
+# `serializer.shorten` writes a CURIE only when its local name is one whole.
+LOCAL_NAME = r"[A-Za-z_][A-Za-z0-9_.-]*"
+
 # One match per token, in text order; the spaces, tabs and line breaks
 # between tokens match nothing. Any other character that starts no token is
 # a bad token of its own, so every character outside that whitespace lies in
@@ -92,13 +96,13 @@ class WrongOntology(OntoforgeError):
 # token texts alone: a token's kind follows from its text (`_kind`), and its
 # offset is found again only for a diagnostic (`_token_start`).
 _TOKEN_RE = re.compile(
-    r"""\(
+    rf"""\(
       | \)
       | :=
       | <[^<>\s]+>
       | "[^"\\]*(?:\\.[^"\\]*)*"
       | @[A-Za-z0-9][A-Za-z0-9-]*
-      | [A-Za-z_][A-Za-z0-9_.-]*(?::[A-Za-z_][A-Za-z0-9_.-]*)?
+      | {LOCAL_NAME}(?::{LOCAL_NAME})?
       | [^ \t\r\n]""",
     re.VERBOSE,
 )

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 from .errors import Located, OntoforgeError, Source
 from .model import (
+    Axiom,
     ClassExpression,
     DisjointClasses,
     Entity,
@@ -59,6 +60,16 @@ def _or_of(entities: list[Entity]) -> ClassExpression:
     return Or(tuple(Named(e) for e in entities))
 
 
+def _subclass_block(parent: Entity, members: list[Entity], cover: bool) -> list[Axiom]:
+    """Members under parent, pairwise disjoint, and covering it when cover is set."""
+    axioms: list[Axiom] = [SubClassOf(Named(m), Named(parent)) for m in members]
+    if len(members) >= 2:
+        axioms.append(DisjointClasses(tuple(members)))
+    if cover:
+        axioms.append(EquivalentClasses((Named(parent), _or_of(members))))
+    return axioms
+
+
 def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
     """(as-disjoint-subclasses Parent [:cover] (defclass ...)+)"""
     children = form.children[1:]
@@ -94,12 +105,7 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
             )
         seen.add(member)
         members.append(member)
-    axioms = [SubClassOf(Named(m), Named(parent)) for m in members]
-    if len(members) >= 2:
-        axioms.append(DisjointClasses(tuple(members)))
-    if cover:
-        axioms.append(EquivalentClasses((Named(parent), _or_of(members))))
-    ev.add_axioms(axioms, form)
+    ev.add_axioms(_subclass_block(parent, members, cover), form)
     return members
 
 
@@ -119,9 +125,9 @@ def affix_block(ev: "Evaluator", form: ListForm, where: str) -> None:
 def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
     """(value-partition Name [V1 V2 ...])
 
-    Declares the partition class, one class per value (subclasses, pairwise
-    disjoint, covering), and a functional has<Name> property ranging over
-    the partition.
+    Declares the partition class, one class per value (a covering disjoint
+    subclass block), and a functional has<Name> property ranging over the
+    partition.
     """
     children = form.children[1:]
     if (
@@ -146,11 +152,8 @@ def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
     parent = ev.declare(name, children[0], Kind.CLASS)
     values = [ev.declare(v.name, v, Kind.CLASS) for v in value_forms]
     prop = ev.declare("has" + name, children[0], Kind.OBJECT_PROPERTY)
-    axioms = [SubClassOf(Named(v), Named(parent)) for v in values]
-    axioms.append(DisjointClasses(tuple(values)))
-    axioms.append(EquivalentClasses((Named(parent), _or_of(values))))
-    axioms.append(FunctionalObjectProperty(prop))
-    axioms.append(ObjectPropertyRange(prop, Named(parent)))
+    axioms = _subclass_block(parent, values, cover=True)
+    axioms += [FunctionalObjectProperty(prop), ObjectPropertyRange(prop, Named(parent))]
     ev.add_axioms(axioms, form)
     return parent
 

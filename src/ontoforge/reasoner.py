@@ -17,7 +17,10 @@ Classification runs in two stages:
 
    where every letter is an atom: the IRI text of a named class, or a fresh
    auxiliary name `_aux1`, `_aux2`, ... handed out in axiom order, so the
-   output is deterministic for a given input sequence.
+   output is deterministic for a given input sequence. One scan reads each
+   class expression once, collecting its classes and naming what falls
+   outside the fragment; an axiom is skipped once, under the first such
+   construct in text order, the left side before the right.
 
 2. `Saturation` computes, for every atom C, the set S(C) of entailed atomic
    subsumers and the role edge relation R(r), as the least fixpoint of
@@ -160,26 +163,18 @@ def _atom(ce: ClassExpression | str) -> str | None:
     return None
 
 
-def _offending(ce: ClassExpression) -> str | None:
-    """Name the first construct that falls outside the fragment, if any."""
-    if isinstance(ce, Only):
-        return "universal restriction"
-    if isinstance(ce, Not):
-        return "complement"
-    if isinstance(ce, Or):
-        return "union"
-    if isinstance(ce, And):
-        for op in ce.operands:
-            bad = _offending(op)
-            if bad:
-                return bad
-        return None
-    if isinstance(ce, Some):
-        return _offending(ce.filler)
-    return None
+_OUTSIDE = {Or: "union", Not: "complement", Only: "universal restriction"}
 
 
 class _Normalizer:
+    """Normal forms, skips and class signature of a sequence of axioms.
+
+    `_scan` reads each operand of a class axiom once (a union on the left again,
+    disjunct by disjunct). A union, complement or universal restriction names
+    itself, though its classes are collected; an intersection names the first
+    construct that its operands name, in order.
+    """
+
     def __init__(self, first_aux: int) -> None:
         self.result = NormalizeResult(next_aux=first_aux)
 
@@ -203,16 +198,14 @@ class _Normalizer:
                 res.classes.add(axiom.entity.iri.value)
             return
         if isinstance(axiom, SubClassOf):
-            self._collect_signature(axiom.sub)
-            self._collect_signature(axiom.sup)
-            self._sub(axiom.sub, axiom.sup, axiom)
+            self._sub(axiom.sub, self._scan(axiom.sub), axiom.sup, self._scan(axiom.sup), axiom)
             return
         if isinstance(axiom, EquivalentClasses):
             ops = axiom.operands
-            for op in ops:
-                self._collect_signature(op)
+            bad = [self._scan(op) for op in ops]
             for i, op in enumerate(ops):
-                self._sub(op, ops[(i + 1) % len(ops)], axiom)
+                j = (i + 1) % len(ops)
+                self._sub(op, bad[i], ops[j], bad[j], axiom)
             return
         if isinstance(axiom, DisjointClasses):
             ops = [e.iri.value for e in axiom.operands]
@@ -228,12 +221,14 @@ class _Normalizer:
             return
         raise TypeError(f"not an axiom: {axiom!r}")
 
-    def _sub(self, sub: ClassExpression, sup: ClassExpression, origin: Axiom) -> None:
-        if isinstance(sub, Or):
+    def _sub(self, sub: ClassExpression, sub_bad: str | None,
+             sup: ClassExpression, sup_bad: str | None, origin: Axiom) -> None:
+        """Normalize sub ⊑ sup, given what `_scan` named for each side."""
+        if isinstance(sub, Or):  # one subsumption per disjunct, each read again
             for disjunct in sub.operands:
-                self._sub(disjunct, sup, origin)
+                self._sub(disjunct, self._scan(disjunct), sup, sup_bad, origin)
             return
-        bad = _offending(sub) or _offending(sup)
+        bad = sub_bad or sup_bad
         if bad:
             skipped = self.result.skipped
             if not skipped or skipped[-1].axiom is not origin:  # one record per axiom
@@ -241,16 +236,22 @@ class _Normalizer:
             return
         self._emit(sub, sup)
 
-    def _collect_signature(self, ce: ClassExpression) -> None:
+    def _scan(self, ce: ClassExpression) -> str | None:
+        """Add ce's classes to the signature; name its first construct outside the fragment."""
         if isinstance(ce, Named):
             self.result.classes.add(ce.entity.iri.value)
-        elif isinstance(ce, (And, Or)):
-            for op in ce.operands:
-                self._collect_signature(op)
+            return None
+        if isinstance(ce, (Some, Only)):
+            inner = (ce.filler,)
         elif isinstance(ce, Not):
-            self._collect_signature(ce.operand)
-        elif isinstance(ce, (Some, Only)):
-            self._collect_signature(ce.filler)
+            inner = (ce.operand,)
+        else:
+            inner = ce.operands
+        bad = None
+        for op in inner:
+            found = self._scan(op)
+            bad = bad or found
+        return _OUTSIDE.get(type(ce), bad)
 
     def _conjuncts(self, ce: ClassExpression, out: list[ClassExpression]) -> None:
         if isinstance(ce, And):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 
 from .errors import OntoforgeError
-from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL
+from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL, LOCAL_NAME
 from .model import (
     And,
     AnnotationAssertion,
@@ -58,7 +58,7 @@ class NoPrefix(OntoforgeError):
     """An IRI cannot be shortened with the registered prefixes."""
 
 
-_LOCAL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+_LOCAL_RE = re.compile(LOCAL_NAME)
 
 
 def prefix_map(ontology: Ontology) -> dict[str, str]:
@@ -75,7 +75,7 @@ def shorten(iri: IRI | str, prefixes: dict[str, str]) -> str | None:
     for label, base in prefixes.items():
         if text.startswith(base):
             local = text[len(base):]
-            if _LOCAL_RE.match(local) and (best is None or len(base) > best[0]):
+            if _LOCAL_RE.fullmatch(local) and (best is None or len(base) > best[0]):
                 best = (len(base), f"{label}:{local}")
     return best[1] if best else None
 

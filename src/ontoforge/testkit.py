@@ -56,14 +56,8 @@ def _assertion_head(form: Form) -> tuple[Identifier, tuple[Form, ...]]:
     return form.children[0], form.children[1:]
 
 
-def eval_assertion(
-    env: Environment,
-    classifier: Classifier,
-    form: Form,
-    _evaluator: Evaluator | None = None,
-) -> bool:
-    """Evaluate one assertion; classifier holds env's current ontology state."""
-    ev = _evaluator if _evaluator is not None else Evaluator(env)
+def eval_assertion(ev: Evaluator, classifier: Classifier, form: Form) -> bool:
+    """Evaluate one assertion; classifier holds the current state of ev's ontology."""
     head, args = _assertion_head(form)
     if head.name == "isuperclass?":
         if len(args) != 2:
@@ -78,14 +72,14 @@ def eval_assertion(
     if head.name == "not":
         if len(args) != 1:
             raise TestSyntax("not takes exactly one assertion", form.location)
-        return not eval_assertion(env, classifier, args[0], ev)
+        return not eval_assertion(ev, classifier, args[0])
     if head.name == "with-probe-entities":
         if len(args) != 2 or not isinstance(args[0], BracketForm):
             raise TestSyntax(
                 "with-probe-entities takes a bracket of bindings and one assertion",
                 form.location,
             )
-        return run_probe_block(env, classifier, args[0].children, args[1], ev)
+        return run_probe_block(ev, classifier, args[0].children, args[1])
     raise TestSyntax(f"unknown assertion '{head.name}'", head.location)
 
 
@@ -109,16 +103,9 @@ def _probe_binding(binding: Form) -> tuple[Identifier, ListForm, Text]:
     return name, maker, maker.children[1]
 
 
-def run_probe_block(
-    env: Environment,
-    classifier: Classifier,
-    bindings,
-    body: Form,
-    _evaluator: Evaluator | None = None,
-) -> bool:
+def run_probe_block(ev: Evaluator, classifier: Classifier, bindings, body: Form) -> bool:
     """Evaluate body with probe entities present, then undo them in both stores."""
-    ev = _evaluator if _evaluator is not None else Evaluator(env)
-    ontology = env.ontology
+    ontology = ev.env.ontology
     mark, classifier_mark = ontology.mark(), classifier.mark()
     saved_locals = dict(ev.locals)
     try:
@@ -134,7 +121,7 @@ def run_probe_block(
             assert entity.kind is Kind.CLASS
             ev.locals[name.name] = entity
         classifier.add(ontology.axioms[mark[0]:])
-        return eval_assertion(env, classifier, body, ev)
+        return eval_assertion(ev, classifier, body)
     finally:
         classifier.undo(classifier_mark)
         ontology.rollback(mark)
@@ -152,7 +139,7 @@ def run_tests(env: Environment) -> TestReport:
             if head.name != "is" or len(args) != 1:
                 raise TestSyntax("test bodies are (is assertion) forms", form.location)
             report.assertions += 1
-            if not eval_assertion(env, classifier, args[0], ev):
+            if not eval_assertion(ev, classifier, args[0]):
                 report.failures.append(TestFailure(test.name, index, form.location))
     base = classifier.taxonomy()
     report.unsatisfiable = coherence_report(base).unsatisfiable

@@ -20,7 +20,7 @@ from support import (
 )
 
 from ontoforge.cli import main as cli_main
-from ontoforge.evaluator import eval_text, resolve
+from ontoforge.evaluator import Evaluator, eval_text, resolve
 from ontoforge.importer import (
     intern_external,
     label_to_identifier,
@@ -104,7 +104,7 @@ def test_criterion_04_probe_blocks_restore_the_ontology():
         for seed in range(100):
             text = random_probe_text(random.Random(seed), env)
             (form,) = read_forms(text)
-            eval_assertion(env, classifier, form)
+            eval_assertion(Evaluator(env), classifier, form)
             assert render_functional(env.ontology) == before, seed
 
 

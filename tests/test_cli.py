@@ -307,6 +307,17 @@ def test_labels_apply_explicit_file(menu_tree, tmp_path, capsys):
     assert "added 1" in stdout
 
 
+def test_a_warning_quoting_a_line_break_is_one_line(menu_tree, tmp_path, capsys):
+    labels = tmp_path / "odd.properties"
+    labels.write_text("Piz\\nza=La Pizza\n", encoding="utf-8")
+    code, _, stderr = run_cli(
+        capsys,
+        "labels", "apply", "--src", str(menu_tree), "--lang", "it", "--file", str(labels),
+    )
+    assert code == 0
+    assert stderr == f"warning: unknown class name 'Piz\\nza' in {labels}\n"
+
+
 def test_labels_skeleton_round_trip_covers_all_classes(menu_tree, capsys):
     run_cli(capsys, "labels", "skeleton", "--src", str(menu_tree), "--lang", "pt")
     path = menu_tree / "menulabel_pt.properties"

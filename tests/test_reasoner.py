@@ -30,6 +30,7 @@ from ontoforge.model import (
     THING,
     TransitiveObjectProperty,
 )
+from ontoforge import reasoner
 from ontoforge.reasoner import (
     AtomAtom,
     AtomExists,
@@ -47,7 +48,7 @@ from ontoforge.reasoner import (
     inferred_superclass,
     normalize,
 )
-from support import pizza_env, random_el_ontology
+from support import pizza_env, random_el_ontology, random_full_ontology
 
 NS = "https://example.org/r#"
 
@@ -203,6 +204,84 @@ def test_normalize_records_one_skip_per_axiom():
         (told[0], "universal restriction"),
         (told[1], "complement"),
     ]
+
+
+def _signature(ce, out: set) -> None:
+    if isinstance(ce, Named):
+        out.add(ce.entity.iri.value)
+    elif isinstance(ce, (And, Or)):
+        for op in ce.operands:
+            _signature(op, out)
+    elif isinstance(ce, Not):
+        _signature(ce.operand, out)
+    elif isinstance(ce, (Some, Only)):
+        _signature(ce.filler, out)
+
+
+def _offending(ce):
+    if isinstance(ce, Only):
+        return "universal restriction"
+    if isinstance(ce, Not):
+        return "complement"
+    if isinstance(ce, Or):
+        return "union"
+    if isinstance(ce, And):
+        for op in ce.operands:
+            bad = _offending(op)
+            if bad:
+                return bad
+        return None
+    if isinstance(ce, Some):
+        return _offending(ce.filler)
+    return None
+
+
+class _TwoWalkNormalizer(reasoner._Normalizer):
+    """The reference: one walk collects each operand's classes, and another
+    finds what falls outside the fragment, pair by pair, left side first."""
+
+    def _axiom(self, axiom):
+        if isinstance(axiom, SubClassOf):
+            pairs = [(axiom.sub, axiom.sup)]
+        elif isinstance(axiom, EquivalentClasses):
+            ops = axiom.operands
+            pairs = [(op, ops[(i + 1) % len(ops)]) for i, op in enumerate(ops)]
+        else:
+            return super()._axiom(axiom)
+        for sub, sup in pairs:
+            _signature(sub, self.result.classes)
+            _signature(sup, self.result.classes)
+        for sub, sup in pairs:
+            self._pair(sub, sup, axiom)
+
+    def _pair(self, sub, sup, origin):
+        if isinstance(sub, Or):
+            for disjunct in sub.operands:
+                self._pair(disjunct, sup, origin)
+            return
+        bad = _offending(sub) or _offending(sup)
+        if bad:
+            skipped = self.result.skipped
+            if not skipped or skipped[-1].axiom is not origin:
+                skipped.append(reasoner.SkippedAxiom(origin, bad))
+            return
+        self._emit(sub, sup)
+
+
+def _normalized(res):
+    return (res.normal, [(s.axiom, s.construct) for s in res.skipped],
+            sorted(res.classes), res.next_aux)
+
+
+@pytest.mark.parametrize("generate", [random_full_ontology, random_el_ontology])
+def test_normalize_matches_the_two_walk_reference(generate):
+    skips = 0
+    for seed in range(600):
+        axioms = generate(random.Random(seed)).axioms
+        got = normalize(axioms, 3)
+        assert _normalized(got) == _normalized(_TwoWalkNormalizer(3).run(axioms)), seed
+        skips += len(got.skipped)
+    assert skips or generate is random_el_ontology  # the full ontologies do leave the fragment
 
 
 # --- saturation -------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ontoforge.importer import parse_functional
+from ontoforge.importer import _TOKEN_RE, _kind, parse_functional
 from ontoforge.model import (
     And,
     AnnotationAssertion,
@@ -80,6 +80,24 @@ def test_shorten_requires_clean_local_name():
     assert shorten(IRI("https://x.org/1digit"), prefixes) is None
     assert shorten(IRI("https://y.org/elsewhere"), prefixes) is None
     assert shorten(IRI("https://x.org/ok.name-1_x"), prefixes) == "a:ok.name-1_x"
+
+
+def test_every_curie_shorten_writes_is_one_name_token():
+    # the round trip needs the tokenizer to read each written CURIE back whole
+    alphabet = list("aZz_09.-:#/?%~éЖ٣") + ["", "", ""]
+    rng = random.Random(11)
+    written = 0
+    for _ in range(5000):
+        label = rng.choice(["p", "a.b", "x-1", "_q"])
+        local = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+        curie = shorten(IRI("https://x.org/v/" + local), {label: "https://x.org/v/"})
+        one_name = _TOKEN_RE.findall(f"{label}:{local}") == [f"{label}:{local}"]
+        if curie is None:
+            assert not one_name, local
+        else:
+            assert curie == f"{label}:{local}" and one_name and _kind(curie) == "name", local
+            written += 1
+    assert 250 < written < 4750  # both branches run often
 
 
 def test_curie_or_iri_falls_back_to_the_bracketed_iri():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ontoforge import cli, reasoner, testkit
-from ontoforge.evaluator import eval_text
+from ontoforge.evaluator import Evaluator, eval_text
 from ontoforge.model import Kind
 from ontoforge.reasoner import Classifier, classify
 from ontoforge.serializer import render_functional
@@ -34,7 +34,8 @@ def one_form(text: str):
 
 
 def check(env, text: str, classifier=None) -> bool:
-    return eval_assertion(env, classifier or Classifier(env.axiom_closure()), one_form(text))
+    classifier = classifier or Classifier(env.axiom_closure())
+    return eval_assertion(Evaluator(env), classifier, one_form(text))
 
 
 SMALL = """
@@ -195,7 +196,7 @@ def test_probe_blocks_leave_no_trace_on_random_inputs():
     before = render_functional(env.ontology)
     for _ in range(25):
         text = random_probe_text(rng, env)
-        eval_assertion(env, classifier, one_form(text))
+        eval_assertion(Evaluator(env), classifier, one_form(text))
         assert render_functional(env.ontology) == before
 
 
@@ -204,7 +205,7 @@ def test_run_probe_block_function_directly():
     bracket = one_form('[(p (owlclass "Probe" :subclass Margherita))]')
     body = one_form("(isuperclass? p Pizza)")
     classifier = Classifier(env.axiom_closure())
-    assert run_probe_block(env, classifier, bracket.children, body) is True
+    assert run_probe_block(Evaluator(env), classifier, bracket.children, body) is True
 
 
 # --- incremental probe blocks against classification from scratch --------------
@@ -266,18 +267,18 @@ def test_incremental_probe_taxonomies_equal_classification_from_scratch(source, 
     plain_eval, plain_block = testkit.eval_assertion, testkit.run_probe_block
     checked = []
 
-    def checking_eval(env, classifier, form, ev=None):
-        scratch = classify(env.axiom_closure())
+    def checking_eval(ev, classifier, form):
+        scratch = classify(ev.env.axiom_closure())
         incremental = classifier.taxonomy()
         assert incremental.subsumers == scratch.subsumers
         assert incremental.unsatisfiable == scratch.unsatisfiable
         checked.append(1)
-        return plain_eval(env, classifier, form, ev)
+        return plain_eval(ev, classifier, form)
 
-    def checking_block(env, classifier, bindings, body, ev=None):
+    def checking_block(ev, classifier, bindings, body):
         before = snapshot(classifier.saturation)
         try:
-            return plain_block(env, classifier, bindings, body, ev)
+            return plain_block(ev, classifier, bindings, body)
         finally:
             assert snapshot(classifier.saturation) == before
 
@@ -288,7 +289,7 @@ def test_incremental_probe_taxonomies_equal_classification_from_scratch(source, 
         classifier = Classifier(env.axiom_closure())
         rng = random.Random(seed)
         for _ in range(4):
-            checking_eval(env, classifier, one_form(random_nested_probe(rng, env)))
+            checking_eval(Evaluator(env), classifier, one_form(random_nested_probe(rng, env)))
     assert len(checked) > 300
 
 
