@@ -49,6 +49,18 @@ class Source:
         return Location(self.file, line, offset - starts[line - 1] + 1)
 
 
+_LINE_END_RE = re.compile(r"\r\n|[\r\n]")
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of text, broken only at \\r\\n, \\r and \\n, as in Java properties files.
+
+    Unlike `str.splitlines`, a form feed, U+0085, U+2028 or U+2029 stays
+    inside its line, so line numbers agree with an editor's.
+    """
+    return _LINE_END_RE.split(text)
+
+
 class Located:
     """A value read at an offset of a Source; its location is resolved when read."""
 

@@ -20,10 +20,12 @@ IRI or CURIE text is validated and built once per parse, each kind and text
 of an entity becomes one `Entity`, and each distinct class text becomes one
 `Named` that every mention of it shares; the tables live as long as one
 parse. Parenthesis nesting is capped at `sexpr.MAX_NESTING`, as in `.ont`
-sources. Loading registers every declaration first, then adds the axioms in
-text order, walking each axiom's signature once to import the entities it
-mentions and to check their kinds; a kind conflict is located at the head of
-the axiom that meets it.
+sources. The whole document is then loaded at once by `Ontology.load`: it
+registers every declaration, admits each entity object of the parse once, in
+order of first mention, which imports the undeclared ones and checks every
+kind, then adds the axioms in text order. No axiom's signature is walked
+unless a kind conflict needs locating: it is reported at the head of the
+entity's refused declaration, or else of the first axiom that mentions it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import TYPE_CHECKING
 
-from .errors import Diagnostic, Location, OntoforgeError, Source
+from .errors import Diagnostic, Location, OntoforgeError, Source, split_lines
 from .model import (
     And,
     AnnotationAssertion,
@@ -64,6 +66,7 @@ from .model import (
     SubClassOf,
     SubObjectPropertyOf,
     TransitiveObjectProperty,
+    axiom_mentions,
 )
 from .sexpr import IDENTIFIER_RE, MAX_NESTING, ParseError, unescape
 
@@ -201,8 +204,8 @@ class _FunctionalParser:
         self.entities: dict[tuple[Kind, str], Entity] = {}
         self.classes: dict[str, Named] = {}
         # A bad character anywhere wins over any grammar error. Each distinct
-        # text is classified once.
-        bad = {token for token in set(self.tokens) if _kind(token) == "bad"}
+        # text is classified once, and only a one-character text can be bad.
+        bad = {token for token in set(self.tokens) if len(token) == 1 and _kind(token) == "bad"}
         if bad:
             index = next(i for i, token in enumerate(self.tokens) if token in bad)
             raise ParseError(f"unexpected character {self.tokens[index]!r}", self._loc(index))
@@ -241,6 +244,21 @@ class _FunctionalParser:
         )
 
     def parse(self) -> Ontology:
+        """The whole text as an Ontology, loaded by `Ontology.load`.
+
+        Each entity this parse built is admitted once, in order of first
+        mention; only a refusal walks the axioms, to locate it.
+        """
+        ontology, axioms, heads = self.read()
+        try:
+            ontology.load(axioms, self.entities.values())
+        except DuplicateEntityKind as err:
+            at = _first_use(axioms, err.entity)
+            raise DuplicateEntityKind(err.message, self._loc(heads[at]), err.entity) from None
+        return ontology
+
+    def read(self) -> tuple[Ontology, list[Axiom], list[int]]:
+        """The header's Ontology, its axioms in text order, and each head's token index."""
         while self.peek() == "Prefix":
             self.next()
             self.expect("open")
@@ -277,18 +295,7 @@ class _FunctionalParser:
         trailing = self.peek()
         if trailing is not None:
             raise ParseError(f"unexpected {trailing!r} after ontology", self._loc(self.pos))
-
-        # Declarations first: an axiom may mention an entity declared below it.
-        # A kind conflict is located at the head of the axiom that meets it.
-        try:
-            for axiom, head in zip(axioms, heads):
-                if isinstance(axiom, Declaration):
-                    ontology.admit(axiom.entity, Arrival.REGISTRATION)
-            for axiom, head in zip(axioms, heads):
-                ontology.load_axiom(axiom)
-        except DuplicateEntityKind as err:
-            raise DuplicateEntityKind(err.message, self._loc(head)) from None
-        return ontology
+        return ontology, axioms, heads
 
     def _iri(self, token: str) -> IRI:
         """The IRI of the token just read."""
@@ -413,6 +420,19 @@ class _FunctionalParser:
             raise ParseError(str(err), self._loc(head)) from None
 
 
+def _first_use(axioms: list[Axiom], entity: Entity) -> int:
+    """The index of the axiom at which loading refuses entity.
+
+    Declarations are registered before any other axiom is loaded, so a
+    refused declaration is the entity's first one; an entity the text never
+    declares is refused where it is first mentioned.
+    """
+    for i, axiom in enumerate(axioms):
+        if isinstance(axiom, Declaration) and axiom.entity == entity:
+            return i
+    return next(i for i, axiom in enumerate(axioms) if entity in axiom_mentions(axiom))
+
+
 def parse_functional(text: str, file: str = "<functional>") -> Ontology:
     """Parse functional-style text into an Ontology.
 
@@ -502,6 +522,7 @@ def intern_external(
         e for e in external.entities.values() if prefix is None or e.iri.value.startswith(prefix)
     ]
     added = 0
+    bases: set[str] = set()
     for entity in sorted(selected, key=lambda e: e.iri.value):
         if naming == "label":
             label = labels.get(entity.iri.value)
@@ -519,10 +540,12 @@ def intern_external(
             base = label_to_identifier(entity.iri.fragment())
         name = base
         counter = 2
-        while name in env.bindings and env.bindings[name] != entity:
+        bound = env.bindings.get(name)
+        while bound is not None and bound != entity:
             name = f"{base}_{counter}"
             counter += 1
-        if env.bindings.get(name) == entity:
+            bound = env.bindings.get(name)
+        if bound is not None:  # name is already bound to entity
             record.bindings.setdefault(name, entity)
             continue
         if name != base:
@@ -536,7 +559,10 @@ def intern_external(
         env.ontology.admit(entity, Arrival.IMPORT)
         record.bindings[name] = entity
         added += 1
-        env.ontology.add_prefix(_entity_base(entity.iri))
+        entity_base = _entity_base(entity.iri)
+        if entity_base not in bases:
+            bases.add(entity_base)
+            env.ontology.add_prefix(entity_base)
     return added
 
 
@@ -557,7 +583,7 @@ class MemoTable:
 
     @classmethod
     def from_text(cls, text: str, file: str = "<memo>") -> "MemoTable":
-        lines = text.splitlines()
+        lines = split_lines(text)
         if not lines or not lines[0].startswith("#memo "):
             raise ParseError("memo file must start with '#memo <source-iri>'", Location(file, 1, 1))
         source = lines[0][len("#memo "):].strip()

@@ -20,21 +20,31 @@ map IRI text (`iri.value`) to entities, so a lookup hashes a str in C rather
 than calling `IRI.__hash__`. `Ontology.lookup` is the one lookup order
 (`entities`, then `imported`, then `BUILTIN_ENTITIES`) and `Ontology.admit`
 the one admission method: an entity, however it arrives (`Arrival`), keeps
-the kind its IRI is known by. The store only grows; `mark` and `rollback`
-undo everything added since a mark, most recent first.
+the kind its IRI is known by. Stated axioms come in one at a time
+(`add_axiom`); a document's axioms come in together (`load`): its
+declarations, then the entities they mention, then the axioms. The store
+only grows; `mark` and `rollback` undo everything added since a mark, most
+recent first.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 
-from .errors import OntoforgeError
+from .errors import Location, OntoforgeError
 
 
 class DuplicateEntityKind(OntoforgeError):
-    """One IRI used as two different entity kinds."""
+    """One IRI used as two different entity kinds; `entity` is the one refused."""
+
+    def __init__(
+        self, message: str, location: Location | None = None, entity: Entity | None = None
+    ):
+        super().__init__(message, location)
+        self.entity = entity
 
 
 class UndeclaredEntity(OntoforgeError):
@@ -433,8 +443,11 @@ class Ontology:
     `imported` holds entities brought in from elsewhere, which axioms may
     mention but which are not serialized as declarations here. Both map an
     entity's IRI text to the entity. Every entity comes in through `admit`,
-    which finds its IRI by the one `lookup` and refuses a second kind. All
-    three only grow at their ends, so a `mark` of their lengths is a complete
+    which finds its IRI by the one `lookup` and refuses a second kind. A
+    stated axiom comes in through `add_axiom`, and a document's axioms
+    through `load`, the one load path: the functional-syntax reader loads a
+    whole document with it, and `load_axiom` one axiom. All three stores
+    only grow at their ends, so a `mark` of their lengths is a complete
     snapshot and `rollback` to it is exact.
     """
 
@@ -493,30 +506,18 @@ class Ontology:
                 "imported" if key in self.imported else "built in")
             message = _REFUSALS.get((where, how)) or _REFUSALS[None, how]
             message = message.format(known.kind.value, entity.kind.value, where=where)
-            raise DuplicateEntityKind(f"<{entity.iri}> {message}")
+            raise DuplicateEntityKind(f"<{entity.iri}> {message}", entity=entity)
         elif how not in _DECLARING or key in self.entities:
             return known
         (self.entities if how in _DECLARING else self.imported)[key] = entity
         return entity
 
     def add_axiom(self, axiom: Axiom) -> bool:
-        """Add one stated axiom; False when it is already present (structurally)."""
-        return self._add(axiom, Arrival.MENTION)
+        """Add one stated axiom; False when it is already present (structurally).
 
-    def load_axiom(self, axiom: Axiom) -> bool:
-        """Add one axiom read from a document; False when already present.
-
-        Unlike `add_axiom`, a mentioned entity that is not known is admitted
-        as imported instead of refused.
-        """
-        return self._add(axiom, Arrival.LOAD)
-
-    def _add(self, axiom: Axiom, how: str) -> bool:
-        """Append axiom once `admit` accepts every entity it mentions.
-
-        A Declaration arrives as one, whatever how says. The axiom is hashed
-        once: it joins the set index first and leaves it again if it is
-        refused.
+        `admit` accepts every entity the axiom mentions first; a Declaration
+        arrives as one. The axiom is hashed once: it joins the set index
+        first and leaves it again if it is refused.
         """
         index = self._axiom_set
         size = len(index)
@@ -529,12 +530,45 @@ class Ontology:
                 admit(axiom.entity, Arrival.DECLARATION)
             else:
                 for entity in axiom_mentions(axiom):
-                    admit(entity, how)
+                    admit(entity, Arrival.MENTION)
         except BaseException:
             index.discard(axiom)
             raise
         self.axioms.append(axiom)
         return True
+
+    def load_axiom(self, axiom: Axiom) -> bool:
+        """Add one axiom read from a document; False when already present.
+
+        `load` of the one axiom: unlike `add_axiom`, a mentioned entity that
+        is not known is admitted as imported instead of refused.
+        """
+        return self.load((axiom,), axiom_mentions(axiom)) == 1
+
+    def load(self, axioms: Sequence[Axiom], entities: Iterable[Entity]) -> int:
+        """Add one document's axioms in order; returns how many were new.
+
+        entities lists every entity the axioms mention, in order of first
+        mention, repeats allowed: a repeat can neither fail nor change what
+        the store knows. Declarations are registered first, so an axiom may
+        mention an entity declared below it; then each entity is admitted as
+        loaded (an unknown one is imported); then each axiom not yet present
+        joins the store, hashed once. A refusal adds no axiom.
+        """
+        admit = self.admit
+        for axiom in axioms:
+            if isinstance(axiom, Declaration):
+                admit(axiom.entity, Arrival.REGISTRATION)
+        for entity in entities:
+            admit(entity, Arrival.LOAD)
+        index, stored = self._axiom_set, self.axioms
+        before = size = len(index)
+        for axiom in axioms:
+            index.add(axiom)
+            if len(index) != size:
+                size += 1
+                stored.append(axiom)
+        return size - before
 
     def add_axioms(self, axioms) -> int:
         return sum(1 for a in axioms if self.add_axiom(a))

@@ -2,8 +2,9 @@
 
 Translators edit flat `identifier=label text` files, one per language, so
 they never touch ontology sources. Parsing follows the familiar
-key=value shape: '#' or '!' lines are comments, the first unescaped '='
-splits key from value, and the escapes \\\\, \\=, \\n, \\t are honored.
+key=value shape: lines end only at \\n, \\r or \\r\\n, '#' or '!' lines are
+comments, the first unescaped '=' splits key from value, and the escapes
+\\\\, \\=, \\n, \\t are honored.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import Location, OntoforgeError
+from .errors import Location, OntoforgeError, split_lines
 from .model import AnnotationAssertion, AnnotationValue, Entity, Kind, RDFS_LABEL
 
 if TYPE_CHECKING:
@@ -37,7 +38,7 @@ def parse_properties(text: str, file: str = "<properties>") -> dict[str, str]:
     """
     table: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line[0] in "#!":
             continue
         loc = Location(file, lineno, 1)

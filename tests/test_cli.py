@@ -307,6 +307,17 @@ def test_labels_apply_explicit_file(menu_tree, tmp_path, capsys):
     assert "added 1" in stdout
 
 
+def test_labels_apply_keeps_unicode_line_separators_in_values(menu_tree, tmp_path, capsys):
+    labels = tmp_path / "odd.properties"
+    labels.write_text("Pizza=La\u2028Pizza\nMargherita=La\fMargherita\n", encoding="utf-8")
+    code, stdout, stderr = run_cli(
+        capsys,
+        "labels", "apply", "--src", str(menu_tree), "--lang", "it", "--file", str(labels),
+    )
+    assert code == 0, stderr
+    assert "added 2" in stdout
+
+
 def test_a_warning_quoting_a_line_break_is_one_line(menu_tree, tmp_path, capsys):
     labels = tmp_path / "odd.properties"
     labels.write_text("Piz\\nza=La Pizza\n", encoding="utf-8")

@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from ontoforge import model
 from ontoforge.importer import (
     _TOKEN_RE,
     _kind,
@@ -32,6 +33,7 @@ from ontoforge.model import (
     Kind,
     Named,
     Not,
+    Ontology,
     RDFS_LABEL,
     Some,
     SubClassOf,
@@ -211,6 +213,32 @@ def test_loading_and_labelling_a_forest_hashes_an_iri_once_per_annotation(monkey
     annotations = sum(isinstance(axiom, AnnotationAssertion) for axiom in ontology.axioms)
     assert annotations == 300 and len(labels) == 300
     assert calls <= annotations
+
+
+def test_loading_a_forest_admits_each_parsed_entity_once(monkeypatch):
+    # Declarations are registered, then each entity the parse built is
+    # admitted once; no axiom's signature is walked.
+    admissions = walks = 0
+    admit, mentions = Ontology.admit, model.axiom_mentions
+
+    def counting_admit(self, entity, how):
+        nonlocal admissions
+        admissions += 1
+        return admit(self, entity, how)
+
+    def counting_mentions(axiom):
+        nonlocal walks
+        walks += 1
+        return mentions(axiom)
+
+    monkeypatch.setattr(Ontology, "admit", counting_admit)
+    monkeypatch.setattr(model, "axiom_mentions", counting_mentions)
+    ontology = parse_functional(forest_functional_text(300))
+    declarations = sum(isinstance(axiom, Declaration) for axiom in ontology.axioms)
+    entities = {id(e) for ax in ontology.axioms for e in mentions(ax)}
+    assert declarations == 300 and len(entities) == 301  # rdfs:label is the 301st
+    assert admissions <= declarations + len(entities)
+    assert walks == 0
 
 
 def test_parsing_a_forest_hashes_no_enum_member(monkeypatch):

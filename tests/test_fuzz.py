@@ -2,8 +2,10 @@
 
 Each mutant is a seeded edit of a valid input: the bundled pizza source, a
 random ontology rendered to functional syntax and pulled in by
-`read-external`, a label file or a memo file. Every command runs in-process
-and must return a documented exit code (1 only from `test`) with nothing on
+`read-external`, a label file or a memo file. Every command that reads the
+mutant runs in-process (`doc` and `labels skeleton` on the pizza mutants,
+`memorise save` on the functional ones, besides the four build commands) and
+must return a documented exit code (1 only from `test`) with nothing on
 stderr but rendered diagnostics.
 """
 
@@ -112,6 +114,11 @@ def test_pizza_mutants_end_in_diagnostics(tmp_path, capsys):
         for command in COMMANDS:
             argv = [command, "--src", str(src), *(["--out", str(out)] * (command == "compile"))]
             codes.add(run_main(capsys, argv, f"pizza mutant {seed}, {command}"))
+        doc = ["doc", "--src", str(src), "--name", "Pizza"]
+        codes.add(run_main(capsys, doc, f"pizza mutant {seed}, doc"))
+        skeleton = ["labels", "skeleton", "--src", str(src), "--lang", "it",
+                    "--out", str(tmp_path / "skeleton.properties")]
+        codes.add(run_main(capsys, skeleton, f"pizza mutant {seed}, labels skeleton"))
     assert {0, 2} <= codes
 
 
@@ -132,6 +139,8 @@ def test_read_external_mutants_end_in_diagnostics(tmp_path, capsys):
         for command in COMMANDS:
             argv = [command, "--src", str(src), *(["--out", str(out)] * (command == "compile"))]
             codes.add(run_main(capsys, argv, f"functional mutant {seed}, {command}"))
+        save = ["memorise", "save", "--src", str(src), "--file", str(tmp_path / "names.memo")]
+        codes.add(run_main(capsys, save, f"functional mutant {seed}, memorise save"))
     assert {0, 2} <= codes
 
 

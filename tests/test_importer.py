@@ -488,6 +488,16 @@ def test_memo_table_from_text_rejects_malformed_input():
         MemoTable.from_text("#memo https://x.org/a\nA\thttps://x.org/a#1\nB\thttps://x.org/a#1\n")
 
 
+def test_memo_table_errors_are_at_the_line_an_editor_shows():
+    # U+0085 and a form feed end no line; only \r\n, \r and \n do.
+    text = "#memo https://x.org/a\nA\thttps://x.org/a#1\x85\fx\r\nno-tab\n"
+    with pytest.raises(ParseError) as err:
+        MemoTable.from_text(text, file="n.memo")
+    assert err.value.location == Location("n.memo", 3, 1)
+    table = MemoTable.from_text(text.replace("no-tab", "B\thttps://x.org/a#2"))
+    assert table.rows == (("A", "https://x.org/a#1\x85\fx"), ("B", "https://x.org/a#2"))
+
+
 def test_memorise_save_snapshots_sorted_rows():
     env = fresh_env()
     intern_external(env, external_ontology())

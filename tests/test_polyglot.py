@@ -86,6 +86,17 @@ def test_parse_properties_error_carries_line_number():
     assert err.value.location.line == 2
 
 
+def test_parse_properties_breaks_lines_only_at_cr_and_lf():
+    # As in Java properties files: a form feed, U+0085, U+2028 or U+2029
+    # belongs to its line.
+    text = "Pizza=La\u2028Pizza\nCalzone=Il\fCalzone\r\nA=x\x85y\u2029\rbroken"
+    with pytest.raises(MalformedLine) as err:
+        parse_properties(text, file="z.properties")
+    assert err.value.location.line == 4
+    table = parse_properties(text.rsplit("\r", 1)[0])
+    assert table == {"Pizza": "La\u2028Pizza", "Calzone": "Il\fCalzone", "A": "x\x85y\u2029"}
+
+
 def test_render_then_parse_round_trips():
     rng = random.Random(11)
     chars = "abz =\\\n\té"
@@ -112,6 +123,16 @@ def test_apply_labels_adds_assertions_for_bound_classes():
     ) in env.ontology
     # properties never appear in the class table
     assert "hasTopping" not in {*report.missing, *report.unknown}
+
+
+def test_apply_labels_keeps_unicode_line_separators_verbatim():
+    env = small_env()
+    table = parse_properties("Pizza=La\u2028Pizza\nCalzone=Il\fCalzone\n")
+    assert apply_labels(env, table, "it").added == 2
+    for name, text in (("Pizza", "La\u2028Pizza"), ("Calzone", "Il\fCalzone")):
+        assert AnnotationAssertion(
+            IRI(f"https://example.org/menu#{name}"), RDFS_LABEL, AnnotationValue(text, "it")
+        ) in env.ontology
 
 
 def test_apply_labels_counts_only_new_assertions():
