@@ -25,7 +25,8 @@ class Location:
         return f"{self.file}:{self.line}:{self.column}"
 
 
-_NEWLINE_RE = re.compile(r"\n")
+# Every reader's line ends: \r\n, \r and \n, as in Java properties files.
+_LINE_END_RE = re.compile(r"\r\n|[\r\n]")
 
 
 class Source:
@@ -43,13 +44,10 @@ class Source:
         starts = self._line_starts
         if starts is None:
             starts = [0]
-            starts.extend(m.end() for m in _NEWLINE_RE.finditer(self.text))
+            starts.extend(m.end() for m in _LINE_END_RE.finditer(self.text))
             self._line_starts = starts
         line = bisect_right(starts, offset)
         return Location(self.file, line, offset - starts[line - 1] + 1)
-
-
-_LINE_END_RE = re.compile(r"\r\n|[\r\n]")
 
 
 def split_lines(text: str) -> list[str]:

@@ -17,10 +17,11 @@ Classification runs in two stages:
 
    where every letter is an atom: the IRI text of a named class, or a fresh
    auxiliary name `_aux1`, `_aux2`, ... handed out in axiom order, so the
-   output is deterministic for a given input sequence. One scan reads each
-   class expression once, collecting its classes and naming what falls
-   outside the fragment; an axiom is skipped once, under the first such
-   construct in text order, the left side before the right.
+   output is deterministic for a given input sequence. Within one call, a
+   complex expression gets one name per side however many axioms hold it.
+   One scan reads each class expression once, collecting its classes and
+   naming what falls outside the fragment; an axiom is skipped once, under
+   the first such construct in text order, the left side before the right.
 
 2. `Saturation` computes, for every atom C, the set S(C) of entailed atomic
    subsumers and the role edge relation R(r), as the least fixpoint of
@@ -32,14 +33,18 @@ Classification runs in two stages:
 
    starting from S(C) = {C, owl:Thing}. It runs context by context, as ELK
    does: each atom C keeps a worklist of the subsumers added to S(C) whose
-   rules have not run yet, and R1 and R2 add straight to C's own list. Each
-   edge (C, D) ∈ R(r) is stored once, as (r, C) under its target D, where
-   R4 looks for it; a new edge meets S(D) with the set of every E of some
+   rules have not run yet. A conclusion lands straight in the context it
+   belongs to: R1, R2 and R4 over a new edge of C add to C's own list, and
+   R4 over an edge into C to its source's. Each edge (C, D) ∈ R(r) is
+   stored once, as (r, C) under its target D, where R4 looks for it; a new
+   edge meets S(D) with the set of every E of some
    ∃r.E ⊑ B. Propagating owl:Nothing back over an edge is R4 too: every
    role r of some A ⊑ ∃r.B gets ∃r.owl:Nothing ⊑ owl:Nothing. The fixpoint
    is unique, so the result does not depend on axiom order. Every rule only
-   adds, so `extend` with more axioms carries on from the fixpoint it has,
-   and a trail of the additions lets `undo` take an extension back exactly.
+   adds, so `extend` with more axioms carries on from the fixpoint it has;
+   it revisits old contexts only when a new axiom's trigger is an old atom,
+   so axioms about new classes alone touch no old context. A trail of the
+   additions lets `undo` take an extension back exactly.
 
 A `Classifier` runs both stages on a base that probe blocks extend and undo;
 `classify(axioms)` is `Classifier(axioms).taxonomy()`. A `Taxonomy` is a view
@@ -172,11 +177,15 @@ class _Normalizer:
     `_scan` reads each operand of a class axiom once (a union on the left again,
     disjunct by disjunct). A union, complement or universal restriction names
     itself, though its classes are collected; an intersection names the first
-    construct that its operands name, in order.
+    construct that its operands name, in order. `_lhs_atom` and `_rhs_atom`
+    name a complex expression once per side, in tables that die with the
+    normalizer, so a probe never reuses a name whose normal forms were undone.
     """
 
     def __init__(self, first_aux: int) -> None:
         self.result = NormalizeResult(next_aux=first_aux)
+        self._lhs_names: dict = {}  # complex ce -> its name A: ce ⊑ A
+        self._rhs_names: dict = {}  # complex ce -> its name A: A ⊑ ce
 
     def fresh(self) -> str:
         name = f"_aux{self.result.next_aux}"
@@ -261,22 +270,20 @@ class _Normalizer:
             out.append(ce)
 
     def _lhs_atom(self, ce: ClassExpression | str) -> str:
-        """An atom A with ce ⊑ A, naming ce when it is complex."""
-        atom = _atom(ce)
-        if atom is not None:
-            return atom
-        aux = self.fresh()
-        self._emit_lhs(ce, aux)
-        return aux
+        """An atom A with ce ⊑ A, naming ce the first time it is complex."""
+        atom = _atom(ce) or self._lhs_names.get(ce)
+        if atom is None:
+            atom = self._lhs_names[ce] = self.fresh()
+            self._emit_lhs(ce, atom)
+        return atom
 
     def _rhs_atom(self, ce: ClassExpression) -> str:
-        """An atom A with A ⊑ ce, naming ce when it is complex."""
-        atom = _atom(ce)
-        if atom is not None:
-            return atom
-        aux = self.fresh()
-        self._emit(aux, ce)
-        return aux
+        """An atom A with A ⊑ ce, naming ce the first time it is complex."""
+        atom = _atom(ce) or self._rhs_names.get(ce)
+        if atom is None:
+            atom = self._rhs_names[ce] = self.fresh()
+            self._emit(atom, ce)
+        return atom
 
     def _emit(self, sub: ClassExpression | str, sup: ClassExpression) -> None:
         sup_atom = _atom(sup)
@@ -331,9 +338,10 @@ class Saturation:
     filed as A ⊓ owl:Thing ⊑ B; `exists_rhs_by_lhs[A]`, the (r, B) of each
     A ⊑ ∃r.B; and two indexes of the ∃r.E ⊑ B: `exists_lhs_by_filler[E][r]`
     lists their B, and `fillers_by_role[r]` holds their E, so a new edge
-    (C, D) ∈ R(r) meets S(D) in one set intersection. From the first
-    `mark()` on, every addition to a table is recorded on a trail;
-    `undo(mark)` takes those made since mark back.
+    (C, D) ∈ R(r) meets S(D) in one set intersection. `extend` writes each
+    conclusion straight into its own context. From the first `mark()` on,
+    every addition to a table is recorded on a trail; `undo(mark)` takes
+    those made since mark back.
     """
 
     def __init__(self) -> None:
@@ -421,24 +429,17 @@ class Saturation:
             else:
                 raise TypeError(f"not a normal axiom: {ax!r}")
 
-        # context -> its pending subsumers; every key is on `active` or being drained
-        todo = {c: list(fired) for c, sups in S.items() if (fired := triggers.intersection(sups))}
+        # context -> its pending subsumers, drained last in first out; a new
+        # atom is in no old S(C), so only an old trigger sends old contexts back
+        rerun = S.items() if not triggers.isdisjoint(S) else ()
+        todo = {c: list(fired) for c, sups in rerun if (fired := triggers.intersection(sups))}
         for a in universe.difference(S):
             entry(S, a, set).update((a, TOP))
             todo[a] = list(S[a])
-        active = list(todo)
 
-        def add_sub(c: str, d: str) -> None:
-            if member(S, c, d):
-                if c in todo:
-                    todo[c].append(d)
-                else:
-                    todo[c] = [d]
-                    active.append(c)
-
-        while active:
-            c = active.pop()
-            pending, Sc = todo[c], S[c]
+        while todo:
+            c, pending = todo.popitem()
+            Sc = S[c]
             while pending:
                 d = pending.pop()
                 for other, sup in conj_by_operand.get(d, ()):  # R1 and R2
@@ -448,16 +449,29 @@ class Saturation:
                         if trail is not None:
                             trail.append((Sc.remove, sup))
                 for role, filler in exists_rhs_by_lhs.get(d, ()):  # R3, then R4 over the new edge
-                    if member(edges_by_target, filler, (role, c)):
-                        for e in fillers_by_role[role].intersection(S[filler]):
-                            for sup in exists_lhs_by_filler[e][role]:
-                                add_sub(c, sup)
+                    into = edges_by_target.get(filler) or entry(edges_by_target, filler, set)
+                    if (role, c) in into:
+                        continue
+                    into.add((role, c))
+                    if trail is not None:
+                        trail.append((into.remove, (role, c)))
+                    for e in fillers_by_role[role].intersection(S[filler]):
+                        for sup in exists_lhs_by_filler[e][role]:
+                            if sup not in Sc:
+                                Sc.add(sup)
+                                pending.append(sup)
+                                if trail is not None:
+                                    trail.append((Sc.remove, sup))
                 sups_by_role = exists_lhs_by_filler.get(d)
                 if sups_by_role:  # R4 over the edges into c, when d fills some ∃r.d ⊑ B
                     for role, src in edges_by_target.get(c, ()):
                         for sup in sups_by_role.get(role, ()):
-                            add_sub(src, sup)
-            del todo[c]
+                            Ssrc = S[src]
+                            if sup not in Ssrc:
+                                Ssrc.add(sup)
+                                if trail is not None:
+                                    trail.append((Ssrc.remove, sup))
+                                todo.setdefault(src, []).append(sup)
 
 
 # --- the classified view ---------------------------------------------------
@@ -569,19 +583,22 @@ def direct_superclasses(taxonomy: Taxonomy, name: str) -> list[str]:
 
     S is closed: d ∈ S(e) gives S(d) ⊆ S(e), so d is strictly above e
     exactly when |S(d)| < |S(e)|, and equivalent classes never hide each
-    other. The candidate with the largest S is the only direct one when it
-    holds every other candidate and none ties it, which settles a class in a
-    tree with one subset test.
+    other. One sort ranks the candidates by the size of their S. The
+    largest is the only direct one when it holds every other candidate and
+    none ties it, which settles a class in a tree with one subset test;
+    otherwise a candidate is direct when no larger one holds it.
     """
     S = taxonomy.S
     subsumers = S[_lookup(taxonomy, name)]
     size = len(subsumers)
-    strict = {d: n for d in subsumers.intersection(taxonomy.classes) if (n := len(S[d])) < size}
+    strict = [(n, d) for d in subsumers.intersection(taxonomy.classes) if (n := len(S[d])) < size]
     if not strict:
         return []
-    largest = max(strict, key=strict.get)
-    if S[largest].issuperset(strict) and list(strict.values()).count(strict[largest]) == 1:
-        return [largest]
+    strict.sort()
+    top_size, top = strict[-1]
+    if (len(strict) == 1 or strict[-2][0] < top_size) and S[top].issuperset(d for _, d in strict):
+        return [top]
     return sorted(
-        d for d, n in strict.items() if not any(n < m and d in S[e] for e, m in strict.items())
+        d for i, (n, d) in enumerate(strict)
+        if not any(m > n and d in S[e] for m, e in strict[i + 1:])
     )

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import ontoforge
-from ontoforge.errors import Diagnostic, Source
+from ontoforge.errors import Diagnostic, Location, Source
 from ontoforge.evaluator import (
     CycleError,
     DuplicateOntology,
@@ -67,6 +67,15 @@ def test_defontology_must_come_first():
     with pytest.raises(EvalError) as err:
         eval_text("(defclass Pizza)", "piz")
     assert "first form must be (defontology" in str(err.value)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_eval_text_error_lines_break_at_every_line_end(newline):
+    # a lone \r ends a line, as \n and \r\n do
+    text = newline.join([HEADER.rstrip(), "(defclass Pizza)", "  (defclass Calzone :subclass Nope)"])
+    with pytest.raises(UnboundIdentifier) as err:
+        eval_text(text, "piz", "cr.ont")
+    assert err.value.location == Location("cr.ont", 3, 31)
 
 
 def test_namespace_without_ontology_is_an_error():

@@ -165,6 +165,20 @@ def test_parse_functional_error_locations_point_at_tokens():
     assert err.value.location == Location("dep.ofn", 3, 14)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_parse_functional_error_lines_break_at_every_line_end(newline):
+    # a lone \r ends a line, as \n and \r\n do
+    text = newline.join([
+        "Prefix(e:=<https://example.org/ext#>)",
+        "Ontology(<https://example.org/ext>",
+        "  Declaration(Class(e:A)) $",
+        ")",
+    ])
+    with pytest.raises(ParseError) as err:
+        parse_functional(text, file="cr.ofn")
+    assert err.value.location == Location("cr.ofn", 3, 27)
+
+
 def test_relative_iris_are_located_parse_errors():
     cases = {
         "Ontology(<ext>\n)\n": (1, 10),

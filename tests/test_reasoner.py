@@ -3,10 +3,12 @@
 import copy
 import random
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 
 from el_oracle import el_subsumers
+from ontoforge.evaluator import Loader
 from ontoforge.model import (
     And,
     Declaration,
@@ -127,6 +129,41 @@ def test_normalize_chains_wide_conjunctions():
         ConjAtom(iri("A"), iri("B"), "_aux1"),
         ConjAtom("_aux1", iri("C"), iri("D")),
     }
+
+
+def test_normalize_names_a_repeated_left_side_once():
+    # the ∃r.B of A ⊓ ∃r.B ⊑ C and A ⊓ ∃r.B ⊑ D: one name, one ∃r.B ⊑ _aux1
+    def fill(onto, n):
+        lhs = And((Named(n["A"]), Some(n["r"], Named(n["B"]))))
+        for sup in "CD":
+            onto.add_axiom(SubClassOf(lhs, Named(n[sup])))
+
+    onto, _ = build(fill)
+    res = normalize(onto.axioms)
+    assert res.normal == [
+        ExistsAtom(iri("r"), iri("B"), "_aux1"),
+        ConjAtom(iri("A"), "_aux1", iri("C")),
+        ConjAtom(iri("A"), "_aux1", iri("D")),
+    ]
+    assert res.next_aux == 2
+
+
+def test_normalize_names_a_repeated_right_side_once():
+    # the filler A ⊓ ∃s.B of C ⊑ ∃r.(A ⊓ ∃s.B) and D ⊑ ∃r.(A ⊓ ∃s.B)
+    def fill(onto, n):
+        filler = And((Named(n["A"]), Some(n["s"], Named(n["B"]))))
+        for sub in "CD":
+            onto.add_axiom(SubClassOf(Named(n[sub]), Some(n["r"], filler)))
+
+    onto, _ = build(fill)
+    res = normalize(onto.axioms)
+    assert res.normal == [
+        AtomAtom("_aux1", iri("A")),
+        AtomExists("_aux1", iri("s"), iri("B")),
+        AtomExists(iri("C"), iri("r"), "_aux1"),
+        AtomExists(iri("D"), iri("r"), "_aux1"),
+    ]
+    assert res.next_aux == 2
 
 
 def test_normalize_unfolds_equivalence_into_a_cycle():
@@ -450,6 +487,29 @@ def test_an_existential_on_the_left_extends_and_undoes_with_its_filler_index(rol
     assert_classifies_as_from_scratch(classifier.taxonomy(), base)
 
 
+def test_auxiliary_names_belong_to_one_batch():
+    # the extension reuses the base's A ⊓ ∃r.B and names a new A ⊓ ∃s.B; added
+    # again after an undo, it must name that afresh with its normal forms
+    onto, n = build(lambda o, _: None)
+    A, B = Named(n["A"]), Named(n["B"])
+    base = onto.axioms + [SubClassOf(And((A, Some(n["r"], B))), Named(n["C"]))]
+    delta = [
+        SubClassOf(And((A, Some(n["r"], B))), Named(n["D"])),
+        SubClassOf(And((A, Some(n["s"], B))), Named(n["F"])),
+        SubClassOf(Named(n["E"]), And((A, Some(n["r"], B), Some(n["s"], B)))),
+    ]
+    classifier = Classifier(base)
+    mark = classifier.mark()
+    before = tables(classifier.saturation)
+    for _ in range(2):
+        classifier.add(delta)
+        assert {iri("C"), iri("D"), iri("F")} <= classifier.taxonomy().subsumers[iri("E")]
+        assert_classifies_as_from_scratch(classifier.taxonomy(), base + delta)
+        classifier.undo(mark)
+        assert tables(classifier.saturation) == before
+        assert_classifies_as_from_scratch(classifier.taxonomy(), base)
+
+
 def test_saturation_does_not_depend_on_the_order_of_the_normal_forms():
     rng = random.Random(7)
     for seed in range(50):
@@ -596,6 +656,37 @@ def test_classify_agrees_with_the_brute_force_oracle():
     for seed in range(60):
         onto = random_el_ontology(random.Random(seed))
         assert classify(onto.axioms).subsumers == el_subsumers(onto.axioms)
+
+
+def _nested_complex(ce, out: set) -> None:
+    """Add every complex expression nested in ce to out."""
+    inner = (ce.filler,) if isinstance(ce, Some) else ce.operands if isinstance(ce, And) else ()
+    for op in inner:
+        if not isinstance(op, Named):
+            out.add(op)
+        _nested_complex(op, out)
+
+
+def test_a_dense_tree_names_each_distinct_complex_expression_once(tmp_path, monkeypatch):
+    # Counts, not times: naming each occurrence afresh gives 28 names and 4972 S entries.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import gen
+
+    tree = gen.dense_tree(7, n_classes=400)
+    tree.write(tmp_path)
+    axioms = Loader(tmp_path).load(tree.ns).axiom_closure()
+    distinct: set = set()
+    for axiom in axioms:
+        if isinstance(axiom, SubClassOf):
+            _nested_complex(axiom.sub, distinct)
+            _nested_complex(axiom.sup, distinct)
+        elif isinstance(axiom, EquivalentClasses):
+            for op in axiom.operands:
+                _nested_complex(op, distinct)
+    # each is some D ≡ A ⊓ ∃r.B's ∃r.B, named on the left side only
+    assert normalize(axioms).next_aux - 1 == len(distinct) == 17
+    S = Classifier(axioms).saturation.S
+    assert sum(map(len, S.values())) == 4465
 
 
 # --- queries ----------------------------------------------------------------

@@ -125,12 +125,14 @@ def test_errors_are_pinned_to_message_and_position(text, message, line, column):
 
 
 def test_locations_count_lines_through_strings_and_comments():
-    forms = read_forms('"a\nb" c ; "d\n\te\r f ;x', "l.ont")
+    # a lone \r ends a line as \n and \r\n do
+    forms = read_forms('"a\nb" c ; "d\n\te\r f ;x\r\ng', "l.ont")
     assert [(strip_locations(f), f.location.line, f.location.column) for f in forms] == [
         (("text", "a\nb"), 1, 1),
         (("id", "c"), 2, 4),
         (("id", "e"), 3, 2),
-        (("id", "f"), 3, 5),
+        (("id", "f"), 4, 2),
+        (("id", "g"), 5, 1),
     ]
 
 

@@ -293,6 +293,53 @@ def test_incremental_probe_taxonomies_equal_classification_from_scratch(source, 
     assert len(checked) > 300
 
 
+OLD_CONTEXTS = """
+(defoproperty hasBase)
+(defoproperty hasTopping)
+(defclass Base)
+(defclass Pizza :subclass (owlsome hasBase Base))
+(defclass Margherita :subclass Pizza)
+(defclass IceCream :disjoint Pizza)
+(defclass Impossible :subclass Pizza IceCream)
+"""
+
+
+@pytest.mark.parametrize("block, holds, unsatisfiable", [
+    # fresh classes only: no old context runs again
+    ('[(p (owlclass "P" :subclass Margherita))'
+     ' (q (owlclass "Q" :subclass p (owlsome hasBase Base)))] (isuperclass? q Pizza)',
+     True, {"Impossible"}),
+    # old triggers Pizza and Base send the old contexts back
+    ('[(p (owlclass "P" :equivalent (owland Pizza (owlsome hasBase Base))))]'
+     " (isuperclass? Margherita p)", True, {"Impossible"}),
+    # an edge into an old unsatisfiable class over a role no axiom used before
+    ('[(p (owlclass "P" :subclass (owlsome hasTopping Impossible)))] (coherent?)',
+     False, {"Impossible", "P"}),
+])
+def test_probes_on_old_contexts_equal_classification_from_scratch(
+    block, holds, unsatisfiable, monkeypatch
+):
+    plain_eval = testkit.eval_assertion
+    probed = []
+
+    def checking_eval(ev, classifier, form):
+        scratch = classify(ev.env.axiom_closure())
+        incremental = classifier.taxonomy()
+        assert incremental.subsumers == scratch.subsumers
+        assert incremental.unsatisfiable == scratch.unsatisfiable
+        probed.append(incremental.unsatisfiable)
+        return plain_eval(ev, classifier, form)
+
+    monkeypatch.setattr(testkit, "eval_assertion", checking_eval)
+    env = run(OLD_CONTEXTS)
+    classifier = Classifier(env.axiom_closure())
+    before = snapshot(classifier.saturation)
+    form = one_form(f"(with-probe-entities {block})")
+    assert checking_eval(Evaluator(env), classifier, form) is holds
+    assert probed[-1] == {BASE + name for name in unsatisfiable}
+    assert snapshot(classifier.saturation) == before
+
+
 # --- one taxonomy per ontology state -------------------------------------------
 
 
