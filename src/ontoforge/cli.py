@@ -23,7 +23,7 @@ from .importer import MemoTable, memorise_check, memorise_save
 from .model import AnnotationAssertion, RDFS_COMMENT, RDFS_LABEL
 from .polyglot import apply_labels, emit_skeleton, parse_properties
 from .reasoner import classify, direct_superclasses
-from .serializer import CurieTable, curie_or_iri, prefix_map, render_functional, render_omn
+from .serializer import CurieTable, prefix_map, render_functional, render_omn
 from .testkit import run_tests, tap_lines
 
 _SEVERITY_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
@@ -125,7 +125,7 @@ def _cmd_test(args) -> int:
         print(line)
     curies = CurieTable(prefix_map(env.ontology))
     for iri_text in report.unsatisfiable:
-        name = curie_or_iri(iri_text, curies)
+        name = curies[iri_text]
         _print_diagnostic(Diagnostic("warning", f"unsatisfiable class {name}"))
     print(
         f"# {report.tests} tests, {report.assertions} assertions, "
@@ -147,9 +147,9 @@ def _cmd_classify(args) -> int:
         if key in taxonomy.unsatisfiable:
             supers = ["owl:Nothing"]
         else:
-            supers = [curie_or_iri(s, curies) for s in direct_superclasses(taxonomy, key)]
+            supers = [curies[s] for s in direct_superclasses(taxonomy, key)]
             supers = supers or ["owl:Thing"]
-        lines.append(f"{curie_or_iri(key, curies)}\t{', '.join(supers)}")
+        lines.append(f"{curies[key]}\t{', '.join(supers)}")
     for line in sorted(lines):
         print(line)
     return 0

@@ -492,12 +492,8 @@ def _labels_by_subject(ontology: Ontology) -> dict[str, str]:
 
 
 def _entity_base(iri: IRI) -> str:
-    v = iri.value
-    if "#" in v:
-        return v[: v.rindex("#") + 1]
-    if "/" in v:
-        return v[: v.rindex("/") + 1]
-    return v[: v.index(":") + 1]
+    """The IRI text before its fragment, so base + fragment is the IRI."""
+    return iri.value[: len(iri.value) - len(iri.fragment())]
 
 
 def intern_external(

@@ -9,12 +9,14 @@ every axiom's items by entity and section, and one loop writes each frame's
 sections from the table. The functional-style text is the interchange
 format: one axiom per line in axiom order, designed to survive a parse and
 re-render byte for byte. It is written by `importer.GRAMMAR`, the table the
-parser reads by, with one CURIE-or-<IRI> rule for every name, and literals
-are escaped by `sexpr.escape`, the inverse of the readers' `sexpr.unescape`.
+parser reads by, and literals are escaped by `sexpr.escape`, the inverse of
+the readers' `sexpr.unescape`.
 
-Every name is shortened by one rule, `shorten`. One `CurieTable` per command
-holds each IRI's CURIE, so `compile`'s two renders, and the `classify` and
-`test` printers, apply the rule once per IRI however often it is mentioned.
+Every writer names an IRI by one rule: its CURIE under the longest covering
+prefix (`shorten`), else the full <IRI>, which both syntaxes allow, so no
+writer refuses an IRI. One `CurieTable` per command holds each IRI's printed
+name, so `compile`'s two renders, and the `classify` and `test` printers,
+apply the rule once per IRI however often it is mentioned.
 
 Equal ontologies (same axioms in the same order, same prefixes) always render
 to identical bytes, with a shared table or without; there is no hidden state.
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import re
 
-from .errors import OntoforgeError
 from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL, LOCAL_NAME
 from .model import (
     And,
@@ -54,10 +55,6 @@ from .model import (
 from .sexpr import escape
 
 
-class NoPrefix(OntoforgeError):
-    """An IRI cannot be shortened with the registered prefixes."""
-
-
 _LOCAL_RE = re.compile(LOCAL_NAME)
 
 
@@ -81,7 +78,7 @@ def shorten(iri: IRI | str, prefixes: dict[str, str]) -> str | None:
 
 
 class CurieTable(dict):
-    """IRI text -> its CURIE under prefixes, or None when no prefix covers it.
+    """IRI text -> the name every writer prints: its CURIE, else <IRI>.
 
     The first lookup of an IRI applies `shorten`; later lookups are dict hits.
     """
@@ -90,9 +87,15 @@ class CurieTable(dict):
         super().__init__()
         self.prefixes = prefixes
 
-    def __missing__(self, text: str) -> str | None:
-        curie = self[text] = shorten(text, self.prefixes)
-        return curie
+    def __missing__(self, text: str) -> str:
+        name = self[text] = shorten(text, self.prefixes) or f"<{text}>"
+        return name
+
+
+def curie_or_iri(iri: IRI | str, curies: CurieTable | dict[str, str]) -> str:
+    """The name iri prints as, by a table or a one-off prefix map."""
+    curies = curies if isinstance(curies, CurieTable) else CurieTable(curies)
+    return curies[str(iri)]
 
 
 def _literal(value) -> str:
@@ -105,16 +108,9 @@ def _literal(value) -> str:
 # --- Manchester-style ------------------------------------------------------
 
 
-def _omn_name(entity: Entity, curies: CurieTable) -> str:
-    curie = curies[entity.iri.value]
-    if curie is None:
-        raise NoPrefix(f"no prefix covers <{entity.iri}>")
-    return curie
-
-
 def _omn_ce(ce: ClassExpression, curies: CurieTable) -> str:
     if isinstance(ce, Named):
-        return _omn_name(ce.entity, curies)
+        return curies[ce.entity.iri.value]
     if isinstance(ce, And):
         return " and ".join(_omn_wrap(op, curies) for op in ce.operands)
     if isinstance(ce, Or):
@@ -122,9 +118,9 @@ def _omn_ce(ce: ClassExpression, curies: CurieTable) -> str:
     if isinstance(ce, Not):
         return "not " + _omn_wrap(ce.operand, curies)
     if isinstance(ce, Some):
-        return f"{_omn_name(ce.property, curies)} some {_omn_wrap(ce.filler, curies)}"
+        return f"{curies[ce.property.iri.value]} some {_omn_wrap(ce.filler, curies)}"
     if isinstance(ce, Only):
-        return f"{_omn_name(ce.property, curies)} only {_omn_wrap(ce.filler, curies)}"
+        return f"{curies[ce.property.iri.value]} only {_omn_wrap(ce.filler, curies)}"
     raise TypeError(f"not a class expression: {ce!r}")
 
 
@@ -184,7 +180,7 @@ def _entries(section: str, found: list, curies: CurieTable) -> list[str]:
     """One section's items as text, in the order the section's rule gives."""
     if section == "Annotations":
         entries = sorted(
-            (_omn_name(a.property, curies), a.value.lang or "", a.value.text, _literal(a.value))
+            (curies[a.property.iri.value], a.value.lang or "", a.value.text, _literal(a.value))
             for a in found
         )
         return [f"{prop} {literal}" for prop, _lang, _text, literal in entries]
@@ -194,7 +190,7 @@ def _entries(section: str, found: list, curies: CurieTable) -> list[str]:
         # each other member once, in first-seen order across axioms
         found = {member.iri.value: member for member in found}.values()
     return [
-        _omn_name(item, curies) if isinstance(item, Entity) else _omn_ce(item, curies)
+        curies[item.iri.value] if isinstance(item, Entity) else _omn_ce(item, curies)
         for item in found
     ]
 
@@ -213,7 +209,7 @@ def render_omn(ontology: Ontology, curies: CurieTable | None = None) -> str:
     blocks = [header]
 
     for entity in ontology.entities.values():
-        lines = [f"{entity.kind.value}: {_omn_name(entity, curies)}"]
+        lines = [f"{entity.kind.value}: {curies[entity.iri.value]}"]
         sections = items.get(entity.iri.value, {})
         for section in _FRAMES[entity.kind]:
             found = sections.get(section)
@@ -230,18 +226,12 @@ def render_omn(ontology: Ontology, curies: CurieTable | None = None) -> str:
 # --- functional-style -------------------------------------------------------
 
 
-def curie_or_iri(iri: IRI | str, curies: CurieTable | dict[str, str]) -> str:
-    """The CURIE for iri by a table (or a one-off prefix map), else <iri>."""
-    curies = curies if isinstance(curies, CurieTable) else CurieTable(curies)
-    return curies[str(iri)] or f"<{iri}>"
-
-
 def _fun_term(term, curies: CurieTable) -> str:
     """An axiom or class expression as functional-style text, by the grammar."""
     if isinstance(term, Named):
-        return curie_or_iri(term.entity.iri, curies)
+        return curies[term.entity.iri.value]
     if isinstance(term, Declaration):
-        return f"Declaration({term.entity.kind.value}({curie_or_iri(term.entity.iri, curies)}))"
+        return f"Declaration({term.entity.kind.value}({curies[term.entity.iri.value]}))"
     head, operands = GRAMMAR[type(term)]
     parts = []
     for name, kind in operands:
@@ -251,15 +241,15 @@ def _fun_term(term, curies: CurieTable) -> str:
         elif kind is CES:
             parts += [_fun_term(op, curies) for op in value]
         elif kind is CLASSES:
-            parts += [curie_or_iri(e.iri, curies) for e in value]
+            parts += [curies[e.iri.value] for e in value]
         elif kind is LITERAL:
             parts.append(_literal(value))
         elif kind is IRIREF:
             parts.append(f"<{value}>")
         elif kind is IRI_OR_CURIE:
-            parts.append(curie_or_iri(value, curies))
+            parts.append(curies[value.value])
         else:
-            parts.append(curie_or_iri(value.iri, curies))
+            parts.append(curies[value.iri.value])
     return f"{head}({' '.join(parts)})"
 
 

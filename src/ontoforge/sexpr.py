@@ -88,12 +88,13 @@ def is_valid_namespace(name: str) -> bool:
 
 
 # One match per token. Blanks and `;` comments before a token are folded into
-# its match, so the matches tile the text; every position that is not blank
-# starts one of the groups, and the `end` group takes the blanks and comment
-# at the end of the text, so a comment is never read as an atom. A `quote` is
-# a `"` that opens no complete string: an unterminated string literal.
+# its match, so the matches tile the text; a comment ends at `\r` or `\n`, the
+# line ends `errors.Source` counts. Every position that is not blank starts one
+# of the groups, and the `end` group takes the blanks and comment at the end of
+# the text, so a comment is never read as an atom. A `quote` is a `"` that
+# opens no complete string: an unterminated string literal.
 _TOKEN_RE = re.compile(
-    r"""[ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*
+    r"""[ \t\r\n]*(?:;[^\r\n]*[ \t\r\n]*)*
       (?: (?P<atom>[^ \t\r\n()\[\];"]+)
         | (?P<open>[(\[])
         | (?P<close>[)\]])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import Location, OntoforgeError
 from .evaluator import Environment, Evaluator
 from .model import Kind
-from .reasoner import Classifier, SkippedAxiom, coherence_report, inferred_superclass
+from .reasoner import Classifier, SkippedAxiom, UnknownEntity, coherence_report, inferred_superclass
 from .sexpr import BracketForm, Form, Identifier, ListForm, Text, is_valid_identifier
 
 
@@ -64,7 +64,11 @@ def eval_assertion(ev: Evaluator, classifier: Classifier, form: Form) -> bool:
             raise TestSyntax("isuperclass? takes a subclass and a superclass", form.location)
         sub = ev.resolve_ref(args[0], Kind.CLASS)
         sup = ev.resolve_ref(args[1], Kind.CLASS)
-        return inferred_superclass(classifier.taxonomy(), sub, sup)
+        try:
+            return inferred_superclass(classifier.taxonomy(), sub, sup)
+        except UnknownEntity as err:
+            err.location = form.location
+            raise
     if head.name == "coherent?":
         if args:
             raise TestSyntax("coherent? takes no arguments", form.location)

@@ -97,6 +97,39 @@ def test_compile_shares_one_table_and_writes_what_each_render_writes(tmp_path, c
     assert (out / "pizza.ofn").read_text(encoding="utf-8") == render_functional(ontology)
 
 
+CODES_OFN = """\
+Ontology(<https://example.org/codes>
+Declaration(Class(<http://snomed.info/id/22298006>))
+Declaration(Class(<urn:example:Foo>))
+)
+"""
+
+
+def test_compile_names_an_iri_no_prefix_covers_as_classify_does(tmp_path, capsys):
+    # a numeric local name and a URN have no CURIE: every writer prints <IRI>
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "ext.ofn").write_text(CODES_OFN, encoding="utf-8")
+    (src / "a.ont").write_text(
+        '(defontology a :iri "https://x.org/a#")\n(read-external "ext.ofn")\n'
+        "(defclass Fever :subclass _22298006)\n(defclass Bar :subclass example_Foo)\n",
+        encoding="utf-8",
+    )
+    code, stdout, stderr = run_cli(capsys, "classify", "--src", str(src))
+    assert (code, stderr) == (0, "")
+    assert stdout == "a:Bar\t<urn:example:Foo>\na:Fever\t<http://snomed.info/id/22298006>\n"
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(capsys, "compile", "--src", str(src), "--out", str(out))
+    assert (code, stderr) == (0, "")
+    omn = (out / "a.omn").read_text(encoding="utf-8")
+    assert "Class: a:Fever\n    SubClassOf: \n        <http://snomed.info/id/22298006>\n" in omn
+    assert omn.endswith("Class: a:Bar\n    SubClassOf: \n        <urn:example:Foo>\n")
+    ofn = (out / "a.ofn").read_text(encoding="utf-8")
+    assert "SubClassOf(a:Fever <http://snomed.info/id/22298006>)\n" in ofn
+    assert "SubClassOf(a:Bar <urn:example:Foo>)\n" in ofn
+    assert render_functional(parse_functional(ofn)) == ofn
+
+
 def test_compile_output_stem_is_the_last_namespace_segment(tmp_path, capsys):
     nested = tmp_path / "shop" / "menus"
     nested.mkdir(parents=True)
@@ -205,6 +238,36 @@ def test_bundled_sample_suite_passes(capsys):
     assert "# 2 tests, 5 assertions, 0 failures" in stdout
 
 
+EXT_PART_UNDER_B_OFN = EXT_OFN.replace(
+    "\n)\n", "\nDeclaration(Class(e:B))\nSubClassOf(e:Part e:B)\n)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body, column",
+    [
+        ("(is (isuperclass? C B))", 16),
+        ('(is (with-probe-entities [(x (owlclass "X" :subclass C))] (isuperclass? x B)))', 70),
+    ],
+)
+def test_an_unclassified_class_in_isuperclass_is_located_at_the_assertion(
+    tmp_path, capsys, body, column
+):
+    # e:B comes only from the external file's axioms, which are not classified
+    (tmp_path / "ext.ofn").write_text(EXT_PART_UNDER_B_OFN, encoding="utf-8")
+    (tmp_path / "menu.ont").write_text(
+        '(defontology menu :iri "https://example.org/menu#")\n(read-external "ext.ofn")\n'
+        f"(defclass C :subclass Part)\n(deftest T {body})\n",
+        encoding="utf-8",
+    )
+    code, stdout, stderr = run_cli(capsys, "test", "--src", str(tmp_path))
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        f"{tmp_path / 'menu.ont'}:4:{column}: error: <https://example.org/ext#B> "
+        "is not a named class of the classified ontology\n"
+    )
+
+
 # --- classify ----------------------------------------------------------------------
 
 
@@ -283,6 +346,24 @@ def test_labels_skeleton_writes_the_conventional_path(menu_tree, capsys):
     text = path.read_text(encoding="utf-8")
     assert text.splitlines()[0] == "# label skeleton for namespace menu, lang it"
     assert "Margherita=\n" in text
+
+
+def test_labels_skeleton_skips_the_names_a_use_brings_in(tmp_path, capsys):
+    (tmp_path / "base.ont").write_text(
+        '(defontology base :iri "https://example.org/base#")\n(defclass Pizza)\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "menu.ont").write_text(
+        '(defontology menu :iri "https://example.org/menu#")\n(use base)\n'
+        "(defclass Thin :subclass base/Pizza)\n",
+        encoding="utf-8",
+    )
+    code, _, _ = run_cli(
+        capsys, "labels", "skeleton", "--src", str(tmp_path), "--ns", "menu", "--lang", "it"
+    )
+    assert code == 0
+    text = (tmp_path / "menulabel_it.properties").read_text(encoding="utf-8")
+    assert text == "# label skeleton for namespace menu, lang it\nThin=\n"
 
 
 def test_labels_apply_reports_counts_and_unknowns(menu_tree, capsys):
@@ -364,6 +445,21 @@ def interning_tree(tmp_path):
         encoding="utf-8",
     )
     return tmp_path
+
+
+def test_check_prints_the_label_fallback_warnings_and_exits_zero(interning_tree, capsys):
+    (interning_tree / "menu.ont").write_text(
+        '(defontology menu :iri "https://example.org/menu#")\n'
+        '(read-external "ext.ofn" :naming :label)\n',
+        encoding="utf-8",
+    )
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(interning_tree))
+    assert (code, stdout) == (0, "menu: 0 axioms, 0 tests\n")
+    assert stderr == "".join(
+        f"warning: <https://example.org/ext#{name}> has no rdfs:label; "
+        f"falling back to fragment '{name}'\n"
+        for name in ("Part", "Whole")
+    )
 
 
 def test_memorise_save_then_check_stable(interning_tree, tmp_path, capsys):

@@ -78,6 +78,15 @@ def test_eval_text_error_lines_break_at_every_line_end(newline):
     assert err.value.location == Location("cr.ont", 3, 31)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_eval_text_reads_every_form_after_a_comment(newline):
+    text = newline.join([HEADER.rstrip() + " ; head", "(defclass Pizza) ;", "(defclass Calzone)"])
+    env = eval_text(text, "piz")
+    assert [iri for iri in env.ontology.entities if iri.startswith(BASE)] == [
+        BASE + "Pizza", BASE + "Calzone"
+    ]
+
+
 def test_namespace_without_ontology_is_an_error():
     with pytest.raises(EvalError):
         eval_text("", "piz")

@@ -476,6 +476,21 @@ def test_intern_registers_a_prefix_for_external_iris():
     assert EXT in env.ontology.prefixes.values()
 
 
+def test_intern_registers_the_base_before_the_fragment_of_slash_and_scheme_iris():
+    ext = Ontology(IRI("https://example.org/codes"))
+    ext.declare(Kind.CLASS, IRI("http://snomed.info/id/22298006"))
+    ext.declare(Kind.CLASS, IRI("urn:example:Foo"))
+    env = fresh_env()
+    assert intern_external(env, ext) == 2
+    assert resolve(env, "_22298006").iri == IRI("http://snomed.info/id/22298006")
+    assert resolve(env, "example_Foo").iri == IRI("urn:example:Foo")
+    assert env.ontology.prefixes == {
+        "menu": "https://example.org/menu#",
+        "id": "http://snomed.info/id/",
+        "ext": "urn:",
+    }
+
+
 def test_intern_validates_naming():
     with pytest.raises(ValueError):
         intern_external(fresh_env(), external_ontology(), naming="guess")

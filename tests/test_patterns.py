@@ -350,6 +350,17 @@ def test_template_each_must_iterate_the_rest_parameter():
         run("(deftemplate broken [?a] (defclass ?a (each ?a ?x ?x)))")
 
 
+def test_a_malformed_each_is_an_error_at_template_definition():
+    with pytest.raises(TemplateError) as err:
+        run("(deftemplate broken [?a & ?rest]\n  (defclass ?a (each ?rest ?x)))")
+    assert err.value.message == "each needs (each ?rest ?var form)"
+    assert err.value.location == Location("<string>", 3, 16)
+    with pytest.raises(TemplateError) as err:
+        run("(deftemplate broken [?a & ?rest]\n  (defclass ?a (each ?rest x (owlsome p x))))")
+    assert err.value.message == "each needs ?-markers for its variables"
+    assert err.value.location == Location("<string>", 3, 16)
+
+
 def test_template_rest_cannot_stand_alone():
     # a bare rest marker has no list to splice into
     with pytest.raises(TemplateError):

@@ -5,8 +5,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
 from ontoforge.importer import _TOKEN_RE, _kind, parse_functional
 from ontoforge.model import (
     And,
@@ -39,7 +37,6 @@ from ontoforge.model import (
 from ontoforge.serializer import (
     _FRAMES,
     CurieTable,
-    NoPrefix,
     curie_or_iri,
     prefix_map,
     render_functional,
@@ -142,7 +139,7 @@ def test_curie_table_gives_what_the_rule_gives():
     for prefixes, texts in _table_cases():
         table = CurieTable(prefixes)
         for text in texts:
-            assert table[text] == shorten(IRI(text), prefixes), text
+            assert table[text] == (shorten(IRI(text), prefixes) or f"<{text}>"), text
             assert curie_or_iri(text, table) == curie_or_iri(IRI(text), prefixes), text
         assert set(table) == set(texts)
         assert table.prefixes is prefixes
@@ -312,24 +309,26 @@ def test_omn_nests_complex_fillers_in_parens():
     assert "m:p some (m:B and (not (m:A or owl:Nothing)))" in text
 
 
-def test_omn_requires_a_prefix_for_every_entity():
+def test_omn_writes_the_full_iri_no_prefix_covers():
     onto = menu()
     a = onto.declare(Kind.CLASS, IRI(BASE + "A"))
     stranger = onto.declare(Kind.CLASS, IRI("https://elsewhere.org/x#B"))
     onto.add_axiom(SubClassOf(Named(a), Named(stranger)))
-    with pytest.raises(NoPrefix):
-        render_omn(onto)
+    text = render_omn(onto)
+    assert "Class: m:A\n    SubClassOf: \n        <https://elsewhere.org/x#B>\n" in text
+    assert "Class: <https://elsewhere.org/x#B>\n" in text
 
 
-def test_omn_raises_no_prefix_through_a_shared_table():
+def test_omn_writes_the_full_iri_through_a_shared_table():
     onto = menu()
     a = onto.declare(Kind.CLASS, IRI(BASE + "A"))
     stranger = onto.declare(Kind.CLASS, IRI("https://elsewhere.org/x#B"))
     onto.add_axiom(SubClassOf(Named(a), Named(stranger)))
     curies = CurieTable(prefix_map(onto))
-    assert "<https://elsewhere.org/x#B>" in render_functional(onto, curies)
-    with pytest.raises(NoPrefix, match="no prefix covers <https://elsewhere.org/x#B>"):
-        render_omn(onto, curies)
+    assert "SubClassOf(m:A <https://elsewhere.org/x#B>)" in render_functional(onto, curies)
+    assert curies["https://elsewhere.org/x#B"] == "<https://elsewhere.org/x#B>"
+    assert render_omn(onto, curies) == render_omn(onto)
+    assert "        <https://elsewhere.org/x#B>\n" in render_omn(onto, curies)
 
 
 def test_one_shared_table_renders_the_same_bytes_as_a_table_each():

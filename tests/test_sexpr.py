@@ -156,6 +156,13 @@ def test_comments_run_to_end_of_line():
     assert got == [("list", (("id", "a"), ("id", "b")))]
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_a_comment_ends_at_every_line_end(newline):
+    text = newline.join(["(a) ; c", "(b) ;", "; only a comment", "(c)"])
+    assert shapes(text) == [("list", (("id", name),)) for name in "abc"]
+    assert [f.location.line for f in read_forms(text)] == [1, 2, 4]
+
+
 def test_empty_input_and_blank_lines():
     assert read_forms("") == []
     assert read_forms("  \n\t ; just a comment\n") == []
@@ -356,8 +363,16 @@ def mutant_record(text: str) -> list:
 
 
 def test_reader_matches_the_golden_file_on_seeded_mutants():
+    """A change meant to alter the reader's output rewrites the file, and says why:
+
+    PYTHONPATH=src python tests/test_sexpr.py > tests/data/sexpr_mutants.json
+    """
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     texts = mutant_texts()
     assert len(golden) == len(texts)
     for i, text in enumerate(texts):
         assert mutant_record(text) == golden[i], (i, text[:200])
+
+
+if __name__ == "__main__":
+    print("[\n" + ",\n".join(json.dumps(mutant_record(text)) for text in mutant_texts()) + "\n]")

@@ -475,6 +475,14 @@ def test_test_bodies_must_be_is_forms():
         run_tests(env2)
 
 
+def test_a_test_body_element_that_is_not_a_list_is_an_error():
+    env = run(SMALL + "(deftest Wrong\n  Pizza)")
+    with pytest.raises(TestSyntax) as err:
+        run_tests(env)
+    assert err.value.message == "expected an assertion form"
+    assert (err.value.location.line, err.value.location.column) == (7, 3)
+
+
 def test_bundled_suite_is_green():
     env = pizza_env()
     report = run_tests(env)
