@@ -6,6 +6,13 @@ side files. Exit codes: 0 success, 1 failing tests or an incoherent ontology
 under `test`, 2 syntax or semantic errors (a .ont, read-external, label or
 memo file that is not valid UTF-8 is a syntax error, located at its first bad
 byte), 3 I/O errors.
+
+The module imports no library module itself; each library name loads its
+module on first use (`_LIBRARY`). So `--help` loads none, every command that
+reads a tree loads the evaluator and the modules it imports (errors,
+importer, model, patterns, sexpr), and beyond those `check` loads nothing,
+`compile` the serializer, `classify` the reasoner and serializer, and `test`
+the reasoner, serializer and testkit.
 """
 
 from __future__ import annotations
@@ -16,15 +23,30 @@ import os
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .errors import Diagnostic, OntoforgeError
-from .evaluator import Environment, Loader, _read_source, resolve
-from .importer import MemoTable, memorise_check, memorise_save
-from .model import AnnotationAssertion, RDFS_COMMENT, RDFS_LABEL
-from .polyglot import apply_labels, emit_skeleton, parse_properties
-from .reasoner import classify, direct_superclasses
-from .serializer import CurieTable, prefix_map, render_functional, render_omn
-from .testkit import run_tests, tap_lines
+from . import _lazy_getattr
+
+if TYPE_CHECKING:
+    from .errors import Diagnostic
+    from .evaluator import Environment
+
+# module -> the names the handlers take from it, as `_cli.<name>`: an
+# attribute of this module, which `__getattr__` resolves on first use. So a
+# command loads only the modules it runs, and a wrapper or patch set on this
+# module (as bench/spans.py and the tests set) is what the handlers call.
+_LIBRARY = {
+    "errors": ("Diagnostic", "OntoforgeError"),
+    "evaluator": ("Loader", "_read_source", "resolve"),
+    "importer": ("MemoTable", "memorise_check", "memorise_save"),
+    "model": ("AnnotationAssertion", "RDFS_COMMENT", "RDFS_LABEL"),
+    "polyglot": ("apply_labels", "emit_skeleton", "parse_properties"),
+    "reasoner": ("classify", "direct_superclasses"),
+    "serializer": ("CurieTable", "prefix_map", "render_functional", "render_omn"),
+    "testkit": ("run_tests", "tap_lines"),
+}
+__getattr__ = _lazy_getattr(globals(), _LIBRARY)
+_cli = sys.modules[__name__]
 
 _SEVERITY_COLORS = {"error": "\x1b[31m", "warning": "\x1b[33m"}
 _RESET = "\x1b[0m"
@@ -57,7 +79,7 @@ def _print_skipped(skipped) -> None:
     by_construct = ", ".join(f"{n} {construct}" for construct, n in counts)
     noun = "axiom" if len(skipped) == 1 else "axioms"
     message = f"the classifier skipped {len(skipped)} {noun} outside its fragment: {by_construct}"
-    _print_diagnostic(Diagnostic("warning", message))
+    _print_diagnostic(_cli.Diagnostic("warning", message))
 
 
 def _namespaces(src: Path) -> list[str]:
@@ -71,18 +93,19 @@ def _namespaces(src: Path) -> list[str]:
 def _pick_namespace(args) -> str:
     if args.ns:
         return args.ns
-    names = _namespaces(Path(args.src))
+    src = Path(args.src)
+    names = _namespaces(src)
     if len(names) == 1:
         return names[0]
     if not names:
-        raise OntoforgeError(f"no .ont files under {args.src}")
-    raise OntoforgeError(
-        f"{len(names)} namespaces under {args.src}; pick one with --ns ({', '.join(names)})"
+        raise _cli.OntoforgeError(f"no .ont files under {src}")
+    raise _cli.OntoforgeError(
+        f"{len(names)} namespaces under {src}; pick one with --ns ({', '.join(names)})"
     )
 
 
 def _load(args) -> Environment:
-    return Loader(args.src).load(_pick_namespace(args))
+    return _cli.Loader(args.src).load(_pick_namespace(args))
 
 
 def _last_segment(namespace: str) -> str:
@@ -99,9 +122,9 @@ def _cmd_compile(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _last_segment(env.namespace)
     formats = ("omn", "ofn") if args.format == "both" else (args.format,)
-    curies = CurieTable(prefix_map(env.ontology))
+    curies = _cli.CurieTable(_cli.prefix_map(env.ontology))
     for fmt in formats:
-        render = render_omn if fmt == "omn" else render_functional
+        render = _cli.render_omn if fmt == "omn" else _cli.render_functional
         text = render(env.ontology, curies)
         path = out_dir / f"{stem}.{fmt}"
         path.write_text(text, encoding="utf-8")
@@ -119,14 +142,14 @@ def _cmd_check(args) -> int:
 def _cmd_test(args) -> int:
     env = _load(args)
     _print_warnings(env)
-    report = run_tests(env)
+    report = _cli.run_tests(env)
     _print_skipped(report.skipped)
-    for line in tap_lines(env, report):
+    for line in _cli.tap_lines(env, report):
         print(line)
-    curies = CurieTable(prefix_map(env.ontology))
+    curies = _cli.CurieTable(_cli.prefix_map(env.ontology))
     for iri_text in report.unsatisfiable:
         name = curies[iri_text]
-        _print_diagnostic(Diagnostic("warning", f"unsatisfiable class {name}"))
+        _print_diagnostic(_cli.Diagnostic("warning", f"unsatisfiable class {name}"))
     print(
         f"# {report.tests} tests, {report.assertions} assertions, "
         f"{len(report.failures)} failures"
@@ -137,9 +160,9 @@ def _cmd_test(args) -> int:
 def _cmd_classify(args) -> int:
     env = _load(args)
     _print_warnings(env)
-    taxonomy = classify(env.axiom_closure())
+    taxonomy = _cli.classify(env.axiom_closure())
     _print_skipped(taxonomy.skipped)
-    curies = CurieTable(prefix_map(env.ontology))
+    curies = _cli.CurieTable(_cli.prefix_map(env.ontology))
     lines = []
     for key in env.ontology.entities:
         if key not in taxonomy.classes:  # a property, or owl:Thing or owl:Nothing
@@ -147,7 +170,7 @@ def _cmd_classify(args) -> int:
         if key in taxonomy.unsatisfiable:
             supers = ["owl:Nothing"]
         else:
-            supers = [curies[s] for s in direct_superclasses(taxonomy, key)]
+            supers = [curies[s] for s in _cli.direct_superclasses(taxonomy, key)]
             supers = supers or ["owl:Thing"]
         lines.append(f"{curies[key]}\t{', '.join(supers)}")
     for line in sorted(lines):
@@ -164,7 +187,7 @@ def _cmd_labels_skeleton(args) -> int:
     env = _load(args)
     _print_warnings(env)
     path = Path(args.out) if args.out else _labels_default_path(env, args.lang)
-    path.write_text(emit_skeleton(env, args.lang), encoding="utf-8")
+    path.write_text(_cli.emit_skeleton(env, args.lang), encoding="utf-8")
     print(path)
     return 0
 
@@ -172,11 +195,11 @@ def _cmd_labels_skeleton(args) -> int:
 def _cmd_labels_apply(args) -> int:
     env = _load(args)
     path = Path(args.file) if args.file else _labels_default_path(env, args.lang)
-    table = parse_properties(_read_source(path), str(path))
-    report = apply_labels(env, table, args.lang)
+    table = _cli.parse_properties(_cli._read_source(path), str(path))
+    report = _cli.apply_labels(env, table, args.lang)
     _print_warnings(env)
     for key in report.unknown:
-        _print_diagnostic(Diagnostic("warning", f"unknown class name '{key}' in {path}"))
+        _print_diagnostic(_cli.Diagnostic("warning", f"unknown class name '{key}' in {path}"))
     print(f"added {report.added}, missing {len(report.missing)}, unknown {len(report.unknown)}")
     return 0
 
@@ -186,8 +209,8 @@ def _sole_interned_source(env: Environment) -> str:
     if len(sources) == 1:
         return sources[0]
     if not sources:
-        raise OntoforgeError(f"namespace {env.namespace} interns no external ontology")
-    raise OntoforgeError(
+        raise _cli.OntoforgeError(f"namespace {env.namespace} interns no external ontology")
+    raise _cli.OntoforgeError(
         f"namespace {env.namespace} interns {len(sources)} sources; " + ", ".join(sources)
     )
 
@@ -195,7 +218,7 @@ def _sole_interned_source(env: Environment) -> str:
 def _cmd_memorise_save(args) -> int:
     env = _load(args)
     _print_warnings(env)
-    table = memorise_save(env, _sole_interned_source(env))
+    table = _cli.memorise_save(env, _sole_interned_source(env))
     Path(args.file).write_text(table.to_text(), encoding="utf-8")
     print(args.file)
     return 0
@@ -203,8 +226,8 @@ def _cmd_memorise_save(args) -> int:
 
 def _cmd_memorise_check(args) -> int:
     env = _load(args)
-    saved = MemoTable.from_text(_read_source(Path(args.file)), args.file)
-    report = memorise_check(env, saved)
+    saved = _cli.MemoTable.from_text(_cli._read_source(Path(args.file)), args.file)
+    report = _cli.memorise_check(env, saved)
     _print_warnings(env)
     for old, new, iri in report.deprecated:
         print(f"deprecated: {old} -> {new} (<{iri}>)")
@@ -217,17 +240,17 @@ def _cmd_memorise_check(args) -> int:
 
 def _cmd_doc(args) -> int:
     env = _load(args)
-    entity = resolve(env, args.name)
+    entity = _cli.resolve(env, args.name)
     _print_warnings(env)
     labels = []
     comments = []
     for axiom in env.axiom_closure():
-        if not isinstance(axiom, AnnotationAssertion) or axiom.subject != entity.iri:
+        if not isinstance(axiom, _cli.AnnotationAssertion) or axiom.subject != entity.iri:
             continue
         value = axiom.value
-        if axiom.property == RDFS_LABEL:
+        if axiom.property == _cli.RDFS_LABEL:
             labels.append(value)
-        elif axiom.property == RDFS_COMMENT:
+        elif axiom.property == _cli.RDFS_COMMENT:
             comments.append(value)
     print(f"{args.name} <{entity.iri}>")
     for value in sorted(labels, key=lambda v: (v.lang or "", v.text)):
@@ -314,11 +337,11 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.handler(args)
-    except OntoforgeError as err:
-        _print_diagnostic(Diagnostic("error", err.message, err.location))
+    except _cli.OntoforgeError as err:
+        _print_diagnostic(_cli.Diagnostic("error", err.message, err.location))
         return 2
     except OSError as err:
-        _print_diagnostic(Diagnostic("error", str(err)))
+        _print_diagnostic(_cli.Diagnostic("error", str(err)))
         return 3
     finally:
         if collecting:

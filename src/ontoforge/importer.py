@@ -89,8 +89,10 @@ class WrongOntology(OntoforgeError):
 # --- functional-style parsing -----------------------------------------------
 
 # A name token, and each side of a CURIE: a prefix label or a local name.
-# `serializer.shorten` writes a CURIE only when its local name is one whole.
+# `serializer.shorten` writes a CURIE only when its local name is one whole,
+# and `intern_external` registers a base only for such a local name.
 LOCAL_NAME = r"[A-Za-z_][A-Za-z0-9_.-]*"
+LOCAL_RE = re.compile(LOCAL_NAME)
 
 # One match per token, in text order; the spaces, tabs and line breaks
 # between tokens match nothing. Any other character that starts no token is
@@ -491,11 +493,6 @@ def _labels_by_subject(ontology: Ontology) -> dict[str, str]:
     return {subject: text for subject, (text, _lang) in found.items()}
 
 
-def _entity_base(iri: IRI) -> str:
-    """The IRI text before its fragment, so base + fragment is the IRI."""
-    return iri.value[: len(iri.value) - len(iri.fragment())]
-
-
 def intern_external(
     env: "Environment",
     external: Ontology,
@@ -555,8 +552,10 @@ def intern_external(
         env.ontology.admit(entity, Arrival.IMPORT)
         record.bindings[name] = entity
         added += 1
-        entity_base = _entity_base(entity.iri)
-        if entity_base not in bases:
+        # a base whose local name is no CURIE's would be a prefix no name uses
+        fragment = entity.iri.fragment()
+        entity_base = entity.iri.value[: len(entity.iri.value) - len(fragment)]
+        if entity_base not in bases and LOCAL_RE.fullmatch(fragment):
             bases.add(entity_base)
             env.ontology.add_prefix(entity_base)
     return added

@@ -24,9 +24,7 @@ to identical bytes, with a shared table or without; there is no hidden state.
 
 from __future__ import annotations
 
-import re
-
-from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL, LOCAL_NAME
+from .importer import CE, CES, CLASSES, GRAMMAR, IRI_OR_CURIE, IRIREF, LITERAL, LOCAL_RE
 from .model import (
     And,
     AnnotationAssertion,
@@ -55,9 +53,6 @@ from .model import (
 from .sexpr import escape
 
 
-_LOCAL_RE = re.compile(LOCAL_NAME)
-
-
 def prefix_map(ontology: Ontology) -> dict[str, str]:
     """Registered prefixes plus the reserved ones, `BUILTIN_PREFIXES`."""
     merged = dict(BUILTIN_PREFIXES)
@@ -72,7 +67,7 @@ def shorten(iri: IRI | str, prefixes: dict[str, str]) -> str | None:
     for label, base in prefixes.items():
         if text.startswith(base):
             local = text[len(base):]
-            if _LOCAL_RE.fullmatch(local) and (best is None or len(base) > best[0]):
+            if LOCAL_RE.fullmatch(local) and (best is None or len(base) > best[0]):
                 best = (len(base), f"{label}:{local}")
     return best[1] if best else None
 

@@ -128,6 +128,10 @@ def test_compile_names_an_iri_no_prefix_covers_as_classify_does(tmp_path, capsys
     assert "SubClassOf(a:Fever <http://snomed.info/id/22298006>)\n" in ofn
     assert "SubClassOf(a:Bar <urn:example:Foo>)\n" in ofn
     assert render_functional(parse_functional(ofn)) == ofn
+    # neither base holds a name with a CURIE, so neither output declares it
+    for label in ("id", "ext"):
+        assert f"Prefix: {label}: " not in omn
+        assert f"Prefix({label}:=" not in ofn
 
 
 def test_compile_output_stem_is_the_last_namespace_segment(tmp_path, capsys):
@@ -192,6 +196,18 @@ def test_empty_source_tree_is_an_error(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "check", "--src", str(tmp_path))
     assert code == 2
     assert "no .ont files" in stderr
+
+
+def test_namespace_errors_name_the_directory_an_empty_src_means(tmp_path, monkeypatch, capsys):
+    # `--src ''` is the working directory, and both messages say so
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, "check", "--src", "")
+    assert (code, stdout, stderr) == (2, "", "error: no .ont files under .\n")
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.ont").write_text(f'(defontology {name} :iri "https://x.org/{name}#")\n')
+    code, stdout, stderr = run_cli(capsys, "check", "--src", "")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: 2 namespaces under .; pick one with --ns (a, b)\n"
 
 
 # --- test ------------------------------------------------------------------------

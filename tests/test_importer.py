@@ -476,7 +476,9 @@ def test_intern_registers_a_prefix_for_external_iris():
     assert EXT in env.ontology.prefixes.values()
 
 
-def test_intern_registers_the_base_before_the_fragment_of_slash_and_scheme_iris():
+def test_intern_registers_no_base_under_which_no_interned_iri_has_a_curie():
+    # `22298006` and `example:Foo` are no local names, so both IRIs print as
+    # <IRI> and a prefix for either base would go unused
     ext = Ontology(IRI("https://example.org/codes"))
     ext.declare(Kind.CLASS, IRI("http://snomed.info/id/22298006"))
     ext.declare(Kind.CLASS, IRI("urn:example:Foo"))
@@ -484,11 +486,7 @@ def test_intern_registers_the_base_before_the_fragment_of_slash_and_scheme_iris(
     assert intern_external(env, ext) == 2
     assert resolve(env, "_22298006").iri == IRI("http://snomed.info/id/22298006")
     assert resolve(env, "example_Foo").iri == IRI("urn:example:Foo")
-    assert env.ontology.prefixes == {
-        "menu": "https://example.org/menu#",
-        "id": "http://snomed.info/id/",
-        "ext": "urn:",
-    }
+    assert env.ontology.prefixes == {"menu": "https://example.org/menu#"}
 
 
 def test_intern_validates_naming():
