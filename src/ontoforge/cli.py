@@ -39,7 +39,7 @@ _LIBRARY = {
     "errors": ("Diagnostic", "OntoforgeError"),
     "evaluator": ("Loader", "_read_source", "resolve"),
     "importer": ("MemoTable", "memorise_check", "memorise_save"),
-    "model": ("AnnotationAssertion", "RDFS_COMMENT", "RDFS_LABEL"),
+    "model": ("AnnotationAssertion", "RDFS_COMMENT", "RDFS_LABEL", "language_tag"),
     "polyglot": ("apply_labels", "emit_skeleton", "parse_properties"),
     "reasoner": ("classify", "direct_superclasses"),
     "serializer": ("CurieTable", "prefix_map", "render_functional", "render_omn"),
@@ -91,7 +91,7 @@ def _namespaces(src: Path) -> list[str]:
 
 
 def _pick_namespace(args) -> str:
-    if args.ns:
+    if args.ns is not None:
         return args.ns
     src = Path(args.src)
     names = _namespaces(src)
@@ -147,9 +147,8 @@ def _cmd_test(args) -> int:
     for line in _cli.tap_lines(env, report):
         print(line)
     curies = _cli.CurieTable(_cli.prefix_map(env.ontology))
-    for iri_text in report.unsatisfiable:
-        name = curies[iri_text]
-        _print_diagnostic(_cli.Diagnostic("warning", f"unsatisfiable class {name}"))
+    for iri in report.unsatisfiable:
+        _print_diagnostic(_cli.Diagnostic("warning", f"unsatisfiable class {curies[iri]}"))
     print(
         f"# {report.tests} tests, {report.assertions} assertions, "
         f"{len(report.failures)} failures"
@@ -178,25 +177,35 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _language(args) -> str:
+    """`--lang` as a language tag, folded to lowercase as labels hold it."""
+    try:
+        return _cli.language_tag(args.lang)
+    except ValueError as err:
+        raise _cli.OntoforgeError(str(err)) from None
+
+
 def _labels_default_path(env: Environment, lang: str) -> Path:
     directory = env.source_dir or Path(".")
     return directory / f"{_last_segment(env.namespace)}label_{lang}.properties"
 
 
 def _cmd_labels_skeleton(args) -> int:
+    lang = _language(args)
     env = _load(args)
     _print_warnings(env)
-    path = Path(args.out) if args.out else _labels_default_path(env, args.lang)
-    path.write_text(_cli.emit_skeleton(env, args.lang), encoding="utf-8")
+    path = Path(args.out) if args.out else _labels_default_path(env, lang)
+    path.write_text(_cli.emit_skeleton(env, lang), encoding="utf-8")
     print(path)
     return 0
 
 
 def _cmd_labels_apply(args) -> int:
+    lang = _language(args)
     env = _load(args)
-    path = Path(args.file) if args.file else _labels_default_path(env, args.lang)
+    path = Path(args.file) if args.file else _labels_default_path(env, lang)
     table = _cli.parse_properties(_cli._read_source(path), str(path))
-    report = _cli.apply_labels(env, table, args.lang)
+    report = _cli.apply_labels(env, table, lang)
     _print_warnings(env)
     for key in report.unknown:
         _print_diagnostic(_cli.Diagnostic("warning", f"unknown class name '{key}' in {path}"))

@@ -262,7 +262,7 @@ class Evaluator:
         if full != name and full in self.env.bindings:
             raise DuplicateBinding(f"affixed name '{full}' is already bound", where.location)
         try:
-            entity = self.env.ontology.declare(kind, IRI(self.env.ontology.iri.value + full))
+            entity = self.env.ontology.declare(kind, IRI(self.env.ontology.iri + full))
         except ValueError as err:
             raise EvalError(str(err), where.location)
         except OntoforgeError as err:

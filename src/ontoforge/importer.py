@@ -54,6 +54,7 @@ from .model import (
     Import,
     IRI,
     Kind,
+    LANG_TAG,
     Named,
     Not,
     ObjectPropertyDomain,
@@ -97,16 +98,15 @@ LOCAL_RE = re.compile(LOCAL_NAME)
 # One match per token, in text order; the spaces, tabs and line breaks
 # between tokens match nothing. Any other character that starts no token is
 # a bad token of its own, so every character outside that whitespace lies in
-# exactly one token. The pattern has no groups, so `findall` returns the
-# token texts alone: a token's kind follows from its text (`_kind`), and its
-# offset is found again only for a diagnostic (`_token_start`).
+# exactly one token. A language tag is `LANG_TAG`, the rule `AnnotationValue`
+# checks, so every tag the model holds reads back.
 _TOKEN_RE = re.compile(
     rf"""\(
       | \)
       | :=
       | <[^<>\s]+>
       | "[^"\\]*(?:\\.[^"\\]*)*"
-      | @[A-Za-z0-9][A-Za-z0-9-]*
+      | @{LANG_TAG}
       | {LOCAL_NAME}(?::{LOCAL_NAME})?
       | [^ \t\r\n]""",
     re.VERBOSE,
@@ -481,12 +481,12 @@ class InternRecord:
     bindings: dict[str, Entity] = field(default_factory=dict)
 
 
-def _labels_by_subject(ontology: Ontology) -> dict[str, str]:
-    """Each labelled subject's IRI text to its least (text, language) label text."""
-    found: dict[str, tuple[str, str]] = {}
+def _labels_by_subject(ontology: Ontology) -> dict[IRI, str]:
+    """Each labelled subject's IRI to its least (text, language) label text."""
+    found: dict[IRI, tuple[str, str]] = {}
     for axiom in ontology.axioms:
         if isinstance(axiom, AnnotationAssertion) and axiom.property == RDFS_LABEL:
-            subject = axiom.subject.value
+            subject = axiom.subject
             key = (axiom.value.text, axiom.value.lang or "")
             if subject not in found or key < found[subject]:
                 found[subject] = key
@@ -508,17 +508,15 @@ def intern_external(
     if naming not in ("fragment", "label"):
         raise ValueError(f"naming must be 'fragment' or 'label', got {naming!r}")
     labels = _labels_by_subject(external) if naming == "label" else {}
-    record = env.interned.setdefault(
-        external.iri.value, InternRecord(external.iri.value)
-    )
+    record = env.interned.setdefault(external.iri, InternRecord(external.iri))
     selected = [
-        e for e in external.entities.values() if prefix is None or e.iri.value.startswith(prefix)
+        e for e in external.entities.values() if prefix is None or e.iri.startswith(prefix)
     ]
     added = 0
     bases: set[str] = set()
-    for entity in sorted(selected, key=lambda e: e.iri.value):
+    for entity in sorted(selected, key=lambda e: e.iri):
         if naming == "label":
-            label = labels.get(entity.iri.value)
+            label = labels.get(entity.iri)
             if label is None:
                 base = label_to_identifier(entity.iri.fragment())
                 env.warnings.append(
@@ -554,7 +552,7 @@ def intern_external(
         added += 1
         # a base whose local name is no CURIE's would be a prefix no name uses
         fragment = entity.iri.fragment()
-        entity_base = entity.iri.value[: len(entity.iri.value) - len(fragment)]
+        entity_base = entity.iri[: len(entity.iri) - len(fragment)]
         if entity_base not in bases and LOCAL_RE.fullmatch(fragment):
             bases.add(entity_base)
             env.ontology.add_prefix(entity_base)
@@ -620,7 +618,7 @@ def memorise_save(env: "Environment", source_iri: str) -> MemoTable:
     record = env.interned.get(source_iri)
     if record is None:
         raise WrongOntology(f"nothing interned from <{source_iri}>")
-    rows = sorted((name, entity.iri.value) for name, entity in record.bindings.items())
+    rows = sorted((name, entity.iri) for name, entity in record.bindings.items())
     return MemoTable(source_iri, tuple(rows))
 
 
@@ -633,7 +631,7 @@ def memorise_check(env: "Environment", saved: MemoTable) -> MemoReport:
     record = env.interned.get(saved.source_iri)
     if record is None:
         raise WrongOntology(f"nothing interned from <{saved.source_iri}>")
-    current_by_iri = {entity.iri.value: name for name, entity in record.bindings.items()}
+    current_by_iri = {entity.iri: name for name, entity in record.bindings.items()}
     deprecated: list[tuple[str, str, str]] = []
     vanished: list[str] = []
     for old_name, iri in saved.rows:

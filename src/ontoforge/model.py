@@ -6,18 +6,20 @@ the classes owl:Thing and owl:Nothing, which are plain `Named` classes
 (`THING`, `NOTHING`), and the annotation properties rdfs:label and
 rdfs:comment.
 
+An IRI is its text: `IRI` is a str checked when it is made, so `IRI(t) == t`,
+and every table keyed by IRIs hashes them as text, in C.
+
 Everything except Ontology is an immutable value with structural equality, so
 axioms can live in sets and duplicate assertions collapse to no-ops. Every
-value class is made by `_value`: a frozen dataclass with slots, so a term
-carries no `__dict__`, and with a generated `__init__` that writes each field
-through its slot descriptor. Every command builds thousands of terms, and a
-frozen dataclass's own `__init__` spends about half of each construction in
-`object.__setattr__`.
+value class but `IRI` is made by `_value`: a frozen dataclass with slots, so
+a term carries no `__dict__`, and with a generated `__init__` that writes each
+field through its slot descriptor. Every command builds thousands of terms,
+and a frozen dataclass's own `__init__` spends about half of each
+construction in `object.__setattr__`.
 
 An Ontology keeps its axioms in insertion order next to a set index, which is
 what makes serialization deterministic. Its `entities` and `imported` tables
-map IRI text (`iri.value`) to entities, so a lookup hashes a str in C rather
-than calling `IRI.__hash__`. `Ontology.lookup` is the one lookup order
+map IRIs to entities. `Ontology.lookup` is the one lookup order
 (`entities`, then `imported`, then `BUILTIN_ENTITIES`) and `Ontology.admit`
 the one admission method: an entity, however it arrives (`Arrival`), keeps
 the kind its IRI is known by. Stated axioms come in one at a time
@@ -51,7 +53,7 @@ class UndeclaredEntity(OntoforgeError):
     """An axiom mentions an entity the ontology never declared or imported."""
 
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:\S+$")
+_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:\S+")
 
 
 def _value(cls):
@@ -91,28 +93,28 @@ def _refuse_deletion(self, name):
     raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@_value
-class IRI:
-    value: str
+class IRI(str):
+    """An absolute IRI: its text, checked when it is made, frozen as every model value is."""
 
-    def __post_init__(self) -> None:
-        if not self.value or self.value != self.value.strip() or not _SCHEME_RE.match(self.value):
-            raise ValueError(f"not an absolute IRI: {self.value!r}")
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return hash(self.value)
+    def __new__(cls, value: str) -> IRI:
+        if not value or not _SCHEME_RE.fullmatch(value):
+            raise ValueError(f"not an absolute IRI: {value!r}")
+        return str.__new__(cls, value)
+
+    __setattr__ = _refuse_assignment
+    __delattr__ = _refuse_deletion
+
+    value = property(str, doc="The text as a plain str, for callers outside the package.")
 
     def fragment(self) -> str:
         """The part after the last '#', or after the last '/' when no '#' exists."""
-        v = self.value
-        if "#" in v:
-            return v.rsplit("#", 1)[1]
-        if "/" in v:
-            return v.rsplit("/", 1)[1]
-        return v.split(":", 1)[1]
-
-    def __str__(self) -> str:
-        return self.value
+        if "#" in self:
+            return self.rsplit("#", 1)[1]
+        if "/" in self:
+            return self.rsplit("/", 1)[1]
+        return self.split(":", 1)[1]
 
 
 class Kind(Enum):
@@ -138,9 +140,7 @@ class Entity:
     iri: IRI
 
     def __hash__(self) -> int:
-        # One IRI rarely names two kinds, so its text alone spreads entities
-        # well, and a str keeps its hash once computed.
-        return hash(self.iri.value)
+        return hash(self.iri)  # an IRI rarely names two kinds; a str caches its hash
 
 
 OWL_NS = "http://www.w3.org/2002/07/owl#"
@@ -156,7 +156,7 @@ RDFS_LABEL = Entity(Kind.ANNOTATION_PROPERTY, IRI(RDFS_NS + "label"))
 RDFS_COMMENT = Entity(Kind.ANNOTATION_PROPERTY, IRI(RDFS_NS + "comment"))
 
 # The reserved vocabulary: usable without a declaration, and always of its kind.
-BUILTIN_ENTITIES = {e.iri.value: e for e in (OWL_THING, OWL_NOTHING, RDFS_LABEL, RDFS_COMMENT)}
+BUILTIN_ENTITIES = {e.iri: e for e in (OWL_THING, OWL_NOTHING, RDFS_LABEL, RDFS_COMMENT)}
 
 
 # --- class expressions -----------------------------------------------------
@@ -233,18 +233,29 @@ class Only(ClassExpression):
 # --- annotations -----------------------------------------------------------
 
 
+# A language tag as the functional-syntax reader takes it after '@'.
+LANG_TAG = r"[A-Za-z0-9][A-Za-z0-9-]*"
+_LANG_TAG_RE = re.compile(LANG_TAG)
+
+
+def language_tag(text: str) -> str:
+    """text as a language tag, checked by `LANG_TAG` and folded to lowercase."""
+    if not _LANG_TAG_RE.fullmatch(text):
+        message = f"not a language tag: {text!r}" if text else "language tag must not be empty"
+        raise ValueError(message)
+    return text.lower()
+
+
 @_value
 class AnnotationValue:
-    """A text literal with an optional BCP 47 language tag, held lowercase."""
+    """A text literal with an optional language tag, held lowercase."""
 
     text: str
     lang: str | None = None
 
     def __post_init__(self) -> None:
         if self.lang is not None:
-            if not self.lang:
-                raise ValueError("language tag must not be empty")
-            object.__setattr__(self, "lang", self.lang.lower())
+            object.__setattr__(self, "lang", language_tag(self.lang))
 
 
 # --- axioms ----------------------------------------------------------------
@@ -283,9 +294,9 @@ class DisjointClasses(Axiom):
             raise ValueError("disjointness needs at least two classes")
         if len(set(ops)) != len(ops):
             raise ValueError("disjoint classes must be pairwise distinct")
-        thing_or_nothing = (OWL_THING.iri.value, OWL_NOTHING.iri.value)
+        thing_or_nothing = (OWL_THING.iri, OWL_NOTHING.iri)
         for e in ops:
-            if e.kind is not _CLASS or e.iri.value in thing_or_nothing:
+            if e.kind is not _CLASS or e.iri in thing_or_nothing:
                 raise ValueError("disjointness members must be named classes")
         object.__setattr__(self, "operands", ops)
 
@@ -442,7 +453,7 @@ class Ontology:
     `entities` holds this ontology's own declarations in declaration order;
     `imported` holds entities brought in from elsewhere, which axioms may
     mention but which are not serialized as declarations here. Both map an
-    entity's IRI text to the entity. Every entity comes in through `admit`,
+    entity's IRI to the entity. Every entity comes in through `admit`,
     which finds its IRI by the one `lookup` and refuses a second kind. A
     stated axiom comes in through `add_axiom`, and a document's axioms
     through `load`, the one load path: the functional-syntax reader loads a
@@ -455,8 +466,8 @@ class Ontology:
         self.iri = iri
         self.axioms: list[Axiom] = []
         self._axiom_set: set[Axiom] = set()
-        self.entities: dict[str, Entity] = {}
-        self.imported: dict[str, Entity] = {}
+        self.entities: dict[IRI, Entity] = {}
+        self.imported: dict[IRI, Entity] = {}
         self.prefixes: dict[str, str] = {}
 
     def __contains__(self, axiom: Axiom) -> bool:
@@ -465,7 +476,7 @@ class Ontology:
     def declare(self, kind: Kind, iri: IRI) -> Entity:
         """Register an entity, yielding the canonical one. Idempotent per kind."""
         self.add_axiom(Declaration(Entity(kind, iri)))
-        return self.entities[iri.value]
+        return self.entities[iri]
 
     def add_prefix(self, base: str, label: str | None = None) -> None:
         """Register base under a prefix label, unless it already has one.
@@ -485,7 +496,7 @@ class Ontology:
         self.prefixes[label] = base
 
     def lookup(self, key: str) -> Entity | None:
-        """The entity IRI text key names: declared here, else imported, else built in."""
+        """The entity IRI key names: declared here, else imported, else built in."""
         return self.entities.get(key) or self.imported.get(key) or BUILTIN_ENTITIES.get(key)
 
     def admit(self, entity: Entity, how: str) -> Entity:
@@ -495,7 +506,7 @@ class Ontology:
         yet as declared; any other arrival files an unknown one as imported,
         except a stated mention, which refuses it. Returns the entity kept.
         """
-        key = entity.iri.value
+        key = entity.iri
         # `lookup`, written out: this runs once per mention of every axiom.
         known = self.entities.get(key) or self.imported.get(key) or BUILTIN_ENTITIES.get(key)
         if known is None:

@@ -95,7 +95,7 @@ def _own_classes(env: "Environment") -> dict[str, Entity]:
     for name, entity in env.bindings.items():
         if "/" in name:
             continue
-        if entity.kind is Kind.CLASS and declared.get(entity.iri.value) == entity:
+        if entity.kind is Kind.CLASS and declared.get(entity.iri) == entity:
             own[name] = entity
     return own
 

@@ -3,7 +3,7 @@
 The fragment covered: named classes, intersections, and existential
 restrictions, in subsumptions, equivalences, and pairwise disjointness.
 owl:Thing and owl:Nothing are named classes (`model.THING`, `model.NOTHING`),
-so their atoms, `TOP` and `BOT`, are their IRI text like any other. A union
+so their atoms, `TOP` and `BOT`, are their IRIs like any other. A union
 at the top level of a subsumption's left-hand side is decomposed into one
 subsumption per disjunct. Everything else (universal restrictions,
 complements, remaining unions, and the property axioms) is outside the
@@ -15,7 +15,7 @@ Classification runs in two stages:
 
        A ⊑ B      A1 ⊓ A2 ⊑ B      A ⊑ ∃r.B      ∃r.A ⊑ B
 
-   where every letter is an atom: the IRI text of a named class, or a fresh
+   where every letter is an atom: the IRI of a named class, or a fresh
    auxiliary name `_aux1`, `_aux2`, ... handed out in axiom order, so the
    output is deterministic for a given input sequence. Within one call, a
    complex expression gets one name per side however many axioms hold it.
@@ -91,8 +91,8 @@ from .model import (
     TransitiveObjectProperty,
 )
 
-TOP = OWL_THING.iri.value
-BOT = OWL_NOTHING.iri.value
+TOP = OWL_THING.iri
+BOT = OWL_NOTHING.iri
 
 _PROPERTY_AXIOMS = (
     ObjectPropertyDomain,
@@ -160,9 +160,9 @@ class NormalizeResult:
 
 
 def _atom(ce: ClassExpression | str) -> str | None:
-    """The atom ce is, if any; an auxiliary name is its own atom."""
+    """The atom ce is, if any; an auxiliary name (never an IRI) is its own atom."""
     if isinstance(ce, Named):
-        return ce.entity.iri.value
+        return ce.entity.iri
     if isinstance(ce, str):
         return ce
     return None
@@ -204,7 +204,7 @@ class _Normalizer:
         res = self.result
         if isinstance(axiom, Declaration):
             if axiom.entity.kind is Kind.CLASS:
-                res.classes.add(axiom.entity.iri.value)
+                res.classes.add(axiom.entity.iri)
             return
         if isinstance(axiom, SubClassOf):
             self._sub(axiom.sub, self._scan(axiom.sub), axiom.sup, self._scan(axiom.sup), axiom)
@@ -217,7 +217,7 @@ class _Normalizer:
                 self._sub(op, bad[i], ops[j], bad[j], axiom)
             return
         if isinstance(axiom, DisjointClasses):
-            ops = [e.iri.value for e in axiom.operands]
+            ops = [e.iri for e in axiom.operands]
             res.classes.update(ops)
             for i in range(len(ops)):
                 for j in range(i + 1, len(ops)):
@@ -248,7 +248,7 @@ class _Normalizer:
     def _scan(self, ce: ClassExpression) -> str | None:
         """Add ce's classes to the signature; name its first construct outside the fragment."""
         if isinstance(ce, Named):
-            self.result.classes.add(ce.entity.iri.value)
+            self.result.classes.add(ce.entity.iri)
             return None
         if isinstance(ce, (Some, Only)):
             inner = (ce.filler,)
@@ -295,7 +295,7 @@ class _Normalizer:
             assert isinstance(sup, Some)
             filler = self._rhs_atom(sup.filler)
             self.result.normal.append(
-                AtomExists(self._lhs_atom(sub), sup.property.iri.value, filler)
+                AtomExists(self._lhs_atom(sub), sup.property.iri, filler)
             )
             return
         self._emit_lhs(sub, sup_atom)
@@ -307,7 +307,7 @@ class _Normalizer:
             return
         if isinstance(sub, Some):
             filler = self._lhs_atom(sub.filler)
-            self.result.normal.append(ExistsAtom(sub.property.iri.value, filler, sup_atom))
+            self.result.normal.append(ExistsAtom(sub.property.iri, filler, sup_atom))
             return
         assert isinstance(sub, And)
         flat: list[ClassExpression] = []
@@ -566,8 +566,8 @@ def inferred_superclass(
     taxonomy: Taxonomy, sub: Entity, sup: Entity, reflexive: bool = False
 ) -> bool:
     """Whether sub ⊑ sup is entailed; reflexive pairs count only when asked."""
-    a = _lookup(taxonomy, sub.iri.value)
-    b = _lookup(taxonomy, sup.iri.value)
+    a = _lookup(taxonomy, sub.iri)
+    b = _lookup(taxonomy, sup.iri)
     if a == b and not reflexive:
         return False
     return b in taxonomy.S[a]

@@ -14,9 +14,9 @@ the readers' `sexpr.unescape`.
 
 Every writer names an IRI by one rule: its CURIE under the longest covering
 prefix (`shorten`), else the full <IRI>, which both syntaxes allow, so no
-writer refuses an IRI. One `CurieTable` per command holds each IRI's printed
-name, so `compile`'s two renders, and the `classify` and `test` printers,
-apply the rule once per IRI however often it is mentioned.
+writer refuses an IRI. One `CurieTable` per command, keyed by the IRIs
+themselves, holds each one's printed name, so `compile`'s two renders, and
+the `classify` and `test` printers, apply the rule once per IRI.
 
 Equal ontologies (same axioms in the same order, same prefixes) always render
 to identical bytes, with a shared table or without; there is no hidden state.
@@ -60,9 +60,8 @@ def prefix_map(ontology: Ontology) -> dict[str, str]:
     return merged
 
 
-def shorten(iri: IRI | str, prefixes: dict[str, str]) -> str | None:
-    """The CURIE under the longest matching prefix base, or None."""
-    text = str(iri)
+def shorten(text: str, prefixes: dict[str, str]) -> str | None:
+    """The CURIE of IRI text under the longest matching prefix base, or None."""
     best: tuple[int, str] | None = None
     for label, base in prefixes.items():
         if text.startswith(base):
@@ -73,7 +72,7 @@ def shorten(iri: IRI | str, prefixes: dict[str, str]) -> str | None:
 
 
 class CurieTable(dict):
-    """IRI text -> the name every writer prints: its CURIE, else <IRI>.
+    """IRI -> the name every writer prints: its CURIE, else <IRI>.
 
     The first lookup of an IRI applies `shorten`; later lookups are dict hits.
     """
@@ -82,15 +81,9 @@ class CurieTable(dict):
         super().__init__()
         self.prefixes = prefixes
 
-    def __missing__(self, text: str) -> str:
-        name = self[text] = shorten(text, self.prefixes) or f"<{text}>"
+    def __missing__(self, iri: IRI) -> str:
+        name = self[iri] = shorten(iri, self.prefixes) or f"<{iri}>"
         return name
-
-
-def curie_or_iri(iri: IRI | str, curies: CurieTable | dict[str, str]) -> str:
-    """The name iri prints as, by a table or a one-off prefix map."""
-    curies = curies if isinstance(curies, CurieTable) else CurieTable(curies)
-    return curies[str(iri)]
 
 
 def _literal(value) -> str:
@@ -105,7 +98,7 @@ def _literal(value) -> str:
 
 def _omn_ce(ce: ClassExpression, curies: CurieTable) -> str:
     if isinstance(ce, Named):
-        return curies[ce.entity.iri.value]
+        return curies[ce.entity.iri]
     if isinstance(ce, And):
         return " and ".join(_omn_wrap(op, curies) for op in ce.operands)
     if isinstance(ce, Or):
@@ -113,9 +106,9 @@ def _omn_ce(ce: ClassExpression, curies: CurieTable) -> str:
     if isinstance(ce, Not):
         return "not " + _omn_wrap(ce.operand, curies)
     if isinstance(ce, Some):
-        return f"{curies[ce.property.iri.value]} some {_omn_wrap(ce.filler, curies)}"
+        return f"{curies[ce.property.iri]} some {_omn_wrap(ce.filler, curies)}"
     if isinstance(ce, Only):
-        return f"{curies[ce.property.iri.value]} only {_omn_wrap(ce.filler, curies)}"
+        return f"{curies[ce.property.iri]} only {_omn_wrap(ce.filler, curies)}"
     raise TypeError(f"not a class expression: {ce!r}")
 
 
@@ -134,40 +127,37 @@ _FRAMES: dict[Kind, tuple[str, ...]] = {
 }
 
 
-def _frame_items(ontology: Ontology) -> dict[str, dict[str, list]]:
-    """What each frame lists, in axiom order, as items[IRI text][section].
+def _frame_items(ontology: Ontology) -> dict[IRI, dict[str, list]]:
+    """What each frame lists, in axiom order, as items[IRI][section]."""
+    items: dict[IRI, dict[str, list]] = {}
 
-    Keys are IRI text, not `IRI`, so every lookup hashes a str in C.
-    """
-    items: dict[str, dict[str, list]] = {}
-
-    def file(iri: str, section: str, found) -> None:
+    def file(iri: IRI, section: str, found) -> None:
         items.setdefault(iri, {}).setdefault(section, []).extend(found)
 
     for axiom in ontology.axioms:
         if isinstance(axiom, AnnotationAssertion):
-            file(axiom.subject.value, "Annotations", (axiom,))
+            file(axiom.subject, "Annotations", (axiom,))
         elif isinstance(axiom, SubClassOf) and isinstance(axiom.sub, Named):
-            file(axiom.sub.entity.iri.value, "SubClassOf", (axiom.sup,))
+            file(axiom.sub.entity.iri, "SubClassOf", (axiom.sup,))
         elif isinstance(axiom, EquivalentClasses):
             ops = axiom.operands
             for i, op in enumerate(ops):
                 if isinstance(op, Named):
-                    file(op.entity.iri.value, "EquivalentTo", ops[:i] + ops[i + 1:])
+                    file(op.entity.iri, "EquivalentTo", ops[:i] + ops[i + 1:])
         elif isinstance(axiom, DisjointClasses):
             ops = axiom.operands
             for i, op in enumerate(ops):
-                file(op.iri.value, "DisjointWith", ops[:i] + ops[i + 1:])
+                file(op.iri, "DisjointWith", ops[:i] + ops[i + 1:])
         elif isinstance(axiom, SubObjectPropertyOf):
-            file(axiom.sub.iri.value, "SubPropertyOf", (axiom.sup,))
+            file(axiom.sub.iri, "SubPropertyOf", (axiom.sup,))
         elif isinstance(axiom, ObjectPropertyDomain):
-            file(axiom.property.iri.value, "Domain", (axiom.ce,))
+            file(axiom.property.iri, "Domain", (axiom.ce,))
         elif isinstance(axiom, ObjectPropertyRange):
-            file(axiom.property.iri.value, "Range", (axiom.ce,))
+            file(axiom.property.iri, "Range", (axiom.ce,))
         elif isinstance(axiom, FunctionalObjectProperty):
-            file(axiom.property.iri.value, "Characteristics", ("Functional",))
+            file(axiom.property.iri, "Characteristics", ("Functional",))
         elif isinstance(axiom, TransitiveObjectProperty):
-            file(axiom.property.iri.value, "Characteristics", ("Transitive",))
+            file(axiom.property.iri, "Characteristics", ("Transitive",))
     return items
 
 
@@ -175,7 +165,7 @@ def _entries(section: str, found: list, curies: CurieTable) -> list[str]:
     """One section's items as text, in the order the section's rule gives."""
     if section == "Annotations":
         entries = sorted(
-            (curies[a.property.iri.value], a.value.lang or "", a.value.text, _literal(a.value))
+            (curies[a.property.iri], a.value.lang or "", a.value.text, _literal(a.value))
             for a in found
         )
         return [f"{prop} {literal}" for prop, _lang, _text, literal in entries]
@@ -183,9 +173,9 @@ def _entries(section: str, found: list, curies: CurieTable) -> list[str]:
         return [trait for trait in ("Functional", "Transitive") if trait in found]
     if section == "DisjointWith":
         # each other member once, in first-seen order across axioms
-        found = {member.iri.value: member for member in found}.values()
+        found = {member.iri: member for member in found}.values()
     return [
-        curies[item.iri.value] if isinstance(item, Entity) else _omn_ce(item, curies)
+        curies[item.iri] if isinstance(item, Entity) else _omn_ce(item, curies)
         for item in found
     ]
 
@@ -204,8 +194,8 @@ def render_omn(ontology: Ontology, curies: CurieTable | None = None) -> str:
     blocks = [header]
 
     for entity in ontology.entities.values():
-        lines = [f"{entity.kind.value}: {curies[entity.iri.value]}"]
-        sections = items.get(entity.iri.value, {})
+        lines = [f"{entity.kind.value}: {curies[entity.iri]}"]
+        sections = items.get(entity.iri, {})
         for section in _FRAMES[entity.kind]:
             found = sections.get(section)
             if found:
@@ -224,9 +214,9 @@ def render_omn(ontology: Ontology, curies: CurieTable | None = None) -> str:
 def _fun_term(term, curies: CurieTable) -> str:
     """An axiom or class expression as functional-style text, by the grammar."""
     if isinstance(term, Named):
-        return curies[term.entity.iri.value]
+        return curies[term.entity.iri]
     if isinstance(term, Declaration):
-        return f"Declaration({term.entity.kind.value}({curies[term.entity.iri.value]}))"
+        return f"Declaration({term.entity.kind.value}({curies[term.entity.iri]}))"
     head, operands = GRAMMAR[type(term)]
     parts = []
     for name, kind in operands:
@@ -236,15 +226,15 @@ def _fun_term(term, curies: CurieTable) -> str:
         elif kind is CES:
             parts += [_fun_term(op, curies) for op in value]
         elif kind is CLASSES:
-            parts += [curies[e.iri.value] for e in value]
+            parts += [curies[e.iri] for e in value]
         elif kind is LITERAL:
             parts.append(_literal(value))
         elif kind is IRIREF:
             parts.append(f"<{value}>")
         elif kind is IRI_OR_CURIE:
-            parts.append(curies[value.value])
+            parts.append(curies[value])
         else:
-            parts.append(curies[value.iri.value])
+            parts.append(curies[value.iri])
     return f"{head}({' '.join(parts)})"
 
 

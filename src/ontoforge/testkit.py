@@ -115,12 +115,9 @@ def run_probe_block(ev: Evaluator, classifier: Classifier, bindings, body: Form)
     try:
         for binding in bindings:
             name, maker, text = _probe_binding(binding)
-            if is_valid_identifier(text.value):
-                iri = ontology.iri.value + text.value
-                if ontology.lookup(iri) is not None:
-                    raise TestSyntax(
-                        f"probe '{text.value}' collides with a declared entity", text.location
-                    )
+            if is_valid_identifier(text.value) and ontology.lookup(ontology.iri + text.value):
+                message = f"probe '{text.value}' collides with a declared entity"
+                raise TestSyntax(message, text.location)
             entity = ev.eval_owlclass(maker)
             assert entity.kind is Kind.CLASS
             ev.locals[name.name] = entity

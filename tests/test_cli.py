@@ -134,6 +134,19 @@ def test_compile_names_an_iri_no_prefix_covers_as_classify_does(tmp_path, capsys
         assert f"Prefix({label}:=" not in ofn
 
 
+def test_compile_refuses_a_language_tag_its_own_reader_refuses(tmp_path, capsys):
+    (tmp_path / "m.ont").write_text(
+        '(defontology m :iri "https://example.org/m#")\n'
+        '(defclass A :annotation (label "x" "a b"))\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(capsys, "compile", "--src", str(tmp_path), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"{tmp_path / 'm.ont'}:2:25: error: not a language tag: 'a b'\n"
+    assert not out.exists()
+
+
 def test_compile_output_stem_is_the_last_namespace_segment(tmp_path, capsys):
     nested = tmp_path / "shop" / "menus"
     nested.mkdir(parents=True)
@@ -190,6 +203,11 @@ def test_ns_must_be_a_namespace_name(menu_tree, tmp_path, capsys, ns):
     src.mkdir()
     code, stdout, stderr = run_cli(capsys, "check", "--src", str(src), "--ns", ns)
     assert (code, stdout, stderr) == (2, "", f"error: invalid namespace name '{ns}'\n")
+
+
+def test_an_empty_ns_is_not_a_namespace_name(menu_tree, capsys):
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(menu_tree), "--ns", "")
+    assert (code, stdout, stderr) == (2, "", "error: invalid namespace name ''\n")
 
 
 def test_empty_source_tree_is_an_error(tmp_path, capsys):
@@ -382,6 +400,31 @@ def test_labels_skeleton_skips_the_names_a_use_brings_in(tmp_path, capsys):
     assert text == "# label skeleton for namespace menu, lang it\nThin=\n"
 
 
+def test_labels_skeleton_folds_the_language_as_labels_hold_it(tmp_path, capsys):
+    (tmp_path / "menu.ont").write_text(
+        '(defontology menu :iri "https://example.org/menu#")\n'
+        '(defclass Pizza :annotation (label "Pizza" "en"))\n(defclass Margherita)\n',
+        encoding="utf-8",
+    )
+    code, stdout, _ = run_cli(capsys, "labels", "skeleton", "--src", str(tmp_path), "--lang", "EN")
+    path = tmp_path / "menulabel_en.properties"
+    assert (code, stdout) == (0, f"{path}\n")
+    assert path.read_text(encoding="utf-8") == (
+        "# label skeleton for namespace menu, lang en\nMargherita=\nPizza=Pizza\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "tag, message",
+    [("", "language tag must not be empty"), ("a b", "not a language tag: 'a b'")],
+)
+@pytest.mark.parametrize("command", ["skeleton", "apply"])
+def test_labels_commands_refuse_a_bad_language_tag(menu_tree, capsys, command, tag, message):
+    code, stdout, stderr = run_cli(capsys, "labels", command, "--src", str(menu_tree), "--lang", tag)
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+    assert sorted(p.name for p in menu_tree.iterdir()) == ["menu.ont"]
+
+
 def test_labels_apply_reports_counts_and_unknowns(menu_tree, capsys):
     labels = menu_tree / "menulabel_it.properties"
     labels.write_text("Pizza=La Pizza\nMargherita=\nGhost=Fantasma\n", encoding="utf-8")
@@ -515,6 +558,31 @@ def test_memorise_save_needs_an_interned_source(menu_tree, tmp_path, capsys):
     )
     assert code == 2
     assert "interns no external ontology" in stderr
+
+
+def test_memorise_save_names_every_source_when_a_namespace_interns_two(tmp_path, capsys):
+    for name, source in (("zoo.ofn", "zoo"), ("ext.ofn", "ext")):
+        (tmp_path / name).write_text(
+            f"Prefix(e:=<https://example.org/{source}#>)\n"
+            f"Ontology(<https://example.org/{source}>\n"
+            f"Declaration(Class(e:{source.title()}))\n)\n",
+            encoding="utf-8",
+        )
+    (tmp_path / "menu.ont").write_text(
+        '(defontology menu :iri "https://example.org/menu#")\n'
+        '(read-external "zoo.ofn")\n(read-external "ext.ofn")\n',
+        encoding="utf-8",
+    )
+    memo = tmp_path / "x.memo"
+    code, stdout, stderr = run_cli(
+        capsys, "memorise", "save", "--src", str(tmp_path), "--file", str(memo)
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (
+        "error: namespace menu interns 2 sources; "
+        "https://example.org/ext, https://example.org/zoo\n"
+    )
+    assert not memo.exists()
 
 
 # --- doc --------------------------------------------------------------------------

@@ -196,23 +196,15 @@ def test_a_class_text_is_one_named_in_a_parse():
 # --- what loading a forest hashes and builds ---------------------------------------
 
 
-def test_loading_and_labelling_a_forest_hashes_an_iri_once_per_annotation(monkeypatch):
-    # The entity tables are keyed by IRI text, so only the axiom set index
-    # hashes an IRI: the subject of each AnnotationAssertion.
-    calls = 0
-    iri_hash = IRI.__hash__
-
-    def counting_hash(self):
-        nonlocal calls
-        calls += 1
-        return iri_hash(self)
-
-    monkeypatch.setattr(IRI, "__hash__", counting_hash)
+def test_an_iri_hashes_as_its_text_in_c():
+    # An IRI is a str with no hash of its own, so every table keyed by IRIs
+    # hashes in C, and an IRI's text finds the IRI's entry.
+    assert IRI.__hash__ is str.__hash__
     ontology = parse_functional(forest_functional_text(300))
     labels = _labels_by_subject(ontology)
-    annotations = sum(isinstance(axiom, AnnotationAssertion) for axiom in ontology.axioms)
-    assert annotations == 300 and len(labels) == 300
-    assert calls <= annotations
+    assert len(ontology.entities) == len(labels) == 300
+    for iri, entity in ontology.entities.items():
+        assert iri is entity.iri and labels[str(iri)] is labels[iri]
 
 
 def test_loading_a_forest_admits_each_parsed_entity_once(monkeypatch):

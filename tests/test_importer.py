@@ -103,6 +103,23 @@ def test_parse_functional_literals():
     assert AnnotationValue("no language", None) in values
 
 
+@pytest.mark.parametrize("tag", ["en", "EN-gb", "x-1", "1a", "", "a b", "-en", "en_GB", "\u00e9"])
+def test_a_language_tag_is_valid_for_the_model_exactly_when_the_reader_reads_it(tag):
+    text = (
+        "Ontology(<https://example.org/e>\n"
+        f'AnnotationAssertion(rdfs:label <https://example.org/e#A> "a"@{tag})\n)\n'
+    )
+    try:
+        value = AnnotationValue("a", tag)
+    except ValueError:
+        value = None
+    try:
+        read = next(a.value for a in parse_functional(text).axioms)
+    except ParseError:
+        read = None
+    assert read == value and (value is None or value.lang == tag.lower())
+
+
 def test_parse_functional_rejects_conflicting_declarations():
     text = functional(
         "Declaration(Class(e:A))",

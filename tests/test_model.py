@@ -506,7 +506,6 @@ _Q = Entity(Kind.OBJECT_PROPERTY, IRI(NS + "q"))
 
 # One positional argument tuple per value class of `model`.
 _SAMPLE_ARGS = {
-    model.IRI: (NS + "A",),
     model.Entity: (Kind.CLASS, IRI(NS + "A")),
     model.AnnotationValue: ("text", "EN"),
     model.Named: (_A,),
@@ -565,3 +564,21 @@ def test_every_value_class_is_a_slotted_frozen_value(value_class):
         if field.default is not dataclasses.MISSING:
             required = args[: names.index(field.name)]
             assert getattr(value_class(*required), field.name) == field.default
+
+
+def test_an_iri_is_its_text_checked_and_frozen():
+    text = NS + "A"
+    iri = IRI(text)
+    assert isinstance(iri, str) and iri == text and hash(iri) == hash(text)
+    assert {text: 1}[iri] == 1 and {iri: 1}[text] == 1
+    assert type(iri.value) is str and iri.value == text
+    with pytest.raises(ValueError, match="not an absolute IRI: 'noscheme'"):
+        IRI("noscheme")
+    assert not hasattr(iri, "__dict__")
+    for name in ("value", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(iri, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(iri, name)
+    for twin in (copy.copy(iri), copy.deepcopy(iri), pickle.loads(pickle.dumps(iri))):
+        assert type(twin) is IRI and twin == iri

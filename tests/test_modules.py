@@ -23,3 +23,21 @@ def test_no_module_imports_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_no_module_reads_the_text_off_an_iri():
+    # An IRI is a str and is its own text, so `<x>.iri.value` and
+    # `<x>.subject.value` are hops through an alias kept for callers outside
+    # the package.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "value"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("iri", "subject")
+        ]
+    assert found == []

@@ -37,7 +37,6 @@ from ontoforge.model import (
 from ontoforge.serializer import (
     _FRAMES,
     CurieTable,
-    curie_or_iri,
     prefix_map,
     render_functional,
     render_omn,
@@ -97,10 +96,10 @@ def test_every_curie_shorten_writes_is_one_name_token():
     assert 250 < written < 4750  # both branches run often
 
 
-def test_curie_or_iri_falls_back_to_the_bracketed_iri():
-    prefixes = {"a": "https://x.org/"}
-    assert curie_or_iri(IRI("https://x.org/Top"), prefixes) == "a:Top"
-    assert curie_or_iri(IRI("https://x.org/has/slash"), prefixes) == "<https://x.org/has/slash>"
+def test_curie_table_falls_back_to_the_bracketed_iri():
+    table = CurieTable({"a": "https://x.org/"})
+    assert table[IRI("https://x.org/Top")] == "a:Top"
+    assert table[IRI("https://x.org/has/slash")] == "<https://x.org/has/slash>"
 
 
 def _mentioned_iris(onto: Ontology) -> list[str]:
@@ -139,8 +138,8 @@ def test_curie_table_gives_what_the_rule_gives():
     for prefixes, texts in _table_cases():
         table = CurieTable(prefixes)
         for text in texts:
-            assert table[text] == (shorten(IRI(text), prefixes) or f"<{text}>"), text
-            assert curie_or_iri(text, table) == curie_or_iri(IRI(text), prefixes), text
+            assert table[text] == (shorten(text, prefixes) or f"<{text}>"), text
+            assert table[IRI(text)] is table[text], text  # an IRI is its text's key
         assert set(table) == set(texts)
         assert table.prefixes is prefixes
 
@@ -351,10 +350,10 @@ def _disjoint_with_by_the_list_scan(onto: Ontology) -> dict[str, list[str]]:
                     if other != member and other not in bucket:
                         bucket.append(other)
 
-    def name(entity):
-        return curie_or_iri(entity.iri, onto.prefixes)
-
-    return {name(member): [name(e) for e in bucket] for member, bucket in buckets.items()}
+    curies = CurieTable(onto.prefixes)
+    return {
+        curies[member.iri]: [curies[e.iri] for e in bucket] for member, bucket in buckets.items()
+    }
 
 
 def _disjoint_with_sections(text: str) -> dict[str, list[str]]:
