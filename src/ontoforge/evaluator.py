@@ -6,13 +6,20 @@ before it is referenced; entity IRIs are the ontology IRI plus the identifier,
 verbatim. Definitions bind identifiers in the environment, so later forms,
 tests, and the CLI can resolve them by name.
 
+The language is one table of forms, `TOP_FORMS`, with class expressions in
+a second lookup over the same rows (`sexpr.Row`), `CLASS_EXPRESSIONS`. A row
+gives a head its handler, its operand kinds, the error a bad shape raises
+and its options. `eval_top` and `eval_ce` look the head up, check the
+operands against the row and call the handler, which checks only values.
+
 Every entity kind takes one definition path: `define` (for `defclass` and
 `defoproperty`), `owlclass` and the pattern forms create entities through
-`declare` and read options through `option_axioms`, whose keywords come from
-one table keyed by the entity's kind, `_OPTIONS`. References go through
-`resolve_ref`, which checks the kind. Every axiom a form states, other than a
-declaration, enters the ontology through `add_axioms`, which locates an error
-at the stating form.
+`declare`, which refuses an affixed name that is no identifier, and read
+their row's options through `options`, which takes the values of
+`TEXT_OPTIONS` as one text and those of `KEYWORD_OPTIONS` as keywords.
+References go through `resolve_ref`, which checks the kind. Every axiom a
+form states, other than a declaration, enters the ontology through
+`add_axioms`, which locates an error at the stating form.
 """
 
 from __future__ import annotations
@@ -59,7 +66,9 @@ from .sexpr import (
     Keyword,
     ListForm,
     ParseError,
+    Row,
     Text,
+    head_name,
     is_valid_identifier,
     is_valid_namespace,
     read_forms,
@@ -169,18 +178,25 @@ def resolve(env: Environment, name: str, where: Located | None = None) -> Entity
     raise UnboundIdentifier(f"unbound identifier '{name}'", location)
 
 
-_CLASS_OPTIONS = {"label", "comment", "annotation", "subclass", "equivalent", "disjoint"}
-_PROPERTY_OPTIONS = {
-    "label",
-    "comment",
-    "annotation",
-    "domain",
-    "range",
-    "subproperty",
-    "characteristic",
-}
-_OPTIONS = {Kind.CLASS: _CLASS_OPTIONS, Kind.OBJECT_PROPERTY: _PROPERTY_OPTIONS}
-_ONTOLOGY_OPTIONS = {"iri", "prefix"}
+# Read once: an Enum member read from its class is a lookup in Python on 3.11.
+_CLASS, _OBJECT_PROPERTY = Kind.CLASS, Kind.OBJECT_PROPERTY
+
+_CLASS_OPTIONS = frozenset({"label", "comment", "annotation", "subclass", "equivalent", "disjoint"})
+_PROPERTY_OPTIONS = frozenset(
+    {"label", "comment", "annotation", "domain", "range", "subproperty", "characteristic"}
+)
+
+# Options that take exactly one text, and options whose values are keywords, so
+# a keyword after one that names no option of the form is one of its values.
+TEXT_OPTIONS = frozenset({"label", "comment", "iri", "prefix"})
+KEYWORD_OPTIONS = frozenset({"characteristic", "naming"})
+
+# An :annotation value, (label "text" "lang") or (comment "text").
+_ANNOTATION = Row(None, "text text?", EvalError,
+                  'annotation values look like (label "text" "lang")')
+_ANNOTATION_PROPERTIES = {"label": RDFS_LABEL, "comment": RDFS_COMMENT}
+_DEFINES = {"defclass": _CLASS, "defoproperty": _OBJECT_PROPERTY}
+_CHARACTERISTICS = {"functional": FunctionalObjectProperty, "transitive": TransitiveObjectProperty}
 
 _PREFIX_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$")
 
@@ -238,14 +254,16 @@ class Evaluator:
         """The entity form names, which must be of the given kind."""
         if not isinstance(form, Identifier):
             raise EvalError("expected an identifier", form.location)
-        for scope in reversed(self._affixes):
-            entity = scope.aliases.get(form.name)
+        name = form.name
+        for scope in reversed(self._affixes) if self._affixes else ():
+            entity = scope.aliases.get(name)
             if entity is not None:
                 break
         else:
-            entity = self.locals.get(form.name) or resolve(self.env, form.name, form)
+            entity = (self.locals.get(name) or self.env.bindings.get(name)
+                      or resolve(self.env, name, form))
         if entity.kind is not kind:
-            what = "a class" if kind is Kind.CLASS else "an object property"
+            what = "a class" if kind is _CLASS else "an object property"
             raise EvalError(f"'{form.name}' is not {what}", form.location)
         return entity
 
@@ -253,12 +271,15 @@ class Evaluator:
         """Declare name as an entity of the given kind; errors are located at where.
 
         With bind, the name takes the enclosing affixes and is bound in the
-        environment; without, it is declared verbatim and left unbound. A
-        name already bound to another entity is refused, never rebound.
+        environment; without, it is declared verbatim and left unbound. The
+        affixed name must itself be an identifier. A name already bound to
+        another entity is refused, never rebound.
         """
         if not is_valid_identifier(name):
             raise EvalError(f"invalid identifier '{name}'", where.location)
-        full = self._affixed(name) if bind else name
+        full = self._affixed(name) if bind and self._affixes else name
+        if full != name and not is_valid_identifier(full):
+            raise EvalError(f"affixed name '{full}' is not an identifier", where.location)
         if full != name and full in self.env.bindings:
             raise DuplicateBinding(f"affixed name '{full}' is already bound", where.location)
         try:
@@ -277,7 +298,7 @@ class Evaluator:
                 self._affixes[-1].aliases[name] = entity
         return entity
 
-    # --- top-level dispatch ---
+    # --- dispatch: one lookup in a table of forms, the row's check, its handler ---
 
     def run(self, forms) -> Environment:
         for form in forms:
@@ -292,98 +313,72 @@ class Evaluator:
     def eval_top(self, form: Form):
         if not isinstance(form, ListForm):
             raise EvalError("top-level form must be a list", form.location)
-        if not form.children or not isinstance(form.children[0], Identifier):
+        head = form.children[0] if form.children else None
+        if not isinstance(head, Identifier):
             raise EvalError("form needs an identifier head", form.location)
-        head = form.children[0]
         name = head.name
         if self.env.ontology is None and name != "defontology":
             raise EvalError("the first form must be (defontology ...)", head.location)
-        if name == "defontology":
-            return self._defontology(form)
-        if name == "defclass":
-            return self.define(form, Kind.CLASS)
-        if name == "defoproperty":
-            return self.define(form, Kind.OBJECT_PROPERTY)
-        if name == "use":
-            return self._use(form)
-        if name == "read-external":
-            return self._read_external(form)
-        if name == "deftest":
-            return self._deftest(form)
-        if name == "deftemplate":
-            return patterns.define_template(self, form)
-        if name == "as-disjoint-subclasses":
-            return patterns.disjoint_subclasses(self, form)
-        if name == "with-suffix":
-            return patterns.affix_block(self, form, "suffix")
-        if name == "with-prefix":
-            return patterns.affix_block(self, form, "prefix")
-        if name == "value-partition":
-            return patterns.value_partition(self, form)
-        template = self.env.templates.get(name)
-        if template is not None:
-            return patterns.apply_template(self, template, form)
-        raise UnboundIdentifier(f"unbound identifier '{name}'", head.location)
+        if name == "defontology" and self.env.ontology is not None:
+            raise DuplicateOntology("namespace already defines an ontology", form.location)
+        row = TOP_FORMS.get(name) or self.env.templates.get(name)
+        if row is None:
+            raise UnboundIdentifier(f"unbound identifier '{name}'", head.location)
+        return row.handler(self, row, form, row.check(form, form.children[1:]))
+
+    def eval_ce(self, form: Form) -> ClassExpression:
+        if isinstance(form, Identifier):
+            return Named(self.resolve_ref(form, _CLASS))
+        head = form.children[0] if isinstance(form, ListForm) and form.children else None
+        if not isinstance(head, Identifier):
+            raise EvalError("expected a class expression", form.location)
+        row = CLASS_EXPRESSIONS.get(head.name)
+        if row is None:
+            raise UnboundIdentifier(f"unbound identifier '{head.name}'", head.location)
+        return row.handler(self, row, form, row.check(form, form.children[1:]))
 
     # --- options ---
 
-    # Options whose values are themselves keywords (:characteristic :functional).
-    _KEYWORD_VALUED = {"characteristic", "naming"}
-
-    def _option_groups(
-        self, forms, known: set[str]
-    ) -> list[tuple[Keyword, list[Form]]]:
+    def options(self, forms, known: frozenset):
+        """Each option in forms, one of known, as (keyword, values). Every keyword
+        is read first; each option's values are checked as it is given out, so
+        an option's values are evaluated before a later option's are checked."""
         groups: list[tuple[Keyword, list[Form]]] = []
         for form in forms:
             if isinstance(form, Keyword) and form.name in known:
                 groups.append((form, []))
             elif isinstance(form, Keyword) and not (
-                groups and groups[-1][0].name in self._KEYWORD_VALUED
+                groups and groups[-1][0].name in KEYWORD_OPTIONS
             ):
                 raise UnknownOption(f"unknown option ':{form.name}'", form.location)
             elif not groups:
                 raise EvalError("expected an option keyword", form.location)
             else:
                 groups[-1][1].append(form)
-        return groups
-
-    def _require_values(self, kw: Keyword, values: list[Form]) -> None:
-        if not values:
-            raise EvalError(f"option ':{kw.name}' needs at least one value", kw.location)
+        for kw, values in groups:
+            if not values:
+                raise EvalError(f"option ':{kw.name}' needs at least one value", kw.location)
+            if kw.name in TEXT_OPTIONS and (len(values) != 1 or not isinstance(values[0], Text)):
+                raise EvalError(f"option ':{kw.name}' needs exactly one text value", kw.location)
+            yield kw, values
 
     def _annotation_axiom(self, subject: IRI, value_form: Form) -> AnnotationAssertion:
-        if not (
-            isinstance(value_form, ListForm)
-            and len(value_form.children) in (2, 3)
-            and isinstance(value_form.children[0], Identifier)
-            and value_form.children[0].name in ("label", "comment")
-            and all(isinstance(c, Text) for c in value_form.children[1:])
-        ):
-            raise EvalError(
-                'annotation values look like (label "text" "lang")', value_form.location
-            )
-        prop = RDFS_LABEL if value_form.children[0].name == "label" else RDFS_COMMENT
-        text = value_form.children[1].value
-        lang = value_form.children[2].value if len(value_form.children) == 3 else None
+        prop = _ANNOTATION_PROPERTIES.get(head_name(value_form))
+        args = _ANNOTATION.check(value_form, value_form.children[1:] if prop else ())
+        lang = args[1].value if len(args) == 2 else None
         try:
-            return AnnotationAssertion(subject, prop, AnnotationValue(text, lang))
+            return AnnotationAssertion(subject, prop, AnnotationValue(args[0].value, lang))
         except ValueError as err:
             raise EvalError(str(err), value_form.location)
 
-    def _single_text(self, kw: Keyword, values: list[Form]) -> str:
-        if len(values) != 1 or not isinstance(values[0], Text):
-            raise EvalError(f"option ':{kw.name}' needs exactly one text value", kw.location)
-        return values[0].value
-
-    def option_axioms(self, entity: Entity, forms) -> list[Axiom]:
-        """The axioms a form's options state about entity, from its kind's options."""
+    def option_axioms(self, entity: Entity, forms, known: frozenset) -> list[Axiom]:
+        """The axioms a form's options, among known, state about entity."""
         axioms: list[Axiom] = []
-        for kw, values in self._option_groups(forms, _OPTIONS[entity.kind]):
-            self._require_values(kw, values)
-            if kw.name in ("label", "comment"):
-                prop = RDFS_LABEL if kw.name == "label" else RDFS_COMMENT
-                text = self._single_text(kw, values)
-                axioms.append(AnnotationAssertion(entity.iri, prop, AnnotationValue(text, "en")))
+        for kw, values in self.options(forms, known):
+            prop = _ANNOTATION_PROPERTIES.get(kw.name)
+            if prop is not None:
+                value = AnnotationValue(values[0].value, "en")
+                axioms.append(AnnotationAssertion(entity.iri, prop, value))
             elif kw.name == "annotation":
                 axioms.extend(self._annotation_axiom(entity.iri, v) for v in values)
             elif kw.name == "subclass":
@@ -392,7 +387,7 @@ class Evaluator:
                 operands = (Named(entity), *(self.eval_ce(v) for v in values))
                 axioms.append(EquivalentClasses(operands))
             elif kw.name == "disjoint":
-                others = tuple(self.resolve_ref(v, Kind.CLASS) for v in values)
+                others = tuple(self.resolve_ref(v, _CLASS) for v in values)
                 try:
                     axioms.append(DisjointClasses((entity, *others)))
                 except ValueError as err:
@@ -403,83 +398,34 @@ class Evaluator:
                 axioms.extend(ObjectPropertyRange(entity, self.eval_ce(v)) for v in values)
             elif kw.name == "subproperty":
                 axioms.extend(
-                    SubObjectPropertyOf(entity, self.resolve_ref(v, Kind.OBJECT_PROPERTY))
+                    SubObjectPropertyOf(entity, self.resolve_ref(v, _OBJECT_PROPERTY))
                     for v in values
                 )
             else:
                 assert kw.name == "characteristic"
                 for v in values:
-                    if isinstance(v, Keyword) and v.name == "functional":
-                        axioms.append(FunctionalObjectProperty(entity))
-                    elif isinstance(v, Keyword) and v.name == "transitive":
-                        axioms.append(TransitiveObjectProperty(entity))
-                    else:
-                        raise EvalError(
-                            "characteristics are :functional or :transitive", v.location
-                        )
+                    make = _CHARACTERISTICS.get(v.name) if isinstance(v, Keyword) else None
+                    if make is None:
+                        message = "characteristics are :functional or :transitive"
+                        raise EvalError(message, v.location)
+                    axioms.append(make(entity))
         return axioms
 
-    # --- class expressions ---
+    # --- handlers ---
 
-    def eval_ce(self, form: Form) -> ClassExpression:
-        if isinstance(form, Identifier):
-            return Named(self.resolve_ref(form, Kind.CLASS))
-        if not isinstance(form, ListForm) or not form.children:
-            raise EvalError("expected a class expression", form.location)
-        head = form.children[0]
-        if not isinstance(head, Identifier):
-            raise EvalError("expected a class expression", form.location)
-        args = form.children[1:]
-        name = head.name
-        if name in ("owland", "owlor"):
-            if not args:
-                raise EvalError(f"{name} needs at least one operand", form.location)
-            operands = [self.eval_ce(a) for a in args]
-            if len(operands) == 1:
-                return operands[0]
-            return And(tuple(operands)) if name == "owland" else Or(tuple(operands))
-        if name == "owlnot":
-            if len(args) != 1:
-                raise EvalError("owlnot takes exactly one operand", form.location)
-            return Not(self.eval_ce(args[0]))
-        if name in ("owlsome", "owlonly"):
-            if len(args) != 2:
-                raise EvalError(f"{name} takes a property and a filler", form.location)
-            prop = self.resolve_ref(args[0], Kind.OBJECT_PROPERTY)
-            filler = self.eval_ce(args[1])
-            return Some(prop, filler) if name == "owlsome" else Only(prop, filler)
-        if name == "owlclass":
-            return Named(self.eval_owlclass(form))
-        raise UnboundIdentifier(f"unbound identifier '{name}'", head.location)
-
-    def eval_owlclass(self, form: ListForm) -> Entity:
+    def eval_owlclass(self, row: Row, form: ListForm, args) -> Entity:
         """(owlclass "Name" options...): declare a class without binding it."""
-        args = form.children[1:]
-        if not args or not isinstance(args[0], Text):
-            raise EvalError("owlclass needs a text name", form.location)
-        entity = self.declare(args[0].value, args[0], Kind.CLASS, bind=False)
-        self.add_axioms(self.option_axioms(entity, args[1:]), form)
+        entity = self.declare(args[0].value, args[0], _CLASS, bind=False)
+        self.add_axioms(self.option_axioms(entity, args[1:], row.options), form)
         return entity
 
-    # --- definition forms ---
-
-    def _defontology(self, form: ListForm) -> Ontology:
-        if self.env.ontology is not None:
-            raise DuplicateOntology("namespace already defines an ontology", form.location)
-        children = form.children
-        if len(children) < 2 or not isinstance(children[1], Identifier):
-            raise EvalError("defontology needs a name", form.location)
-        name = children[1].name
+    def define_ontology(self, row: Row, form: ListForm, args) -> Ontology:
+        name = args[0].name
         if not is_valid_identifier(name):
-            raise EvalError(f"invalid identifier '{name}'", children[1].location)
-        iri_text: str | None = None
-        prefix: str | None = None
-        for kw, values in self._option_groups(children[2:], _ONTOLOGY_OPTIONS):
-            self._require_values(kw, values)
-            if kw.name == "iri":
-                iri_text = self._single_text(kw, values)
-            else:
-                prefix = self._single_text(kw, values)
+            raise EvalError(f"invalid identifier '{name}'", args[0].location)
+        given = self.options(args[1:], row.options)
+        texts = {kw.name: values[0].value for kw, values in given}
+        iri_text, prefix = texts.get("iri"), texts.get("prefix")
         if iri_text is None:
             raise EvalError("defontology needs :iri", form.location)
         try:
@@ -496,20 +442,15 @@ class Evaluator:
             self.env.namespace = name
         return ontology
 
-    def define(self, form: ListForm, kind: Kind) -> Entity:
+    def define(self, row: Row, form: ListForm, args) -> Entity:
         """(defclass Name options...) or (defoproperty Name options...)"""
-        children = form.children
-        if len(children) < 2 or not isinstance(children[1], Identifier):
-            raise EvalError(f"{children[0].name} needs a name", form.location)
-        entity = self.declare(children[1].name, children[1], kind)
-        self.add_axioms(self.option_axioms(entity, children[2:]), form)
+        entity = self.declare(args[0].name, args[0], _DEFINES[form.children[0].name])
+        if len(args) > 1:
+            self.add_axioms(self.option_axioms(entity, args[1:], row.options), form)
         return entity
 
-    def _use(self, form: ListForm) -> "Environment":
-        children = form.children
-        if len(children) != 2 or not isinstance(children[1], Identifier):
-            raise EvalError("use needs a namespace name", form.location)
-        ns = children[1].name
+    def use(self, row: Row, form: ListForm, args) -> "Environment":
+        ns = args[0].name
         if self.loader is None:
             raise EvalError("no source loader available for (use ...)", form.location)
         try:
@@ -519,52 +460,106 @@ class Evaluator:
                     self.env.bindings[f"{ns}/{name}"] = entity
                     self.env.ontology.admit(entity, Arrival.IMPORT)
         except OntoforgeError as err:
-            raise self._located(err, children[1].location)
+            raise self._located(err, args[0].location)
         self.env.uses.append(dep)
         self.add_axioms([Import(dep.ontology.iri)], form)
         for label, base in dep.ontology.prefixes.items():
             self.env.ontology.add_prefix(base, label)
         return dep
 
-    def _read_external(self, form: ListForm) -> int:
-        children = form.children
-        if len(children) < 2 or not isinstance(children[1], Text):
-            raise EvalError("read-external needs a file path", form.location)
+    def read_external(self, row: Row, form: ListForm, args) -> int:
         naming = "fragment"
         prefix: str | None = None
-        for kw, values in self._option_groups(children[2:], {"naming", "prefix"}):
-            self._require_values(kw, values)
-            if kw.name == "naming":
-                value = values[0]
-                if len(values) != 1 or not isinstance(value, Keyword) or value.name not in (
-                    "fragment",
-                    "label",
-                ):
-                    raise EvalError(":naming is :fragment or :label", kw.location)
-                naming = value.name
+        for kw, values in self.options(args[1:], row.options):
+            if kw.name == "prefix":
+                prefix = values[0].value
+            elif len(values) != 1 or not isinstance(values[0], Keyword) or (
+                values[0].name not in ("fragment", "label")
+            ):
+                raise EvalError(":naming is :fragment or :label", kw.location)
             else:
-                prefix = self._single_text(kw, values)
-        path = Path(children[1].value)
+                naming = values[0].name
+        path = Path(args[0].value)
         if not path.is_absolute():
             path = (self.env.source_dir or Path.cwd()) / path
         external = parse_functional(_read_source(path), str(path))
         try:
             return intern_external(self.env, external, naming=naming, prefix=prefix)
         except OntoforgeError as err:
-            raise self._located(err, children[1].location)
+            raise self._located(err, args[0].location)
 
-    def _deftest(self, form: ListForm) -> TestDef:
-        children = form.children
-        if len(children) < 2 or not isinstance(children[1], Identifier):
-            raise EvalError("deftest needs a name", form.location)
-        name = children[1].name
+    def deftest(self, row: Row, form: ListForm, args) -> TestDef:
+        name = args[0].name
         if not is_valid_identifier(name):
-            raise EvalError(f"invalid identifier '{name}'", children[1].location)
+            raise EvalError(f"invalid identifier '{name}'", args[0].location)
         if any(t.name == name for t in self.env.tests):
-            raise EvalError(f"duplicate test name '{name}'", children[1].location)
-        test = TestDef(name, tuple(children[2:]), form.offset, form.source)
+            raise EvalError(f"duplicate test name '{name}'", args[0].location)
+        test = TestDef(name, args[1:], form.offset, form.source)
         self.env.tests.append(test)
         return test
+
+
+def _nary(cls, operands: list[ClassExpression]) -> ClassExpression:
+    return operands[0] if len(operands) == 1 else cls(tuple(operands))
+
+
+def _restriction(cls):
+    """The handler of cls's form: the property is resolved before the filler."""
+    return lambda ev, row, form, args: cls(
+        ev.resolve_ref(args[0], _OBJECT_PROPERTY), ev.eval_ce(args[1]))
+
+
+# The table of forms: each head's row gives its handler, called with the
+# evaluator, the row, the form and its checked operands; the operand kinds; the
+# error and message of a bad shape; and the options the form admits, which its
+# handler reads from the row. A handler from `patterns` is looked up when it is
+# called, so a wrapper set on its name later sees every call.
+TOP_FORMS = {
+    "defontology": Row(Evaluator.define_ontology, "identifier option*", EvalError,
+                       "defontology needs a name", options=frozenset({"iri", "prefix"})),
+    "defclass": Row(Evaluator.define, "identifier option*", EvalError, "defclass needs a name",
+                    options=_CLASS_OPTIONS),
+    "defoproperty": Row(Evaluator.define, "identifier option*", EvalError,
+                        "defoproperty needs a name", options=_PROPERTY_OPTIONS),
+    "use": Row(Evaluator.use, "identifier", EvalError, "use needs a namespace name"),
+    "read-external": Row(Evaluator.read_external, "text option*", EvalError,
+                         "read-external needs a file path",
+                         options=frozenset({"naming", "prefix"})),
+    "deftest": Row(Evaluator.deftest, "identifier (is)*", EvalError, "deftest needs a name"),
+    "deftemplate": Row(lambda ev, row, form, args: patterns.define_template(ev, form, args),
+                       "identifier bracket form*", patterns.TemplateError,
+                       "deftemplate needs a name and a parameter bracket"),
+    "as-disjoint-subclasses": Row(
+        lambda ev, row, form, args: patterns.disjoint_subclasses(ev, form, args),
+        "class :cover? (defclass)*", patterns.PatternArity,
+        "as-disjoint-subclasses needs a parent class"),
+    "with-suffix": Row(lambda ev, row, form, args: patterns.affix_block(ev, form, args, "suffix"),
+                       "identifier form*", patterns.PatternArity,
+                       "with-suffix needs an affix identifier"),
+    "with-prefix": Row(lambda ev, row, form, args: patterns.affix_block(ev, form, args, "prefix"),
+                       "identifier form*", patterns.PatternArity,
+                       "with-prefix needs an affix identifier"),
+    "value-partition": Row(lambda ev, row, form, args: patterns.value_partition(ev, form, args),
+                           "identifier bracket", patterns.PatternArity,
+                           "value-partition needs a name and a bracket of values"),
+}
+
+# The heads of class expressions, a second lookup over rows of the same kind.
+CLASS_EXPRESSIONS = {
+    "owland": Row(lambda ev, row, form, args: _nary(And, [ev.eval_ce(a) for a in args]),
+                  "class-expression+", EvalError, "owland needs at least one operand"),
+    "owlor": Row(lambda ev, row, form, args: _nary(Or, [ev.eval_ce(a) for a in args]),
+                 "class-expression+", EvalError, "owlor needs at least one operand"),
+    "owlnot": Row(lambda ev, row, form, args: Not(ev.eval_ce(args[0])),
+                  "class-expression", EvalError, "owlnot takes exactly one operand"),
+    "owlsome": Row(_restriction(Some), "property class-expression", EvalError,
+                   "owlsome takes a property and a filler"),
+    "owlonly": Row(_restriction(Only), "property class-expression", EvalError,
+                   "owlonly takes a property and a filler"),
+    "owlclass": Row(lambda ev, row, form, args: Named(ev.eval_owlclass(row, form, args)),
+                    "text option*", EvalError, "owlclass needs a text name",
+                    options=_CLASS_OPTIONS),
+}
 
 
 def eval_forms(env: Environment, forms, loader: "Loader | None" = None) -> Environment:

@@ -582,7 +582,7 @@ class Ontology:
         return size - before
 
     def add_axioms(self, axioms) -> int:
-        return sum(1 for a in axioms if self.add_axiom(a))
+        return sum(map(self.add_axiom, axioms))
 
     def mark(self) -> tuple[int, int, int]:
         """The current lengths of axioms, entities and imported, for `rollback`."""

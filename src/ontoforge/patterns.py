@@ -2,17 +2,22 @@
 
 Four families live here: disjoint-subclass blocks (optionally covering),
 name affix blocks, value partitions, and user-defined templates. Each
-function receives the active Evaluator and drives it; nothing here touches
-an ontology except through evaluator primitives, so pattern output is
-indistinguishable from hand-written definitions.
+function is the handler of a row of `evaluator.TOP_FORMS`: it receives the
+active Evaluator, the form and the operands the row checked, and drives the
+evaluator; nothing here touches an ontology except through evaluator
+primitives, so pattern output is indistinguishable from hand-written
+definitions. What a form holds past its fixed operands is checked by rows
+of its own, where the handler reaches it: `SUBCLASSES` (the members after
+the `:cover` flag), `VALUES` (a partition's bracket), `EACH` (an `each` in
+a template body), and each template, which is the row its uses are
+dispatched by.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import Located, OntoforgeError, Source
+from .errors import OntoforgeError
 from .model import (
     Axiom,
     ClassExpression,
@@ -26,12 +31,15 @@ from .model import (
     Or,
     SubClassOf,
 )
-from .sexpr import MAX_NESTING, BracketForm, Form, Identifier, Keyword, ListForm
+from .sexpr import MAX_NESTING, BracketForm, Form, Identifier, Keyword, ListForm, Row, head_name
 
 # The most template bodies one evaluation may instantiate. Uses that each
 # apply another template twice double the count per level, which no depth or
 # nesting cap bounds.
 MAX_INSTANTIATIONS = 10_000
+
+# Read once: an Enum member read from its class costs a lookup in Python on 3.11.
+_CLASS = Kind.CLASS
 
 if TYPE_CHECKING:
     from .evaluator import Evaluator
@@ -70,34 +78,30 @@ def _subclass_block(parent: Entity, members: list[Entity], cover: bool) -> list[
     return axioms
 
 
-def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
+# The members of an `as-disjoint-subclasses` block, after its optional `:cover`
+# flag; the block's own row leaves their count and kind to this one.
+SUBCLASSES = Row(None, "(defclass)+", PatternArity,
+                 "as-disjoint-subclasses needs at least one subclass",
+                 each="as-disjoint-subclasses children must be defclass forms")
+# The values bracket of a `value-partition`.
+VALUES = Row(None, "identifier*", PatternArity, "value-partition needs at least two values",
+             each="partition values must be identifiers", fewest=2)
+
+
+def disjoint_subclasses(ev: "Evaluator", form: ListForm, args) -> list[Entity]:
     """(as-disjoint-subclasses Parent [:cover] (defclass ...)+)"""
-    children = form.children[1:]
-    if not children:
-        raise PatternArity("as-disjoint-subclasses needs a parent class", form.location)
-    parent = ev.resolve_ref(children[0], Kind.CLASS)
-    rest = children[1:]
+    parent = ev.resolve_ref(args[0], _CLASS)
+    rest = args[1:]
     cover = False
     if rest and isinstance(rest[0], Keyword):
         if rest[0].name != "cover":
             raise PatternArity(f"unknown flag ':{rest[0].name}'", rest[0].location)
         cover = True
         rest = rest[1:]
-    if not rest:
-        raise PatternArity("as-disjoint-subclasses needs at least one subclass", form.location)
     members: list[Entity] = []
     seen: set[Entity] = set()
-    for child in rest:
-        if not (
-            isinstance(child, ListForm)
-            and child.children
-            and isinstance(child.children[0], Identifier)
-            and child.children[0].name == "defclass"
-        ):
-            raise PatternArity(
-                "as-disjoint-subclasses children must be defclass forms", child.location
-            )
-        member = ev.eval_top(child)
+    for child in SUBCLASSES.check(form, rest):
+        member = ev.eval_top(SUBCLASSES.each(child))
         if member in seen:
             raise PatternError(
                 f"'{child.children[1].name}' is listed twice; disjoint subclasses must be distinct",
@@ -109,49 +113,36 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm) -> list[Entity]:
     return members
 
 
-def affix_block(ev: "Evaluator", form: ListForm, where: str) -> None:
+def affix_block(ev: "Evaluator", form: ListForm, args, where: str) -> None:
     """(with-suffix Affix forms...) / (with-prefix Affix forms...)"""
-    children = form.children[1:]
-    if not children or not isinstance(children[0], Identifier):
-        raise PatternArity(f"with-{where} needs an affix identifier", form.location)
-    ev.push_affix(where, children[0].name)
+    ev.push_affix(where, args[0].name)
     try:
-        for child in children[1:]:
+        for child in args[1:]:
             ev.eval_top(child)
     finally:
         ev.pop_affix()
 
 
-def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
+def value_partition(ev: "Evaluator", form: ListForm, args) -> Entity:
     """(value-partition Name [V1 V2 ...])
 
     Declares the partition class, one class per value (a covering disjoint
     subclass block), and a functional has<Name> property ranging over the
     partition.
     """
-    children = form.children[1:]
-    if (
-        len(children) != 2
-        or not isinstance(children[0], Identifier)
-        or not isinstance(children[1], BracketForm)
-    ):
-        raise PatternArity("value-partition needs a name and a bracket of values", form.location)
-    value_forms = children[1].children
-    if len(value_forms) < 2:
-        raise PatternArity("value-partition needs at least two values", children[1].location)
+    name_form, bracket = args
+    value_forms = VALUES.check(bracket, bracket.children)
     seen: set[str] = set()
     for v in value_forms:
-        if not isinstance(v, Identifier):
-            raise PatternArity("partition values must be identifiers", v.location)
-        if v.name in seen:
+        if VALUES.each(v).name in seen:
             raise PatternError(
                 f"'{v.name}' is listed twice; partition values must be distinct", v.location
             )
         seen.add(v.name)
-    name = children[0].name
-    parent = ev.declare(name, children[0], Kind.CLASS)
-    values = [ev.declare(v.name, v, Kind.CLASS) for v in value_forms]
-    prop = ev.declare("has" + name, children[0], Kind.OBJECT_PROPERTY)
+    name = name_form.name
+    parent = ev.declare(name, name_form, _CLASS)
+    values = [ev.declare(v.name, v, _CLASS) for v in value_forms]
+    prop = ev.declare("has" + name, name_form, Kind.OBJECT_PROPERTY)
     axioms = _subclass_block(parent, values, cover=True)
     axioms += [FunctionalObjectProperty(prop), ObjectPropertyRange(prop, Named(parent))]
     ev.add_axioms(axioms, form)
@@ -161,14 +152,20 @@ def value_partition(ev: "Evaluator", form: ListForm) -> Entity:
 # --- templates ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TemplateDef(Located):
-    name: str
-    params: tuple[str, ...]
-    rest: str | None
-    body: tuple[Form, ...]
-    offset: int
-    source: Source
+class TemplateDef(Row):
+    """A template, and the row its uses are dispatched and checked by."""
+
+    __slots__ = ("name", "params", "rest", "body")
+
+    def __init__(self, name: str, params: tuple[str, ...], rest: str | None, body: tuple):
+        super().__init__(_use_template, "bracket+", TemplateArity,
+                         f"template '{name}' needs argument groups",
+                         each="template arguments must be bracket groups")
+        self.name, self.params, self.rest, self.body = name, params, rest, body
+
+
+def _use_template(ev: "Evaluator", template: TemplateDef, form: ListForm, args) -> int:
+    return apply_template(ev, template, form)
 
 
 def _marker(form: Form) -> str | None:
@@ -177,27 +174,19 @@ def _marker(form: Form) -> str | None:
     return None
 
 
-def _is_each(form: Form) -> bool:
-    return (
-        isinstance(form, ListForm)
-        and len(form.children) > 0
-        and isinstance(form.children[0], Identifier)
-        and form.children[0].name == "each"
-    )
+# An `(each ?rest ?var form)` in a template body.
+EACH = Row(None, "form form form", TemplateError, "each needs (each ?rest ?var form)")
 
 
 def _each_parts(form: ListForm, rest: str | None) -> tuple[str, Form]:
-    if len(form.children) != 4:
-        raise TemplateError("each needs (each ?rest ?var form)", form.location)
-    list_var = _marker(form.children[1])
-    loop_var = _marker(form.children[2])
+    list_form, loop_form, inner = EACH.check(form, form.children[1:])
+    list_var, loop_var = _marker(list_form), _marker(loop_form)
     if list_var is None or loop_var is None:
         raise TemplateError("each needs ?-markers for its variables", form.location)
     if rest is None or list_var != rest:
-        raise TemplateError(
-            f"each iterates the rest parameter, not '?{list_var}'", form.children[1].location
-        )
-    return loop_var, form.children[3]
+        raise TemplateError(f"each iterates the rest parameter, not '?{list_var}'",
+                            list_form.location)
+    return loop_var, inner
 
 
 def _validate_body(form: Form, allowed: set[str], rest: str | None) -> None:
@@ -206,52 +195,42 @@ def _validate_body(form: Form, allowed: set[str], rest: str | None) -> None:
         raise TemplateError(f"unknown template variable '?{marker}'", form.location)
     if isinstance(form, (ListForm, BracketForm)):
         for child in form.children:
-            if _is_each(child):
+            if head_name(child) == "each":
                 loop_var, inner = _each_parts(child, rest)
                 _validate_body(inner, allowed | {loop_var}, rest)
             else:
                 _validate_body(child, allowed, rest)
 
 
-def define_template(ev: "Evaluator", form: ListForm) -> TemplateDef:
+def define_template(ev: "Evaluator", form: ListForm, args) -> TemplateDef:
     """(deftemplate name [?p1 ... & ?rest] body-forms...)"""
-    children = form.children[1:]
-    if (
-        len(children) < 2
-        or not isinstance(children[0], Identifier)
-        or not isinstance(children[1], BracketForm)
-    ):
-        raise TemplateError("deftemplate needs a name and a parameter bracket", form.location)
-    name = children[0].name
+    name = args[0].name
     if name in ev.env.templates:
-        raise TemplateError(f"duplicate template name '{name}'", children[0].location)
+        raise TemplateError(f"duplicate template name '{name}'", args[0].location)
+    forms = args[1].children
+    amp = next((i for i, p in enumerate(forms) if isinstance(p, Identifier) and p.name == "&"),
+               len(forms))
     params: list[str] = []
-    rest: str | None = None
-    param_forms = list(children[1].children)
-    i = 0
-    while i < len(param_forms):
-        p = param_forms[i]
-        if isinstance(p, Identifier) and p.name == "&":
-            if rest is not None or i + 1 != len(param_forms) - 1:
-                raise TemplateError("'&' must introduce exactly one rest parameter", p.location)
-            marker = _marker(param_forms[i + 1])
-            if marker is None:
-                raise TemplateError("rest parameter needs a ?-marker", param_forms[i + 1].location)
-            rest = marker
-            i += 2
-            continue
+    for p in forms[:amp]:
         marker = _marker(p)
         if marker is None:
             raise TemplateError("parameters need ?-markers", p.location)
-        if marker in params or marker == rest:
+        if marker in params:
             raise TemplateError(f"duplicate parameter '?{marker}'", p.location)
         params.append(marker)
-        i += 1
-    body = children[2:]
+    rest: str | None = None
+    if amp < len(forms):
+        if amp != len(forms) - 2:
+            message = "'&' must introduce exactly one rest parameter"
+            raise TemplateError(message, forms[amp].location)
+        rest = _marker(forms[-1])
+        if rest is None:
+            raise TemplateError("rest parameter needs a ?-marker", forms[-1].location)
+    body = args[2:]
     allowed = set(params) | ({rest} if rest else set())
     for body_form in body:
         _validate_body(body_form, allowed, rest)
-    template = TemplateDef(name, tuple(params), rest, tuple(body), form.offset, form.source)
+    template = TemplateDef(name, tuple(params), rest, body)
     ev.env.templates[name] = template
     return template
 
@@ -259,22 +238,24 @@ def define_template(ev: "Evaluator", form: ListForm) -> TemplateDef:
 def _substitute(
     form: Form, single: dict[str, Form], rest: str | None, rest_forms: tuple[Form, ...]
 ) -> Form:
+    """form with its markers replaced. `define_template` refused every marker
+    that is not a parameter, the rest parameter or an enclosing `each`
+    variable, and substituted forms are not scanned again, so a marker here is
+    bound in single unless it is the rest parameter."""
     marker = _marker(form)
     if marker is not None:
         if marker in single:
             return single[marker]
-        if marker == rest:
-            raise TemplateError(
-                f"list parameter '?{marker}' used outside a list position", form.location
-            )
-        raise TemplateError(f"unknown template variable '?{marker}'", form.location)
+        raise TemplateError(
+            f"list parameter '?{marker}' used outside a list position", form.location
+        )
     if isinstance(form, (ListForm, BracketForm)):
         children: list[Form] = []
         for child in form.children:
             child_marker = _marker(child)
             if child_marker is not None and child_marker == rest:
                 children.extend(rest_forms)
-            elif _is_each(child):
+            elif head_name(child) == "each":
                 loop_var, inner = _each_parts(child, rest)
                 for element in rest_forms:
                     children.append(
@@ -305,29 +286,16 @@ def apply_template(ev: "Evaluator", template: TemplateDef, form: ListForm) -> in
     use that would instantiate a body past `MAX_INSTANTIATIONS` in one
     evaluation is an error too.
     """
-    groups = form.children[1:]
-    if not groups:
-        raise TemplateArity(f"template '{template.name}' needs argument groups", form.location)
     if ev.template_depth == MAX_NESTING:
         raise TemplateError(f"template expansion deeper than {MAX_NESTING} levels", form.location)
     instantiated = 0
-    for group in groups:
-        if not isinstance(group, BracketForm):
-            raise TemplateArity("template arguments must be bracket groups", group.location)
-        args = group.children
-        if template.rest is None:
-            if len(args) != len(template.params):
-                raise TemplateArity(
-                    f"template '{template.name}' takes {len(template.params)} arguments, "
-                    f"got {len(args)}",
-                    group.location,
-                )
-        elif len(args) < len(template.params):
-            raise TemplateArity(
-                f"template '{template.name}' takes at least {len(template.params)} arguments, "
-                f"got {len(args)}",
-                group.location,
-            )
+    for group in form.children[1:]:
+        args = template.each(group).children
+        fixed = len(template.params)
+        if len(args) < fixed or (template.rest is None and len(args) > fixed):
+            least = "" if template.rest is None else "at least "
+            message = f"template '{template.name}' takes {least}{fixed} arguments, got {len(args)}"
+            raise TemplateArity(message, group.location)
         if ev.template_instantiations == MAX_INSTANTIATIONS:
             raise TemplateError(
                 f"more than {MAX_INSTANTIATIONS} template expansions", form.location

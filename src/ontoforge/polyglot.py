@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import Location, OntoforgeError, split_lines
-from .model import AnnotationAssertion, AnnotationValue, Entity, Kind, RDFS_LABEL
+from .model import AnnotationAssertion, AnnotationValue, Entity, Kind, RDFS_LABEL, language_tag
 
 if TYPE_CHECKING:
     from .evaluator import Environment
@@ -133,7 +133,11 @@ def apply_labels(env: "Environment", table: dict[str, str], lang: str) -> LabelR
 
 
 def emit_skeleton(env: "Environment", lang: str) -> str:
-    """A fill-in properties file: one row per class, existing labels kept."""
+    """A fill-in properties file: one row per class, existing labels kept.
+
+    lang is folded as labels hold their tags, so "EN" keeps the @en labels.
+    """
+    lang = language_tag(lang)
     classes = _own_classes(env)
     name_by_iri = {}
     for name in sorted(classes):

@@ -24,6 +24,7 @@ quote, `unclosed` at the innermost open bracket.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import Located, OntoforgeError, Source
@@ -85,6 +86,69 @@ def is_valid_identifier(name: str) -> bool:
 
 def is_valid_namespace(name: str) -> bool:
     return bool(_NS_RE.match(name))
+
+
+def head_name(form: Form) -> str | None:
+    """The name of the identifier that heads form, a list; else None."""
+    if isinstance(form, ListForm) and form.children and isinstance(form.children[0], Identifier):
+        return form.children[0].name
+    return None
+
+
+# The form type each operand kind requires. A kind "(head)" is a list headed by
+# head; any other (a class, a class expression, an option, an assertion, a
+# top-level form) is checked when it is evaluated.
+KIND_TYPES = {"identifier": Identifier, "text": Text, "bracket": BracketForm, "list": ListForm}
+
+
+class Row:
+    """One row of a form table: a head's handler, its operand shape and shape error.
+
+    `kinds` names what each operand holds, in order. A kind ending in `?` is
+    optional (a flag such as `:cover?` is found by the handler); the last may
+    end in `*` (repeated) or `+` (repeated, at least once). `fewest` raises
+    the count a repeated kind needs (a partition's two values). `check`
+    refuses a wrong count, or a fixed operand of a wrong type, with
+    `error(message)` at the form; a repeated operand is checked by `each`
+    where its handler reaches it, with `error(each_message)` at the operand.
+    `options` are the keywords an `option*` tail admits.
+    """
+
+    __slots__ = ("handler", "kinds", "error", "message", "each_message", "options", "fewest",
+                 "most", "_fixed", "_tail", "_tail_head")
+
+    def __init__(self, handler, kinds: str, error, message: str, *, each="",
+                 options=frozenset(), fewest=None):
+        self.handler, self.kinds, self.error, self.message = handler, kinds.split(), error, message
+        self.each_message, self.options = each, options
+        names = [kind.rstrip("?*+") for kind in self.kinds]
+        tail = names.pop() if kinds.endswith(("*", "+")) else ""
+        self.most = sys.maxsize if tail else len(names)
+        required = sum(not kind.endswith(("?", "*")) for kind in self.kinds)
+        self.fewest = required if fewest is None else fewest
+        # (position, type) of each fixed operand whose kind is a form type;
+        # what the others hold is checked when they are evaluated
+        self._fixed = tuple((i, KIND_TYPES[k]) for i, k in enumerate(names) if k in KIND_TYPES)
+        self._tail_head = tail[1:-1] if tail.startswith("(") else None
+        self._tail = KIND_TYPES.get(tail, object)
+
+    def check(self, where: Located, operands: tuple) -> tuple:
+        """operands, when their count and fixed types fit the row."""
+        count = len(operands)
+        if self.fewest <= count <= self.most:
+            for i, kind in self._fixed:
+                if i < count and not isinstance(operands[i], kind):
+                    break
+            else:
+                return operands
+        raise self.error(self.message, where.location)
+
+    def each(self, operand: Form) -> Form:
+        """operand, a repeated one, when it is of the repeated kind."""
+        tail_head = self._tail_head
+        if head_name(operand) != tail_head if tail_head else not isinstance(operand, self._tail):
+            raise self.error(self.each_message, operand.location)
+        return operand
 
 
 # One match per token. Blanks and `;` comments before a token are folded into

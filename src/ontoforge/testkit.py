@@ -1,9 +1,13 @@
 """Running the unit tests an ontology declares about itself.
 
 `deftest` bodies are lists of `(is ...)` assertions over the classified
-ontology. Probe blocks add throwaway entities, evaluate one assertion against
-the probed ontology, and then roll the ontology back to its mark from before
-the block, so it is structurally identical before and after, even on error.
+ontology. Assertions are rows of the evaluator's kind (`sexpr.Row`) in one
+table, `ASSERTIONS`: `eval_assertion` looks a head up, checks the operands
+against its row and calls the row's handler, and `run_tests` checks each
+body form against `IS`. Probe blocks add throwaway entities, evaluate one
+assertion against the probed ontology, and then roll the ontology back to
+its mark from before the block, so it is structurally identical before and
+after, even on error.
 
 `run_tests` classifies the base ontology once. A probe block extends that
 classification with its own axioms and undoes the extension on the way out.
@@ -14,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import Location, OntoforgeError
-from .evaluator import Environment, Evaluator
+from .evaluator import CLASS_EXPRESSIONS, Environment, Evaluator
 from .model import Kind
 from .reasoner import Classifier, SkippedAxiom, UnknownEntity, coherence_report, inferred_superclass
-from .sexpr import BracketForm, Form, Identifier, ListForm, Text, is_valid_identifier
+from .sexpr import Form, ListForm, Row, head_name, is_valid_identifier
 
 
 class TestSyntax(OntoforgeError):
@@ -46,65 +50,55 @@ class TestReport:
         return not self.failures
 
 
-def _assertion_head(form: Form) -> tuple[Identifier, tuple[Form, ...]]:
-    if (
-        not isinstance(form, ListForm)
-        or not form.children
-        or not isinstance(form.children[0], Identifier)
-    ):
+def _assertion_name(form: Form) -> str:
+    name = head_name(form)
+    if name is None:
         raise TestSyntax("expected an assertion form", form.location)
-    return form.children[0], form.children[1:]
+    return name
 
 
 def eval_assertion(ev: Evaluator, classifier: Classifier, form: Form) -> bool:
     """Evaluate one assertion; classifier holds the current state of ev's ontology."""
-    head, args = _assertion_head(form)
-    if head.name == "isuperclass?":
-        if len(args) != 2:
-            raise TestSyntax("isuperclass? takes a subclass and a superclass", form.location)
-        sub = ev.resolve_ref(args[0], Kind.CLASS)
-        sup = ev.resolve_ref(args[1], Kind.CLASS)
-        try:
-            return inferred_superclass(classifier.taxonomy(), sub, sup)
-        except UnknownEntity as err:
-            err.location = form.location
-            raise
-    if head.name == "coherent?":
-        if args:
-            raise TestSyntax("coherent? takes no arguments", form.location)
-        return not classifier.taxonomy().unsatisfiable
-    if head.name == "not":
-        if len(args) != 1:
-            raise TestSyntax("not takes exactly one assertion", form.location)
-        return not eval_assertion(ev, classifier, args[0])
-    if head.name == "with-probe-entities":
-        if len(args) != 2 or not isinstance(args[0], BracketForm):
-            raise TestSyntax(
-                "with-probe-entities takes a bracket of bindings and one assertion",
-                form.location,
-            )
-        return run_probe_block(ev, classifier, args[0].children, args[1])
-    raise TestSyntax(f"unknown assertion '{head.name}'", head.location)
+    name = _assertion_name(form)
+    row = ASSERTIONS.get(name)
+    if row is None:
+        raise TestSyntax(f"unknown assertion '{name}'", form.children[0].location)
+    return row.handler(ev, classifier, form, row.check(form, form.children[1:]))
 
 
-def _probe_binding(binding: Form) -> tuple[Identifier, ListForm, Text]:
-    if (
-        not isinstance(binding, ListForm)
-        or len(binding.children) != 2
-        or not isinstance(binding.children[0], Identifier)
-        or not isinstance(binding.children[1], ListForm)
-    ):
-        raise TestSyntax('probe bindings look like (name (owlclass "Name" ...))', binding.location)
-    name, maker = binding.children
-    if (
-        not maker.children
-        or not isinstance(maker.children[0], Identifier)
-        or maker.children[0].name != "owlclass"
-        or len(maker.children) < 2
-        or not isinstance(maker.children[1], Text)
-    ):
-        raise TestSyntax("probe entities are created with (owlclass ...)", maker.location)
-    return name, maker, maker.children[1]
+def _superclass(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> bool:
+    sub = ev.resolve_ref(args[0], Kind.CLASS)
+    sup = ev.resolve_ref(args[1], Kind.CLASS)
+    try:
+        return inferred_superclass(classifier.taxonomy(), sub, sup)
+    except UnknownEntity as err:
+        err.location = form.location
+        raise
+
+
+# The table of assertions, rows of the evaluator's kind. A handler is called
+# with the evaluator, the classifier, the form and its checked operands; one
+# that calls run_probe_block looks it up when it is called, so a wrapper set
+# on that name later sees every probe block.
+ASSERTIONS = {
+    "isuperclass?": Row(_superclass, "class class", TestSyntax,
+                        "isuperclass? takes a subclass and a superclass"),
+    "coherent?": Row(lambda ev, classifier, form, args: not classifier.taxonomy().unsatisfiable,
+                     "", TestSyntax, "coherent? takes no arguments"),
+    "not": Row(lambda ev, classifier, form, args: not eval_assertion(ev, classifier, args[0]),
+               "assertion", TestSyntax, "not takes exactly one assertion"),
+    "with-probe-entities": Row(
+        lambda ev, classifier, form, args: run_probe_block(
+            ev, classifier, args[0].children, args[1]),
+        "bracket assertion", TestSyntax,
+        "with-probe-entities takes a bracket of bindings and one assertion"),
+}
+# A test body's form, (is assertion).
+IS = Row(None, "assertion", TestSyntax, "test bodies are (is assertion) forms")
+# A probe binding, (name (owlclass "Name" options...)), and its owlclass form.
+_BINDING = Row(None, "identifier list", TestSyntax,
+               'probe bindings look like (name (owlclass "Name" ...))')
+_PROBE = Row(None, "text option*", TestSyntax, "probe entities are created with (owlclass ...)")
 
 
 def run_probe_block(ev: Evaluator, classifier: Classifier, bindings, body: Form) -> bool:
@@ -114,11 +108,14 @@ def run_probe_block(ev: Evaluator, classifier: Classifier, bindings, body: Form)
     saved_locals = dict(ev.locals)
     try:
         for binding in bindings:
-            name, maker, text = _probe_binding(binding)
+            operands = binding.children if isinstance(binding, ListForm) else ()
+            name, maker = _BINDING.check(binding, operands)
+            args = _PROBE.check(maker, maker.children[1:] if head_name(maker) == "owlclass" else ())
+            text = args[0]
             if is_valid_identifier(text.value) and ontology.lookup(ontology.iri + text.value):
                 message = f"probe '{text.value}' collides with a declared entity"
                 raise TestSyntax(message, text.location)
-            entity = ev.eval_owlclass(maker)
+            entity = ev.eval_owlclass(CLASS_EXPRESSIONS["owlclass"], maker, args)
             assert entity.kind is Kind.CLASS
             ev.locals[name.name] = entity
         classifier.add(ontology.axioms[mark[0]:])
@@ -136,11 +133,10 @@ def run_tests(env: Environment) -> TestReport:
     report = TestReport(tests=len(env.tests))
     for test in env.tests:
         for index, form in enumerate(test.body, start=1):
-            head, args = _assertion_head(form)
-            if head.name != "is" or len(args) != 1:
-                raise TestSyntax("test bodies are (is assertion) forms", form.location)
+            name = _assertion_name(form)
+            (assertion,) = IS.check(form, form.children[1:] if name == "is" else ())
             report.assertions += 1
-            if not eval_assertion(ev, classifier, args[0]):
+            if not eval_assertion(ev, classifier, assertion):
                 report.failures.append(TestFailure(test.name, index, form.location))
     base = classifier.taxonomy()
     report.unsatisfiable = coherence_report(base).unsatisfiable

@@ -1100,3 +1100,34 @@ def test_a_reserved_prefix_label_exits_two(tmp_path, capsys, command, prefix):
     assert (code, stdout) == (2, "")
     assert stderr == f"{src / 'w.ont'}:1:1: error: prefix label '{prefix}' is reserved\n"
     assert not out.exists()
+
+
+def test_an_affixed_name_that_is_no_identifier_is_refused_before_use_can_rebind_it(
+    tmp_path, capsys
+):
+    # base/Pizza, the affixed name, is what `use base` binds to base's Pizza
+    (tmp_path / "base.ont").write_text(
+        '(defontology base :iri "http://ex.org/base#")\n(defclass Pizza)\n', encoding="utf-8"
+    )
+    (tmp_path / "menu.ont").write_text(
+        '(defontology menu :iri "http://ex.org/menu#")\n'
+        "(with-suffix /Pizza (defclass base))\n"
+        "(use base)\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "check", "--src", str(tmp_path), "--ns", "menu")
+    assert (code, out) == (2, "")
+    menu = tmp_path / "menu.ont"
+    assert err == f"{menu}:2:31: error: affixed name 'base/Pizza' is not an identifier\n"
+
+
+def test_a_text_name_that_makes_no_iri_is_a_located_error(tmp_path, capsys):
+    # the identifier rule reads "A\n" as an identifier, as `$` matches before
+    # a last newline; the IRI refuses it, and that refusal is a located error
+    (tmp_path / "w.ont").write_text(
+        '(defontology w :iri "http://ex.org/w#")\n(defclass C :subclass (owlclass "A\\n"))\n',
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "check", "--src", str(tmp_path), "--ns", "w")
+    assert (code, out) == (2, "")
+    assert err == f"{tmp_path / 'w.ont'}:2:33: error: not an absolute IRI: 'http://ex.org/w#A\\n'\n"

@@ -557,3 +557,22 @@ def test_every_stated_axiom_comes_in_through_the_evaluator(monkeypatch, tmp_path
         "TransitiveObjectProperty",
     }
     assert [axiom for axiom in own if axiom not in stated] == []
+
+
+@pytest.mark.parametrize(
+    "template, marker",
+    [
+        ("(deftemplate stray [?a] ?b)", "?b"),
+        ("(deftemplate stray [?a] (defclass ?a :subclass ?b))", "?b"),
+        ("(deftemplate stray [?a & ?r] (defclass ?a :subclass (each ?r ?x (owlsome ?y ?x))))", "?y"),
+        ("(deftemplate stray [?a & ?r] (defclass ?a :subclass (each ?r ?x ?x) ?x))", "?x"),
+    ],
+    ids=["top-level", "in-a-list", "in-an-each-body", "each-variable-outside-its-each"],
+)
+def test_a_marker_no_parameter_binds_is_refused_when_the_template_is_defined(template, marker):
+    # so no expansion meets a marker it cannot bind: substituted arguments are
+    # not scanned again
+    with pytest.raises(TemplateError) as err:
+        run(template)
+    assert err.value.message == f"unknown template variable '{marker}'"
+    assert err.value.location == Location("<string>", 2, template.rindex(marker) + 1)

@@ -218,3 +218,11 @@ def test_bundled_italian_labels_apply_cleanly():
     report = apply_labels(env, table, "it")
     assert report.added == len(table) == 3
     assert report.unknown == ()
+
+
+def test_emit_skeleton_folds_its_language_tag_as_labels_hold_it():
+    env = small_env()
+    upper = emit_skeleton(env, "EN")
+    assert upper == emit_skeleton(env, "en")
+    assert upper.startswith("# label skeleton for namespace menu, lang en\n")
+    assert "Margherita=Margherita\n" in upper
