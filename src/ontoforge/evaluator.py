@@ -14,12 +14,13 @@ operands against the row and call the handler, which checks only values.
 
 Every entity kind takes one definition path: `define` (for `defclass` and
 `defoproperty`), `owlclass` and the pattern forms create entities through
-`declare`, which refuses an affixed name that is no identifier, and read
-their row's options through `options`, which takes the values of
+`declare`, which refuses a name, affixed or not, that is no identifier, and
+read their row's options through `options`, which takes the values of
 `TEXT_OPTIONS` as one text and those of `KEYWORD_OPTIONS` as keywords.
 References go through `resolve_ref`, which checks the kind. Every axiom a
 form states, other than a declaration, enters the ontology through
-`add_axioms`, which locates an error at the stating form.
+`add_axioms`. Every name rule matches the whole name. `deftest` checks each
+body form against `IS` when it reads it, so `check` refuses what `test` would.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ class NamespaceNotFound(OntoforgeError):
 
 
 class CycleError(OntoforgeError):
+    pass
+
+
+class TestSyntax(OntoforgeError):
     pass
 
 
@@ -198,7 +203,18 @@ _ANNOTATION_PROPERTIES = {"label": RDFS_LABEL, "comment": RDFS_COMMENT}
 _DEFINES = {"defclass": _CLASS, "defoproperty": _OBJECT_PROPERTY}
 _CHARACTERISTICS = {"functional": FunctionalObjectProperty, "transitive": TransitiveObjectProperty}
 
-_PREFIX_LABEL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_.-]*$")
+_PREFIX_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*")
+
+# A test body's form, (is assertion).
+IS = Row(None, "assertion", TestSyntax, "test bodies are (is assertion) forms")
+
+
+def assertion_name(form: Form) -> str:
+    """The head of form, an assertion or a test body's `(is ...)`."""
+    name = head_name(form)
+    if name is None:
+        raise TestSyntax("expected an assertion form", form.location)
+    return name
 
 
 @dataclass
@@ -230,14 +246,10 @@ class Evaluator:
         return err
 
     def add_axioms(self, axioms, form: Located) -> None:
-        """Add the axioms form states; every stated axiom comes in here.
-
-        An error is located at form, whose location is resolved only then.
-        """
-        try:
-            self.env.ontology.add_axioms(axioms)
-        except OntoforgeError as err:
-            raise self._located(err, form.location)
+        """Add the axioms form states; every stated axiom comes in here. None is
+        refused: each entity they mention was admitted with its kind when it was
+        declared or bound (a probe's and an affix block's names too), or is built in."""
+        self.env.ontology.add_axioms(axioms)
 
     def push_affix(self, where: str, text: str) -> None:
         self._affixes.append(_AffixScope(where, text))
@@ -284,8 +296,6 @@ class Evaluator:
             raise DuplicateBinding(f"affixed name '{full}' is already bound", where.location)
         try:
             entity = self.env.ontology.declare(kind, IRI(self.env.ontology.iri + full))
-        except ValueError as err:
-            raise EvalError(str(err), where.location)
         except OntoforgeError as err:
             raise self._located(err, where.location)
         if bind:
@@ -432,7 +442,7 @@ class Evaluator:
             ontology = Ontology(IRI(iri_text))
         except ValueError as err:
             raise EvalError(str(err), form.location)
-        if prefix is not None and not _PREFIX_LABEL_RE.match(prefix):
+        if prefix is not None and not _PREFIX_LABEL_RE.fullmatch(prefix):
             raise EvalError(f"invalid prefix label '{prefix}'", form.location)
         if prefix in BUILTIN_PREFIXES:
             raise EvalError(f"prefix label '{prefix}' is reserved", form.location)
@@ -494,6 +504,8 @@ class Evaluator:
             raise EvalError(f"invalid identifier '{name}'", args[0].location)
         if any(t.name == name for t in self.env.tests):
             raise EvalError(f"duplicate test name '{name}'", args[0].location)
+        for body in args[1:]:
+            IS.check(body, body.children[1:] if assertion_name(body) == "is" else ())
         test = TestDef(name, args[1:], form.offset, form.source)
         self.env.tests.append(test)
         return test

@@ -466,7 +466,7 @@ def label_to_identifier(label: str) -> str:
         raise UnmappableLabel(f"label {label!r} maps to an empty identifier")
     if s[0] not in _IDENTIFIER_START:
         s = "_" + s
-    assert IDENTIFIER_RE.match(s), s
+    assert IDENTIFIER_RE.fullmatch(s), s
     return s
 
 

@@ -179,27 +179,26 @@ THING = Named(OWL_THING)
 NOTHING = Named(OWL_NOTHING)
 
 
-def _as_operand_tuple(operands) -> tuple[ClassExpression, ...]:
-    ops = tuple(operands)
-    if len(ops) < 2:
-        raise ValueError("intersection and union need at least two operands")
-    return ops
+class _Operands:
+    """A term of two or more `operands`, which its `__post_init__` makes a tuple."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        ops = tuple(self.operands)
+        if len(ops) < 2:
+            raise ValueError("intersection and union need at least two operands")
+        object.__setattr__(self, "operands", ops)
 
 
 @_value
-class And(ClassExpression):
+class And(_Operands, ClassExpression):
     operands: tuple[ClassExpression, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operands", _as_operand_tuple(self.operands))
 
 
 @_value
-class Or(ClassExpression):
+class Or(_Operands, ClassExpression):
     operands: tuple[ClassExpression, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operands", _as_operand_tuple(self.operands))
 
 
 @_value
@@ -212,22 +211,25 @@ def _check_object_property(entity: Entity) -> None:
         raise ValueError(f"restriction needs an object property, got {entity.kind.value}")
 
 
-@_value
-class Some(ClassExpression):
-    property: Entity
-    filler: ClassExpression
+class _OnProperty:
+    """A term about one object `property`, which its `__post_init__` checks."""
+
+    __slots__ = ()
 
     def __post_init__(self) -> None:
         _check_object_property(self.property)
 
 
 @_value
-class Only(ClassExpression):
+class Some(_OnProperty, ClassExpression):
     property: Entity
     filler: ClassExpression
 
-    def __post_init__(self) -> None:
-        _check_object_property(self.property)
+
+@_value
+class Only(_OnProperty, ClassExpression):
+    property: Entity
+    filler: ClassExpression
 
 
 # --- annotations -----------------------------------------------------------
@@ -277,11 +279,8 @@ class SubClassOf(Axiom):
 
 
 @_value
-class EquivalentClasses(Axiom):
+class EquivalentClasses(_Operands, Axiom):
     operands: tuple[ClassExpression, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operands", _as_operand_tuple(self.operands))
 
 
 @_value
@@ -312,37 +311,25 @@ class SubObjectPropertyOf(Axiom):
 
 
 @_value
-class ObjectPropertyDomain(Axiom):
+class ObjectPropertyDomain(_OnProperty, Axiom):
     property: Entity
     ce: ClassExpression
 
-    def __post_init__(self) -> None:
-        _check_object_property(self.property)
-
 
 @_value
-class ObjectPropertyRange(Axiom):
+class ObjectPropertyRange(_OnProperty, Axiom):
     property: Entity
     ce: ClassExpression
 
-    def __post_init__(self) -> None:
-        _check_object_property(self.property)
+
+@_value
+class FunctionalObjectProperty(_OnProperty, Axiom):
+    property: Entity
 
 
 @_value
-class FunctionalObjectProperty(Axiom):
+class TransitiveObjectProperty(_OnProperty, Axiom):
     property: Entity
-
-    def __post_init__(self) -> None:
-        _check_object_property(self.property)
-
-
-@_value
-class TransitiveObjectProperty(Axiom):
-    property: Entity
-
-    def __post_init__(self) -> None:
-        _check_object_property(self.property)
 
 
 @_value

@@ -4,11 +4,12 @@ Translators edit flat `identifier=label text` files, one per language, so
 they never touch ontology sources. Parsing follows the familiar
 key=value shape: lines end only at \\n, \\r or \\r\\n, '#' or '!' lines are
 comments, the first unescaped '=' splits key from value, and the escapes
-\\\\, \\=, \\n, \\t are honored.
+\\\\, \\=, \\n, \\t are honored: one table, `_UNESCAPE`, read both ways.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -27,14 +28,36 @@ class DuplicateKey(OntoforgeError):
     pass
 
 
+# The escapes by the character after the backslash; `render_properties` reads
+# the table the other way, escaping `=` in keys only.
 _UNESCAPE = {"\\": "\\", "=": "=", "n": "\n", "t": "\t"}
+_ESCAPE_RE = re.compile(r"\\(.?)")
+_ESCAPING_KEY = str.maketrans({char: "\\" + esc for esc, char in _UNESCAPE.items()})
+_ESCAPING_VALUE = str.maketrans({char: "\\" + esc for esc, char in _UNESCAPE.items()
+                                 if esc != "="})
+# A line's key: everything before the first '=' that no backslash escapes.
+_KEY_RE = re.compile(r"(?:[^\\=]|\\.?)*")
+
+
+def _unescape(text: str, loc: Location) -> str:
+    """text with its escapes replaced; they pair up left to right."""
+
+    def one(m: re.Match) -> str:
+        value = _UNESCAPE.get(m[1])
+        if value is None:
+            message = f"unknown escape '\\{m[1]}'" if m[1] else "dangling escape at end of line"
+            raise MalformedLine(message, loc)
+        return value
+
+    return _ESCAPE_RE.sub(one, text)
 
 
 def parse_properties(text: str, file: str = "<properties>") -> dict[str, str]:
     """Key/value pairs in file order; a repeated key is an error.
 
     Keys are trimmed on both sides; values keep trailing whitespace and lose
-    only leading whitespace, as in Java properties files.
+    only leading whitespace, as in Java properties files. An escape error
+    is raised before a missing '=', as the key holds the whole line then.
     """
     table: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -42,49 +65,27 @@ def parse_properties(text: str, file: str = "<properties>") -> dict[str, str]:
         if not line.strip() or line[0] in "#!":
             continue
         loc = Location(file, lineno, 1)
-        key_parts: list[str] = []
-        value_parts: list[str] | None = None
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if ch == "\\":
-                if i + 1 >= len(line):
-                    raise MalformedLine("dangling escape at end of line", loc)
-                esc = line[i + 1]
-                if esc not in _UNESCAPE:
-                    raise MalformedLine(f"unknown escape '\\{esc}'", loc)
-                (key_parts if value_parts is None else value_parts).append(_UNESCAPE[esc])
-                i += 2
-                continue
-            if ch == "=" and value_parts is None:
-                value_parts = []
-            else:
-                (key_parts if value_parts is None else value_parts).append(ch)
-            i += 1
-        if value_parts is None:
+        split = _KEY_RE.match(line).end()
+        key = _unescape(line[:split], loc).strip()
+        if split == len(line):
             raise MalformedLine("line has no '=' separator", loc)
-        key = "".join(key_parts).strip()
+        value = _unescape(line[split + 1:], loc).lstrip()
         if not key:
             raise MalformedLine("empty key", loc)
         if key in table:
             raise DuplicateKey(
                 f"key '{key}' on lines {first_line[key]} and {lineno}", loc
             )
-        table[key] = "".join(value_parts).lstrip()
+        table[key] = value
         first_line[key] = lineno
     return table
 
 
-def _escape(text: str, escape_eq: bool) -> str:
-    out = text.replace("\\", "\\\\")
-    if escape_eq:
-        out = out.replace("=", "\\=")
-    return out.replace("\n", "\\n").replace("\t", "\\t")
-
-
 def render_properties(table: dict[str, str], header: str | None = None) -> str:
     lines = [f"# {header}"] if header else []
-    lines.extend(f"{_escape(k, True)}={_escape(v, False)}" for k, v in table.items())
+    lines.extend(
+        f"{k.translate(_ESCAPING_KEY)}={v.translate(_ESCAPING_VALUE)}" for k, v in table.items()
+    )
     return "\n".join(lines) + "\n"
 
 

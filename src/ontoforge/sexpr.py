@@ -71,8 +71,10 @@ class BracketForm(Located):
 
 Form = Identifier | Keyword | Text | ListForm | BracketForm
 
-IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-_NS_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*(\.[A-Za-z_][A-Za-z0-9_-]*)*$")
+# The name rules match a whole name; a namespace name is identifiers joined by dots.
+_IDENTIFIER = r"[A-Za-z_][A-Za-z0-9_-]*"
+IDENTIFIER_RE = re.compile(_IDENTIFIER)
+_NS_RE = re.compile(rf"{_IDENTIFIER}(?:\.{_IDENTIFIER})*")
 
 # The deepest parenthesis nesting the .ont and functional-syntax readers
 # accept. The evaluator, normalizer and renderers recurse over what is read,
@@ -81,11 +83,11 @@ MAX_NESTING = 100
 
 
 def is_valid_identifier(name: str) -> bool:
-    return bool(IDENTIFIER_RE.match(name))
+    return IDENTIFIER_RE.fullmatch(name) is not None
 
 
 def is_valid_namespace(name: str) -> bool:
-    return bool(_NS_RE.match(name))
+    return _NS_RE.fullmatch(name) is not None
 
 
 def head_name(form: Form) -> str | None:

@@ -1,10 +1,11 @@
 """Running the unit tests an ontology declares about itself.
 
 `deftest` bodies are lists of `(is ...)` assertions over the classified
-ontology. Assertions are rows of the evaluator's kind (`sexpr.Row`) in one
-table, `ASSERTIONS`: `eval_assertion` looks a head up, checks the operands
-against its row and calls the row's handler, and `run_tests` checks each
-body form against `IS`. Probe blocks add throwaway entities, evaluate one
+ontology, which the evaluator checks against `IS` as it reads them.
+Assertions are rows of the evaluator's kind (`sexpr.Row`) in one table,
+`ASSERTIONS`, kept here so `check` loads no test runner: `eval_assertion`
+looks a head up, checks the operands against its row and calls the row's
+handler. Probe blocks add throwaway entities, evaluate one
 assertion against the probed ontology, and then roll the ontology back to
 its mark from before the block, so it is structurally identical before and
 after, even on error.
@@ -17,15 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import Location, OntoforgeError
-from .evaluator import CLASS_EXPRESSIONS, Environment, Evaluator
+from .errors import Location
+from .evaluator import CLASS_EXPRESSIONS, IS, Environment, Evaluator, TestSyntax, assertion_name
 from .model import Kind
 from .reasoner import Classifier, SkippedAxiom, UnknownEntity, coherence_report, inferred_superclass
 from .sexpr import Form, ListForm, Row, head_name, is_valid_identifier
-
-
-class TestSyntax(OntoforgeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,16 +47,9 @@ class TestReport:
         return not self.failures
 
 
-def _assertion_name(form: Form) -> str:
-    name = head_name(form)
-    if name is None:
-        raise TestSyntax("expected an assertion form", form.location)
-    return name
-
-
 def eval_assertion(ev: Evaluator, classifier: Classifier, form: Form) -> bool:
     """Evaluate one assertion; classifier holds the current state of ev's ontology."""
-    name = _assertion_name(form)
+    name = assertion_name(form)
     row = ASSERTIONS.get(name)
     if row is None:
         raise TestSyntax(f"unknown assertion '{name}'", form.children[0].location)
@@ -93,8 +83,6 @@ ASSERTIONS = {
         "bracket assertion", TestSyntax,
         "with-probe-entities takes a bracket of bindings and one assertion"),
 }
-# A test body's form, (is assertion).
-IS = Row(None, "assertion", TestSyntax, "test bodies are (is assertion) forms")
 # A probe binding, (name (owlclass "Name" options...)), and its owlclass form.
 _BINDING = Row(None, "identifier list", TestSyntax,
                'probe bindings look like (name (owlclass "Name" ...))')
@@ -133,10 +121,8 @@ def run_tests(env: Environment) -> TestReport:
     report = TestReport(tests=len(env.tests))
     for test in env.tests:
         for index, form in enumerate(test.body, start=1):
-            name = _assertion_name(form)
-            (assertion,) = IS.check(form, form.children[1:] if name == "is" else ())
             report.assertions += 1
-            if not eval_assertion(ev, classifier, assertion):
+            if not eval_assertion(ev, classifier, form.children[1]):
                 report.failures.append(TestFailure(test.name, index, form.location))
     base = classifier.taxonomy()
     report.unsatisfiable = coherence_report(base).unsatisfiable

@@ -1122,12 +1122,53 @@ def test_an_affixed_name_that_is_no_identifier_is_refused_before_use_can_rebind_
 
 
 def test_a_text_name_that_makes_no_iri_is_a_located_error(tmp_path, capsys):
-    # the identifier rule reads "A\n" as an identifier, as `$` matches before
-    # a last newline; the IRI refuses it, and that refusal is a located error
+    # the identifier rule matches the whole name, so "A\n" is no identifier
+    # and the name is refused before an IRI is made of it
     (tmp_path / "w.ont").write_text(
         '(defontology w :iri "http://ex.org/w#")\n(defclass C :subclass (owlclass "A\\n"))\n',
         encoding="utf-8",
     )
     code, out, err = run_cli(capsys, "check", "--src", str(tmp_path), "--ns", "w")
     assert (code, out) == (2, "")
-    assert err == f"{tmp_path / 'w.ont'}:2:33: error: not an absolute IRI: 'http://ex.org/w#A\\n'\n"
+    assert err == f"{tmp_path / 'w.ont'}:2:33: error: invalid identifier 'A\\n'\n"
+
+
+def test_a_prefix_label_ending_in_a_newline_is_refused_and_nothing_is_written(tmp_path, capsys):
+    # `$` would match before the last newline; the label rule matches the
+    # whole label, so the functional syntax never gets a broken Prefix line
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "w.ont").write_text(
+        '(defontology w :iri "http://ex.org/w#" :prefix "p\\n")\n(defclass A)\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, "compile", "--src", str(src), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"{src / 'w.ont'}:1:1: error: invalid prefix label 'p\\n'\n"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_an_ns_ending_in_a_newline_is_not_a_namespace_name(menu_tree, capsys):
+    code, stdout, stderr = run_cli(capsys, "check", "--src", str(menu_tree), "--ns", "menu\n")
+    assert (code, stdout, stderr) == (2, "", "error: invalid namespace name 'menu\\n'\n")
+
+
+@pytest.mark.parametrize(
+    "deftest, where, message",
+    [
+        ("(deftest T (foo A))", "3:12", "test bodies are (is assertion) forms"),
+        ("(deftest T (is (coherent?) A))", "3:12", "test bodies are (is assertion) forms"),
+        ("(deftest T\n  A)", "4:3", "expected an assertion form"),
+    ],
+    ids=["not-is", "is-with-two", "not-a-list"],
+)
+def test_check_refuses_a_malformed_test_body_as_test_does(tmp_path, capsys, deftest, where,
+                                                           message):
+    (tmp_path / "w.ont").write_text(
+        f'(defontology w :iri "http://ex.org/w#")\n(defclass A)\n{deftest}\n', encoding="utf-8"
+    )
+    expected = f"{tmp_path / 'w.ont'}:{where}: error: {message}\n"
+    for command in ("check", "test"):
+        code, out, err = run_cli(capsys, command, "--src", str(tmp_path), "--ns", "w")
+        assert (code, out, err) == (2, "", expected), command

@@ -18,11 +18,15 @@ from ontoforge.model import (
     DuplicateEntityKind,
     Entity,
     EquivalentClasses,
+    FunctionalObjectProperty,
     IRI,
     Kind,
     Named,
     Not,
     NOTHING,
+    ObjectPropertyDomain,
+    ObjectPropertyRange,
+    Only,
     Ontology,
     OWL_NOTHING,
     OWL_NS,
@@ -33,6 +37,7 @@ from ontoforge.model import (
     Some,
     SubClassOf,
     THING,
+    TransitiveObjectProperty,
     UndeclaredEntity,
     axiom_mentions,
 )
@@ -169,6 +174,36 @@ def test_equivalent_classes_needs_two_operands():
     a = Named(Entity(Kind.CLASS, IRI(NS + "A")))
     with pytest.raises(ValueError):
         EquivalentClasses((a,))
+
+
+def test_the_operand_and_property_rules_hold_for_every_term_that_shares_them():
+    a, b = Named(Entity(Kind.CLASS, IRI(NS + "A"))), Named(Entity(Kind.CLASS, IRI(NS + "B")))
+    for ctor in (And, Or, EquivalentClasses):
+        assert ctor([a, b]).operands == (a, b)  # any iterable, held as a tuple
+        with pytest.raises(ValueError) as err:
+            ctor([a])
+        assert str(err.value) == "intersection and union need at least two operands"
+    not_a_property = Entity(Kind.CLASS, IRI(NS + "C"))
+    for make in (
+        lambda p: Some(p, a),
+        lambda p: Only(p, a),
+        lambda p: ObjectPropertyDomain(p, a),
+        lambda p: ObjectPropertyRange(p, a),
+        FunctionalObjectProperty,
+        TransitiveObjectProperty,
+    ):
+        with pytest.raises(ValueError) as err:
+            make(not_a_property)
+        assert str(err.value) == "restriction needs an object property, got Class"
+        term = make(Entity(Kind.OBJECT_PROPERTY, IRI(NS + "p")))
+        assert not hasattr(term, "__dict__")
+
+
+def test_axiom_mentions_refuses_a_foreign_object():
+    with pytest.raises(TypeError, match="not an axiom"):
+        axiom_mentions(object())
+    with pytest.raises(TypeError, match="not a class expression"):
+        axiom_mentions(SubClassOf(object(), THING))
 
 
 def test_axiom_signature_covers_annotation_property_only():

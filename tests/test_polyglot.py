@@ -80,6 +80,31 @@ def test_parse_properties_malformed_lines():
         parse_properties("dangling=\\\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # the key holds the whole line when no '=' splits it, and its escapes
+        # are read before the missing '=' is reported
+        ("ab\\qcd", "unknown escape '\\q'"),
+        ("key\\", "dangling escape at end of line"),
+        ("key=value\\", "dangling escape at end of line"),
+    ],
+    ids=["unknown-escape-before-missing-eq", "lone-backslash-ends-key",
+         "lone-backslash-ends-value"],
+)
+def test_parse_properties_errors_name_the_first_fault_of_the_line(line, message):
+    with pytest.raises(MalformedLine) as err:
+        parse_properties(f"ok=1\n{line}\n", file="w.properties")
+    assert err.value.message == message
+    assert str(err.value.location) == "w.properties:2:1"
+
+
+def test_parse_properties_an_escaped_eq_in_a_key_does_not_split_it():
+    assert parse_properties("a\\=b\\\\\\=c=d\n") == {"a=b\\=c": "d"}
+    # an escaped backslash before '=' does not escape it
+    assert parse_properties("a\\\\=b\n") == {"a\\": "b"}
+
+
 def test_parse_properties_error_carries_line_number():
     with pytest.raises(MalformedLine) as err:
         parse_properties("a=1\nbroken line\n", file="y.properties")

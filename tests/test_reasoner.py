@@ -822,3 +822,10 @@ def test_coherent_taxonomy_report():
     report = coherence_report(classify(onto.axioms))
     assert report.coherent
     assert report.unsatisfiable == ()
+
+
+def test_normalize_and_extend_refuse_a_foreign_object():
+    with pytest.raises(TypeError, match="not an axiom"):
+        normalize([object()])
+    with pytest.raises(TypeError, match="not a normal axiom"):
+        Saturation().extend([object()])

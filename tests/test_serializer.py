@@ -5,12 +5,16 @@ import random
 import time
 from pathlib import Path
 
+import pytest
+
 from ontoforge.importer import _TOKEN_RE, _kind, parse_functional
 from ontoforge.model import (
     And,
     AnnotationAssertion,
     AnnotationValue,
+    Declaration,
     DisjointClasses,
+    Entity,
     EquivalentClasses,
     FunctionalObjectProperty,
     Import,
@@ -501,3 +505,13 @@ def test_functional_render_parse_render_is_byte_stable():
         back = parse_functional(first)
         assert render_functional(back) == first
         assert set(back.axioms) == set(onto.axioms)
+
+
+def test_render_omn_refuses_a_foreign_class_expression():
+    # `load` takes a document's axioms as they are, so a foreign object can
+    # reach the writer only through it
+    onto = Ontology(IRI(BASE))
+    a = Entity(Kind.CLASS, IRI(BASE + "A"))
+    onto.load([Declaration(a), SubClassOf(Named(a), object())], [a])
+    with pytest.raises(TypeError, match="not a class expression"):
+        render_omn(onto)

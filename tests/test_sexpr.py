@@ -18,6 +18,7 @@ from ontoforge.sexpr import (
     Text,
     is_valid_identifier,
     is_valid_namespace,
+    print_form,
     print_forms,
     read_forms,
     strip_locations,
@@ -289,6 +290,21 @@ def test_namespace_validity():
         assert is_valid_namespace(good)
     for bad in ("", ".a", "a.", "a..b", "a/b", "1a.b"):
         assert not is_valid_namespace(bad)
+
+
+def test_name_rules_match_the_whole_name():
+    # `$` would also match before a last newline
+    for bad in ("A\n", "A\nB", "\nA"):
+        assert not is_valid_identifier(bad)
+    for bad in ("w\n", "a.b\n", "a\n.b"):
+        assert not is_valid_namespace(bad)
+
+
+def test_print_form_and_strip_locations_refuse_a_foreign_object():
+    with pytest.raises(TypeError, match="not a form"):
+        print_form(object())
+    with pytest.raises(TypeError, match="not a form"):
+        strip_locations(object())
 
 
 # --- golden file: the reader's output on seeded mutants ---------------------

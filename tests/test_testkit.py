@@ -467,18 +467,16 @@ def test_tap_reports_only_the_first_failure_per_test():
 
 
 def test_test_bodies_must_be_is_forms():
-    env = run(SMALL + "(deftest Wrong (coherent?))")
+    # deftest checks its body when it is evaluated, before any test runs
     with pytest.raises(TestSyntax):
-        run_tests(env)
-    env2 = run(SMALL + "(deftest Wrong (is (coherent?) (coherent?)))")
+        run(SMALL + "(deftest Wrong (coherent?))")
     with pytest.raises(TestSyntax):
-        run_tests(env2)
+        run(SMALL + "(deftest Wrong (is (coherent?) (coherent?)))")
 
 
 def test_a_test_body_element_that_is_not_a_list_is_an_error():
-    env = run(SMALL + "(deftest Wrong\n  Pizza)")
     with pytest.raises(TestSyntax) as err:
-        run_tests(env)
+        run(SMALL + "(deftest Wrong\n  Pizza)")
     assert err.value.message == "expected an assertion form"
     assert (err.value.location.line, err.value.location.column) == (7, 3)
 
