@@ -1,6 +1,7 @@
 """Tests for functional-syntax parsing, interning, and memo snapshots."""
 
 import dataclasses
+import json
 import random
 import re
 
@@ -39,6 +40,7 @@ from ontoforge.model import (
 )
 from ontoforge.serializer import render_functional
 from ontoforge.sexpr import MAX_NESTING, ParseError
+from ofn_mutants import GOLDEN, mutant_record, mutant_texts
 from support import pizza_env, random_full_ontology
 
 EXT = "https://example.org/ext#"
@@ -339,6 +341,20 @@ def test_end_of_input_points_at_the_last_token():
     text = functional("Declaration(Class(e:A))", "SubClassOf(e:A\n  e:B")[: -len(")\n")]
     assert _error_at(text) == ("unexpected end of input", _line_col(text, text.rindex("e:B")))
     assert _error_at("") == ("unexpected end of input", (1, 1))
+
+
+def test_reader_matches_the_golden_file_on_seeded_mutants():
+    """Which error wins, and where, on every mutant, as the file records it.
+
+    A change meant to alter the reader's output rewrites the file, and says why:
+
+    PYTHONPATH=src python tests/ofn_mutants.py > tests/data/ofn_mutants.json
+    """
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    texts = mutant_texts()
+    assert len(golden) == len(texts)
+    for i, text in enumerate(texts):
+        assert mutant_record(text) == golden[i], (i, text[:200])
 
 
 # --- label derivation ----------------------------------------------------------
