@@ -12,27 +12,30 @@ same table that the parser reads by. Declarations and named classes are the
 only terms spelled out by hand on each side.
 
 The parser tokenizes with one group-free regex whose `findall` gives the
-token texts alone: a token's kind follows from its text, and its offset is
-found again, by the same regex, only when a diagnostic needs a line and a
-column. The punctuation kinds (`(`, `)`, `:=`) have one text each, which
-`expect` compares as text before it asks for a token's kind. Each distinct
-IRI or CURIE text is validated and built once per parse, each kind and text
-of an entity becomes one `Entity`, and each distinct class text becomes one
-`Named` that every mention of it shares; the tables live as long as one
-parse. Parenthesis nesting is capped at `sexpr.MAX_NESTING`, as in `.ont`
-sources. The whole document is then loaded at once by `Ontology.load`: it
-registers every declaration, admits each entity object of the parse once, in
-order of first mention, which imports the undeclared ones and checks every
-kind, then adds the axioms in text order. No axiom's signature is walked
-unless a kind conflict needs locating: it is reported at the head of the
-entity's refused declaration, or else of the first axiom that mentions it.
+token texts alone; a token's offset is found again, by the same regex, only
+when a diagnostic needs a line and a column. A text with a bad token is
+refused first, so the reader tells every other kind by a token's first
+character. It walks the token list by index, reading `tokens[i]` with no
+call per token; each step returns the index after its last token, and
+reading past the last token is the end of the input. Each row of `GRAMMAR`
+builds its term positionally, in a field order worked out at import. Each
+distinct IRI or CURIE text is validated and built once per parse, each
+entity text once per kind, and each distinct class text becomes one `Named`
+that every mention of it shares; the tables live as long as one parse.
+Parenthesis nesting is capped at `sexpr.MAX_NESTING`, as in `.ont` sources.
+The whole document is then loaded at once by `Ontology.load`: it registers
+every declaration, admits each entity object of the parse once, in order of
+first mention, which imports the undeclared ones and checks every kind, then
+adds the axioms in text order. No axiom's signature is walked unless a kind
+conflict needs locating: it is reported at the head of the entity's refused
+declaration, or else of the first axiom that mentions it.
 """
 
 from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import TYPE_CHECKING
 
@@ -99,27 +102,28 @@ LOCAL_RE = re.compile(LOCAL_NAME)
 # between tokens match nothing. Any other character that starts no token is
 # a bad token of its own, so every character outside that whitespace lies in
 # exactly one token. A language tag is `LANG_TAG`, the rule `AnnotationValue`
-# checks, so every tag the model holds reads back.
+# checks, so every tag the model holds reads back. The branches begin with
+# disjoint characters, so their order, the commonest first, changes no token.
 _TOKEN_RE = re.compile(
-    rf"""\(
+    rf"""{LOCAL_NAME}(?::{LOCAL_NAME})?
+      | \(
       | \)
       | :=
       | <[^<>\s]+>
       | "[^"\\]*(?:\\.[^"\\]*)*"
       | @{LANG_TAG}
-      | {LOCAL_NAME}(?::{LOCAL_NAME})?
       | [^ \t\r\n]""",
     re.VERBOSE,
 )
 
 # A token's kind by its first character; any other first character makes a
 # bad token. Alone, the four characters of `_LONE_BAD` are bad tokens too:
-# the longer token each one begins did not match there.
+# the longer token each one begins did not match there. A text with a bad
+# token is refused before it is read, so the reader tells every other kind
+# by its first character, and each punctuation kind by its one text.
 _KINDS = {"(": "open", ")": "close", ":": "bind", "<": "iriref", '"': "literal", "@": "lang"}
 _KINDS.update(dict.fromkeys(string.ascii_letters + "_", "name"))
 _LONE_BAD = frozenset(':<"@')
-# The one text of each punctuation kind, which `expect` compares directly.
-_PUNCTUATION = {"open": "(", "close": ")", "bind": ":="}
 
 
 def _kind(token: str) -> str:
@@ -181,29 +185,37 @@ GRAMMAR: dict[type, tuple[str, tuple[tuple[str, object], ...]]] = {
 
 # The entity kinds a Declaration names, by the keyword that is the Kind's value.
 _DECLARATION_KINDS = {kind.value: kind for kind in Kind}
+_CLASS = Kind.CLASS
 
-_CE_ROWS = {
-    head: (cls, ops) for cls, (head, ops) in GRAMMAR.items() if issubclass(cls, ClassExpression)
-}
-_AXIOM_ROWS = {
-    head: (cls, ops) for cls, (head, ops) in GRAMMAR.items() if issubclass(cls, Axiom)
-}
+
+def _row(cls: type) -> tuple:
+    """cls, its operand kinds in text order, and the operand that fills each
+    of its fields, or None when they are in text order."""
+    operands = GRAMMAR[cls][1]
+    order = tuple([name for name, _ in operands].index(f.name) for f in fields(cls))
+    in_text_order = order == tuple(range(len(order)))
+    return cls, tuple(kind for _, kind in operands), None if in_text_order else order
+
+
+_CE_ROWS = {GRAMMAR[cls][0]: _row(cls) for cls in GRAMMAR if issubclass(cls, ClassExpression)}
+_AXIOM_ROWS = {GRAMMAR[cls][0]: _row(cls) for cls in GRAMMAR if issubclass(cls, Axiom)}
 
 
 class _FunctionalParser:
-    """Reads one text. A token is its text; `pos` indexes the next one."""
+    """Reads one text. A token is its text, and a step reads `tokens` from an index."""
 
     def __init__(self, text: str, file: str):
         self.source = Source(file, text)
         self.tokens: list[str] = _TOKEN_RE.findall(text)
-        self.pos = 0
         self.prefixes: dict[str, str] = dict(BUILTIN_PREFIXES)
         # Each IRI by the IRI or CURIE text it was built from, each entity by
-        # its kind and text, and each class expression by the class token it
-        # was read from. Every Prefix comes before the first IRI, so one text
-        # always means one IRI.
+        # its text in its kind's table, and each class expression by the
+        # class token it was read from. Every Prefix comes before the first
+        # IRI, so one text always means one IRI. `entities` lists each entity
+        # the tables hold, in order of first mention.
         self.iris: dict[str, IRI] = {}
-        self.entities: dict[tuple[Kind, str], Entity] = {}
+        self.tables: dict[Kind, dict[str, Entity]] = {kind: {} for kind in Kind}
+        self.entities: list[Entity] = []
         self.classes: dict[str, Named] = {}
         # A bad character anywhere wins over any grammar error. Each distinct
         # text is classified once, and only a one-character text can be bad.
@@ -215,35 +227,15 @@ class _FunctionalParser:
     def _loc(self, index: int) -> Location:
         return self.source.location(_token_start(self.source.text, index))
 
-    def _here(self) -> Location:
-        """Where the token that `next` or `expect` returned last starts."""
-        return self._loc(self.pos - 1)
+    def _expected(self, what: str, index: int) -> ParseError:
+        return ParseError(f"expected {what!r}, found {self.tokens[index]!r}", self._loc(index))
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str:
-        try:
-            token = self.tokens[self.pos]
-        except IndexError:
-            last = max(len(self.tokens) - 1, 0)
-            raise ParseError("unexpected end of input", self._loc(last)) from None
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str, text: str | None = None) -> str:
-        """The next token, which must be of kind, and be text when text is given."""
-        token = self.next()
-        fixed = text or _PUNCTUATION.get(kind)
-        if token != fixed and (fixed is not None or _kind(token) != kind):
-            raise ParseError(f"expected {text or kind!r}, found {token!r}", self._here())
-        return token
-
-    def _unsupported(self, index: int) -> UnsupportedConstruct:
-        loc = self._loc(index)
-        return UnsupportedConstruct(
-            f"unsupported construct '{self.tokens[index]}' at line {loc.line}", loc
-        )
+    def _unsupported(self, index: int, what: str) -> OntoforgeError:
+        """The error for tokens[index], which heads no term read here, where what is expected."""
+        token, loc = self.tokens[index], self._loc(index)
+        if _kind(token) != "name":
+            return ParseError(f"expected {what}, found {token!r}", loc)
+        return UnsupportedConstruct(f"unsupported construct '{token}' at line {loc.line}", loc)
 
     def parse(self) -> Ontology:
         """The whole text as an Ontology, loaded by `Ontology.load`.
@@ -253,7 +245,7 @@ class _FunctionalParser:
         """
         ontology, axioms, heads = self.read()
         try:
-            ontology.load(axioms, self.entities.values())
+            ontology.load(axioms, self.entities)
         except DuplicateEntityKind as err:
             at = _first_use(axioms, err.entity)
             raise DuplicateEntityKind(err.message, self._loc(heads[at]), err.entity) from None
@@ -261,46 +253,77 @@ class _FunctionalParser:
 
     def read(self) -> tuple[Ontology, list[Axiom], list[int]]:
         """The header's Ontology, its axioms in text order, and each head's token index."""
-        while self.peek() == "Prefix":
-            self.next()
-            self.expect("open")
-            label = self.expect("name")
-            if ":" in label:
-                raise ParseError(f"bad prefix label {label!r}", self._here())
-            self.expect("bind")
-            base = self.expect("iriref")[1:-1]
-            self.expect("close")
-            self.prefixes[label] = base
-
-        self.expect("name", "Ontology")
-        self.expect("open")
-        ontology = Ontology(self._iri(self.expect("iriref")))
-        ontology_iri = self.pos - 1
-        ontology.prefixes = {
-            label: base
-            for label, base in self.prefixes.items()
-            if label not in BUILTIN_PREFIXES
-        }
-
+        tokens = self.tokens
         axioms: list[Axiom] = []
         heads: list[int] = []
-        while True:
-            token = self.peek()
-            if token is None:
-                raise ParseError("unterminated Ontology(...)", self._loc(ontology_iri))
-            if token == ")":
-                self.next()
-                break
-            heads.append(self.pos)
-            axioms.append(self._axiom())
+        try:
+            i = 0
+            while tokens[i] == "Prefix":
+                for j, kind in enumerate(("open", "name", "bind", "iriref", "close"), i + 1):
+                    if _kind(tokens[j]) != kind:
+                        raise self._expected(kind, j)
+                    if kind == "name" and ":" in tokens[j]:
+                        raise ParseError(f"bad prefix label {tokens[j]!r}", self._loc(j))
+                self.prefixes[tokens[i + 2]] = tokens[i + 4][1:-1]
+                i += 6
 
-        trailing = self.peek()
-        if trailing is not None:
-            raise ParseError(f"unexpected {trailing!r} after ontology", self._loc(self.pos))
+            if tokens[i] != "Ontology":
+                raise self._expected("Ontology", i)
+            if tokens[i + 1] != "(":
+                raise self._expected("open", i + 1)
+            ontology_iri = i = i + 2
+            if tokens[i][0] != "<":
+                raise self._expected("iriref", i)
+            ontology = Ontology(self._iri(tokens[i], i))
+            ontology.prefixes = {
+                label: base
+                for label, base in self.prefixes.items()
+                if label not in BUILTIN_PREFIXES
+            }
+
+            i += 1
+            n = len(tokens)
+            while True:
+                if i == n:
+                    raise ParseError("unterminated Ontology(...)", self._loc(ontology_iri))
+                token = tokens[i]
+                if token == ")":
+                    i += 1
+                    break
+                heads.append(i)
+                if token == "Declaration":
+                    if tokens[i + 1] != "(":
+                        raise self._expected("open", i + 1)
+                    kind = _DECLARATION_KINDS.get(tokens[i + 2])
+                    if kind is None:
+                        raise self._unsupported(i + 2, "'name'")
+                    if tokens[i + 3] != "(":
+                        raise self._expected("open", i + 3)
+                    token = tokens[i + 4]
+                    entity = self.tables[kind].get(token) or self._entity(kind, token, i + 4)
+                    if tokens[i + 5] != ")" or tokens[i + 6] != ")":
+                        raise self._expected("close", i + 5 if tokens[i + 5] != ")" else i + 6)
+                    axiom = Declaration(entity)
+                    i += 7
+                else:
+                    row = _AXIOM_ROWS.get(token)
+                    if row is None:
+                        raise self._unsupported(i, "an axiom")
+                    try:
+                        # The ontology's and the axiom's parentheses enclose every operand.
+                        axiom, i = self._term(row, i + 1, 2)
+                    except ValueError as err:  # the operands broke a model constraint
+                        raise ParseError(str(err), self._loc(heads[-1])) from None
+                axioms.append(axiom)
+        except IndexError:
+            raise ParseError("unexpected end of input", self._loc(max(len(tokens) - 1, 0))) from None
+
+        if i < n:
+            raise ParseError(f"unexpected {tokens[i]!r} after ontology", self._loc(i))
         return ontology, axioms, heads
 
-    def _iri(self, token: str) -> IRI:
-        """The IRI of the token just read."""
+    def _iri(self, token: str, index: int) -> IRI:
+        """The IRI of token, which is tokens[index]."""
         iri = self.iris.get(token)
         if iri is not None:
             return iri
@@ -311,115 +334,103 @@ class _FunctionalParser:
             label, local = token.split(":", 1)
             base = self.prefixes.get(label)
             if base is None:
-                raise ParseError(f"unknown prefix '{label}'", self._here())
+                raise ParseError(f"unknown prefix '{label}'", self._loc(index))
             value = base + local
         else:
-            raise ParseError(f"expected an IRI or CURIE, found {token!r}", self._here())
+            raise ParseError(f"expected an IRI or CURIE, found {token!r}", self._loc(index))
         try:
             iri = self.iris[token] = IRI(value)
         except ValueError as err:
-            raise ParseError(str(err), self._here()) from None
+            raise ParseError(str(err), self._loc(index)) from None
         return iri
 
-    def _entity(self, kind: Kind, token: str) -> Entity:
-        """The entity of kind that the token just read names."""
-        key = (kind, token)
-        entity = self.entities.get(key)
-        if entity is None:
-            entity = self.entities[key] = Entity(kind, self._iri(token))
+    def _entity(self, kind: Kind, token: str, index: int) -> Entity:
+        """A new entity of kind, named by token, which is tokens[index]."""
+        entity = self.tables[kind][token] = Entity(kind, self._iri(token, index))
+        self.entities.append(entity)
         return entity
 
-    def _operands(self, operands: tuple[tuple[str, object], ...], depth: int) -> dict:
-        """A term's field values, read from its "(" at nesting depth to its ")"."""
-        self.expect("open")
+    def _term(self, row: tuple, i: int, depth: int) -> tuple:
+        """The term of row whose "(", at nesting depth, is tokens[i], and the
+        index after its ")". Its head is tokens[i - 1]."""
+        cls, kinds, order = row
+        tokens = self.tokens
+        head = i - 1
+        if tokens[i] != "(":
+            raise self._expected("open", i)
         if depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._here())
-        values = {}
-        for name, kind in operands:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self._loc(i))
+        i += 1
+        classes = self.classes
+        values = []
+        for kind in kinds:
+            token = tokens[i]
             if kind is CE:
-                value = self._class_expression(depth)
+                value = classes.get(token)
+                if value is None:
+                    value, i = self._class_expression(i, depth)
+                else:
+                    i += 1
             elif kind is CES or kind is CLASSES:
                 items = []
-                while (token := self.peek()) is not None and token != ")":
-                    item = self._class_expression(depth)
+                while token != ")":
+                    item = classes.get(token)
+                    if item is None:
+                        item, i = self._class_expression(i, depth)
+                    else:
+                        i += 1
                     if kind is CLASSES:
                         if not isinstance(item, Named):
                             raise ValueError("disjointness members must be named classes")
                         item = item.entity
                     items.append(item)
+                    token = tokens[i]
+                # An axiom's model class checks its operand count, located at
+                # the axiom; a class expression's is checked at its head.
+                if len(items) < 2 and kind is CES and issubclass(cls, ClassExpression):
+                    raise ParseError(f"{tokens[head]} needs at least two operands", self._loc(head))
                 value = tuple(items)
             elif kind is LITERAL:
-                value = self._literal()
-            elif kind is IRIREF:
-                value = self._iri(self.expect("iriref"))
-            elif kind is IRI_OR_CURIE:
-                value = self._iri(self.next())
+                if token[0] != '"':
+                    raise self._expected("literal", i)
+                text = token[1:-1]
+                if "\\" in text:
+                    try:
+                        text = unescape(text, "literal")
+                    except ValueError as err:
+                        raise ParseError(str(err), self._loc(i)) from None
+                i += 1
+                lang = None
+                if i < len(tokens) and tokens[i][0] == "@":
+                    lang = tokens[i][1:]
+                    i += 1
+                value = AnnotationValue(text, lang)
+            elif kind is IRIREF or kind is IRI_OR_CURIE:
+                if kind is IRIREF and token[0] != "<":
+                    raise self._expected("iriref", i)
+                value = self.iris.get(token) or self._iri(token, i)
+                i += 1
             else:
-                value = self._entity(kind, self.next())
-            values[name] = value
-        self.expect("close")
-        return values
+                value = self.tables[kind].get(token) or self._entity(kind, token, i)
+                i += 1
+            values.append(value)
+        if tokens[i] != ")":
+            raise self._expected("close", i)
+        return cls(*values) if order is None else cls(*[values[k] for k in order]), i + 1
 
-    def _class_expression(self, depth: int) -> ClassExpression:
-        """One class expression inside depth levels of parentheses."""
-        token = self.next()
-        ce = self.classes.get(token)
-        if ce is not None:
-            return ce
+    def _class_expression(self, i: int, depth: int) -> tuple:
+        """The class expression at tokens[i], inside depth levels of
+        parentheses, that `classes` does not hold, and the index after it."""
+        token = self.tokens[i]
         kind = _kind(token)
         if kind == "iriref" or (kind == "name" and ":" in token):
-            ce = self.classes[token] = Named(self._entity(Kind.CLASS, token))
-            return ce
-        head = self.pos - 1
-        if kind != "name":
-            raise ParseError(f"expected a class expression, found {token!r}", self._loc(head))
+            entity = self.tables[_CLASS].get(token) or self._entity(_CLASS, token, i)
+            ce = self.classes[token] = Named(entity)
+            return ce, i + 1
         row = _CE_ROWS.get(token)
         if row is None:
-            raise self._unsupported(head)
-        cls, operands = row
-        values = self._operands(operands, depth + 1)
-        # An axiom's model class checks its operand count, located at the
-        # axiom; a class expression's count is checked here, at its head.
-        if any(kind is CES and len(values[key]) < 2 for key, kind in operands):
-            raise ParseError(f"{token} needs at least two operands", self._loc(head))
-        return cls(**values)
-
-    def _literal(self) -> AnnotationValue:
-        text = self.expect("literal")[1:-1]
-        try:
-            text = unescape(text, "literal") if "\\" in text else text
-        except ValueError as err:
-            raise ParseError(str(err), self._here()) from None
-        lang = None
-        nxt = self.peek()
-        if nxt is not None and _kind(nxt) == "lang":
-            lang = self.next()[1:]
-        return AnnotationValue(text, lang)
-
-    def _axiom(self) -> Axiom:
-        token = self.next()
-        head = self.pos - 1
-        if _kind(token) != "name":
-            raise ParseError(f"expected an axiom, found {token!r}", self._loc(head))
-        if token == "Declaration":
-            self.expect("open")
-            kind = _DECLARATION_KINDS.get(self.expect("name"))
-            if kind is None:
-                raise self._unsupported(self.pos - 1)
-            self.expect("open")
-            entity = self._entity(kind, self.next())
-            self.expect("close")
-            self.expect("close")
-            return Declaration(entity)
-        row = _AXIOM_ROWS.get(token)
-        if row is None:
-            raise self._unsupported(head)
-        cls, operands = row
-        try:
-            # The ontology's and the axiom's parentheses enclose every operand.
-            return cls(**self._operands(operands, 2))
-        except ValueError as err:  # the operands broke a model constraint
-            raise ParseError(str(err), self._loc(head)) from None
+            raise self._unsupported(i, "a class expression")
+        return self._term(row, i + 1, depth + 1)
 
 
 def _first_use(axioms: list[Axiom], entity: Entity) -> int:

@@ -40,7 +40,7 @@ _TOKEN_RE = re.compile(r'[()]|"(?:[^"\\]|\\.)*"(?:@[^\s()]*)?|[^\s()]+')
 def _mutate(text: str, rng: random.Random) -> str:
     for _ in range(rng.randint(1, 3)):
         spans = [m.span() for m in _TOKEN_RE.finditer(text)]
-        literals = [(a, b) for a, b in spans if text[a] == '"']
+        literals = [(a, b) for a, b in spans if text[a] == '"' and b - a >= 2]
         op = rng.randrange(6)
         if op == 5 and literals:  # a backslash inside a literal
             start, end = rng.choice(literals)
