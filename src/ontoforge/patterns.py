@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import OntoforgeError
 from .model import (
+    BUILTIN_ENTITIES,
     Axiom,
     ClassExpression,
     DisjointClasses,
@@ -68,11 +69,19 @@ def _or_of(entities: list[Entity]) -> ClassExpression:
     return Or(tuple(Named(e) for e in entities))
 
 
-def _subclass_block(parent: Entity, members: list[Entity], cover: bool) -> list[Axiom]:
-    """Members under parent, pairwise disjoint, and covering it when cover is set."""
+def _subclass_block(parent: Entity, members: list[Entity], forms, cover: bool) -> list[Axiom]:
+    """Members under parent, pairwise disjoint, and covering it when cover is set.
+
+    forms holds each member's form, where a member the disjointness refuses
+    (owl:Thing or owl:Nothing; the forms already refuse a repeat) is located.
+    """
     axioms: list[Axiom] = [SubClassOf(Named(m), Named(parent)) for m in members]
     if len(members) >= 2:
-        axioms.append(DisjointClasses(tuple(members)))
+        try:
+            axioms.append(DisjointClasses(tuple(members)))
+        except ValueError as err:
+            at = next(f for m, f in zip(members, forms) if m.iri in BUILTIN_ENTITIES)
+            raise PatternError(str(err), at.location) from None
     if cover:
         axioms.append(EquivalentClasses((Named(parent), _or_of(members))))
     return axioms
@@ -100,7 +109,8 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm, args) -> list[Entity]:
         rest = rest[1:]
     members: list[Entity] = []
     seen: set[Entity] = set()
-    for child in SUBCLASSES.check(form, rest):
+    children = SUBCLASSES.check(form, rest)
+    for child in children:
         member = ev.eval_top(SUBCLASSES.each(child))
         if member in seen:
             raise PatternError(
@@ -109,7 +119,7 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm, args) -> list[Entity]:
             )
         seen.add(member)
         members.append(member)
-    ev.add_axioms(_subclass_block(parent, members, cover), form)
+    ev.add_axioms(_subclass_block(parent, members, children, cover), form)
     return members
 
 
@@ -143,7 +153,7 @@ def value_partition(ev: "Evaluator", form: ListForm, args) -> Entity:
     parent = ev.declare(name, name_form, _CLASS)
     values = [ev.declare(v.name, v, _CLASS) for v in value_forms]
     prop = ev.declare("has" + name, name_form, Kind.OBJECT_PROPERTY)
-    axioms = _subclass_block(parent, values, cover=True)
+    axioms = _subclass_block(parent, values, value_forms, cover=True)
     axioms += [FunctionalObjectProperty(prop), ObjectPropertyRange(prop, Named(parent))]
     ev.add_axioms(axioms, form)
     return parent

@@ -335,6 +335,24 @@ def test_classify_lists_no_builtin_class(tmp_path, capsys):
     assert run_cli(capsys, "classify", "--src", str(tmp_path)) == (0, "owl:A\towl:Thing\n", "")
 
 
+@pytest.mark.parametrize(
+    "block, at",
+    [
+        ("(defclass X)\n(as-disjoint-subclasses X (defclass B) (defclass Thing))", "3:40"),
+        ("(defclass X)\n(as-disjoint-subclasses X :cover (defclass Nothing) (defclass B))", "3:34"),
+        ("(value-partition Size [Small Nothing])", "2:30"),
+        ("(value-partition Size [Thing Small])", "2:24"),
+    ],
+)
+def test_a_builtin_class_in_a_disjoint_block_is_a_located_error(tmp_path, capsys, block, at):
+    (tmp_path / "w.ont").write_text(
+        f'(defontology w :iri "http://www.w3.org/2002/07/owl#")\n{block}\n', encoding="utf-8"
+    )
+    assert run_cli(capsys, "check", "--src", str(tmp_path)) == (
+        2, "", f"{tmp_path / 'w.ont'}:{at}: error: disjointness members must be named classes\n"
+    )
+
+
 SKIPPING_ONT = """\
 (defontology menu :iri "https://example.org/menu#" :prefix "menu")
 (defclass Pizza)
