@@ -20,7 +20,9 @@ read their row's options through `options`, which takes the values of
 References go through `resolve_ref`, which checks the kind. Every axiom a
 form states, other than a declaration, enters the ontology through
 `add_axioms`. Every name rule matches the whole name. `deftest` checks each
-body form against `IS` when it reads it, so `check` refuses what `test` would.
+body form against `IS`, and each assertion in it, down through `not` and
+probe blocks, against `ASSERTIONS` when it reads it, so `check` refuses the
+shapes `test` would.
 """
 
 from __future__ import annotations
@@ -215,6 +217,29 @@ def assertion_name(form: Form) -> str:
     if name is None:
         raise TestSyntax("expected an assertion form", form.location)
     return name
+
+
+# The table of assertions, rows of the evaluator's kind. It lives here so
+# that `deftest` checks each assertion's shape while `check` loads no test
+# runner; a row's handler is the name of the `testkit` function that runs it.
+ASSERTIONS = {
+    "isuperclass?": Row("superclass", "class class", TestSyntax,
+                        "isuperclass? takes a subclass and a superclass"),
+    "coherent?": Row("coherent", "", TestSyntax, "coherent? takes no arguments"),
+    "not": Row("negation", "assertion", TestSyntax, "not takes exactly one assertion"),
+    "with-probe-entities": Row(
+        "probe", "bracket assertion", TestSyntax,
+        "with-probe-entities takes a bracket of bindings and one assertion"),
+}
+
+
+def assertion_row(form: Form) -> tuple[Row, tuple]:
+    """The row of assertion form and its operands, whose shape fits the row."""
+    name = assertion_name(form)
+    row = ASSERTIONS.get(name)
+    if row is None:
+        raise TestSyntax(f"unknown assertion '{name}'", form.children[0].location)
+    return row, row.check(form, form.children[1:])
 
 
 @dataclass
@@ -505,7 +530,11 @@ class Evaluator:
         if any(t.name == name for t in self.env.tests):
             raise EvalError(f"duplicate test name '{name}'", args[0].location)
         for body in args[1:]:
-            IS.check(body, body.children[1:] if assertion_name(body) == "is" else ())
+            # the assertion, and the one each `not` or probe block holds
+            (assertion,) = IS.check(body, body.children[1:] if assertion_name(body) == "is" else ())
+            while assertion is not None:
+                row, operands = assertion_row(assertion)
+                assertion = operands[-1] if row.kinds[-1:] == ["assertion"] else None
         test = TestDef(name, args[1:], form.offset, form.source)
         self.env.tests.append(test)
         return test

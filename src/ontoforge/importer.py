@@ -316,7 +316,8 @@ class _FunctionalParser:
                         raise ParseError(str(err), self._loc(heads[-1])) from None
                 axioms.append(axiom)
         except IndexError:
-            raise ParseError("unexpected end of input", self._loc(max(len(tokens) - 1, 0))) from None
+            last = max(len(tokens) - 1, 0)
+            raise ParseError("unexpected end of input", self._loc(last)) from None
 
         if i < n:
             raise ParseError(f"unexpected {tokens[i]!r} after ontology", self._loc(i))

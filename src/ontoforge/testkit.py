@@ -1,11 +1,12 @@
 """Running the unit tests an ontology declares about itself.
 
 `deftest` bodies are lists of `(is ...)` assertions over the classified
-ontology, which the evaluator checks against `IS` as it reads them.
-Assertions are rows of the evaluator's kind (`sexpr.Row`) in one table,
-`ASSERTIONS`, kept here so `check` loads no test runner: `eval_assertion`
-looks a head up, checks the operands against its row and calls the row's
-handler. Probe blocks add throwaway entities, evaluate one
+ontology, which the evaluator checks against `IS` and `ASSERTIONS` as it
+reads them. Assertions are rows of the evaluator's kind (`sexpr.Row`) in
+that one table, kept in the evaluator so `check` loads no test runner; their
+handlers are the functions below. `eval_assertion` looks a head up, checks
+the operands against its row and calls the row's handler. Probe blocks add
+throwaway entities, evaluate one
 assertion against the probed ontology, and then roll the ontology back to
 its mark from before the block, so it is structurally identical before and
 after, even on error.
@@ -19,7 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import Location
-from .evaluator import CLASS_EXPRESSIONS, IS, Environment, Evaluator, TestSyntax, assertion_name
+from .evaluator import (
+    ASSERTIONS,
+    CLASS_EXPRESSIONS,
+    IS,
+    Environment,
+    Evaluator,
+    TestSyntax,
+    assertion_row,
+)
 from .model import Kind
 from .reasoner import Classifier, SkippedAxiom, UnknownEntity, coherence_report, inferred_superclass
 from .sexpr import Form, ListForm, Row, head_name, is_valid_identifier
@@ -49,14 +58,17 @@ class TestReport:
 
 def eval_assertion(ev: Evaluator, classifier: Classifier, form: Form) -> bool:
     """Evaluate one assertion; classifier holds the current state of ev's ontology."""
-    name = assertion_name(form)
-    row = ASSERTIONS.get(name)
-    if row is None:
-        raise TestSyntax(f"unknown assertion '{name}'", form.children[0].location)
-    return row.handler(ev, classifier, form, row.check(form, form.children[1:]))
+    row, args = assertion_row(form)
+    return globals()[row.handler](ev, classifier, form, args)
 
 
-def _superclass(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> bool:
+# The handlers the rows of `ASSERTIONS` name, each called with the evaluator,
+# the classifier, the form and its checked operands. Each is looked up by
+# name when it is called, as are eval_assertion and run_probe_block in the
+# handlers that call them, so a wrapper set on that name later sees every call.
+
+
+def superclass(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> bool:
     sub = ev.resolve_ref(args[0], Kind.CLASS)
     sup = ev.resolve_ref(args[1], Kind.CLASS)
     try:
@@ -66,23 +78,17 @@ def _superclass(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> 
         raise
 
 
-# The table of assertions, rows of the evaluator's kind. A handler is called
-# with the evaluator, the classifier, the form and its checked operands; one
-# that calls run_probe_block looks it up when it is called, so a wrapper set
-# on that name later sees every probe block.
-ASSERTIONS = {
-    "isuperclass?": Row(_superclass, "class class", TestSyntax,
-                        "isuperclass? takes a subclass and a superclass"),
-    "coherent?": Row(lambda ev, classifier, form, args: not classifier.taxonomy().unsatisfiable,
-                     "", TestSyntax, "coherent? takes no arguments"),
-    "not": Row(lambda ev, classifier, form, args: not eval_assertion(ev, classifier, args[0]),
-               "assertion", TestSyntax, "not takes exactly one assertion"),
-    "with-probe-entities": Row(
-        lambda ev, classifier, form, args: run_probe_block(
-            ev, classifier, args[0].children, args[1]),
-        "bracket assertion", TestSyntax,
-        "with-probe-entities takes a bracket of bindings and one assertion"),
-}
+def coherent(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> bool:
+    return not classifier.taxonomy().unsatisfiable
+
+
+def negation(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> bool:
+    return not eval_assertion(ev, classifier, args[0])
+
+
+def probe(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> bool:
+    return run_probe_block(ev, classifier, args[0].children, args[1])
+
 # A probe binding, (name (owlclass "Name" options...)), and its owlclass form.
 _BINDING = Row(None, "identifier list", TestSyntax,
                'probe bindings look like (name (owlclass "Name" ...))')

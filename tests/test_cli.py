@@ -1178,8 +1178,21 @@ def test_an_ns_ending_in_a_newline_is_not_a_namespace_name(menu_tree, capsys):
         ("(deftest T (foo A))", "3:12", "test bodies are (is assertion) forms"),
         ("(deftest T (is (coherent?) A))", "3:12", "test bodies are (is assertion) forms"),
         ("(deftest T\n  A)", "4:3", "expected an assertion form"),
+        ("(deftest T (is (foo A)))", "3:17", "unknown assertion 'foo'"),
+        ("(deftest T (is (isuperclass? A)))", "3:16",
+         "isuperclass? takes a subclass and a superclass"),
+        ("(deftest T (is (coherent?)) (is (not (foo A))))", "3:39", "unknown assertion 'foo'"),
+        ("(deftest T (is (not (coherent?) A)))", "3:16", "not takes exactly one assertion"),
+        ("(deftest T (is (not A)))", "3:21", "expected an assertion form"),
+        ("(deftest T (is (with-probe-entities [] (bar))))", "3:41", "unknown assertion 'bar'"),
+        ("(deftest T (is (with-probe-entities [] (not (coherent? A)))))", "3:45",
+         "coherent? takes no arguments"),
+        ("(deftest T (is (with-probe-entities (coherent?))))", "3:16",
+         "with-probe-entities takes a bracket of bindings and one assertion"),
     ],
-    ids=["not-is", "is-with-two", "not-a-list"],
+    ids=["not-is", "is-with-two", "not-a-list", "unknown-head", "assertion-shape",
+         "unknown-under-not", "not-shape", "not-of-no-list", "unknown-in-probe",
+         "shape-in-probe", "probe-shape"],
 )
 def test_check_refuses_a_malformed_test_body_as_test_does(tmp_path, capsys, deftest, where,
                                                            message):
