@@ -3,8 +3,10 @@
 Translators edit flat `identifier=label text` files, one per language, so
 they never touch ontology sources. Parsing follows the familiar
 key=value shape: lines end only at \\n, \\r or \\r\\n, '#' or '!' lines are
-comments, the first unescaped '=' splits key from value, and the escapes
-\\\\, \\=, \\n, \\t are honored: one table, `_UNESCAPE`, read both ways.
+comments, the first unescaped '=' splits key from value, a value loses the
+blanks, tabs and form feeds it starts with, and the escapes \\\\, \\=, \\n,
+\\t, \\r, \\f and `\\ ` (a blank) are honored: one table, `_UNESCAPE`, read
+both ways, as Java's `Properties.store` writes and `Properties.load` reads.
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ class DuplicateKey(OntoforgeError):
 
 
 # The escapes by the character after the backslash; `render_properties` reads
-# the table the other way, escaping `=` in keys only.
-_UNESCAPE = {"\\": "\\", "=": "=", "n": "\n", "t": "\t"}
+# the table the other way, escaping `=` in keys only and a blank only where
+# it starts a value, which the reader would otherwise skip.
+_UNESCAPE = {"\\": "\\", "=": "=", "n": "\n", "t": "\t", "r": "\r", "f": "\f", " ": " "}
 _ESCAPE_RE = re.compile(r"\\(.?)")
-_ESCAPING_KEY = str.maketrans({char: "\\" + esc for esc, char in _UNESCAPE.items()})
+_ESCAPING_KEY = str.maketrans({char: "\\" + esc for esc, char in _UNESCAPE.items()
+                               if esc != " "})
 _ESCAPING_VALUE = str.maketrans({char: "\\" + esc for esc, char in _UNESCAPE.items()
-                                 if esc != "="})
+                                 if esc not in "= "})
+# What a value loses at its start, before its escapes are read.
+_LEADING = " \t\f"
 # A line's key: everything before the first '=' that no backslash escapes.
 _KEY_RE = re.compile(r"(?:[^\\=]|\\.?)*")
 
@@ -56,8 +62,9 @@ def parse_properties(text: str, file: str = "<properties>") -> dict[str, str]:
     """Key/value pairs in file order; a repeated key is an error.
 
     Keys are trimmed on both sides; values keep trailing whitespace and lose
-    only leading whitespace, as in Java properties files. An escape error
-    is raised before a missing '=', as the key holds the whole line then.
+    only the blanks, tabs and form feeds they start with, before their
+    escapes are read, as in Java properties files. An escape error is raised
+    before a missing '=', as the key holds the whole line then.
     """
     table: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -69,7 +76,7 @@ def parse_properties(text: str, file: str = "<properties>") -> dict[str, str]:
         key = _unescape(line[:split], loc).strip()
         if split == len(line):
             raise MalformedLine("line has no '=' separator", loc)
-        value = _unescape(line[split + 1:], loc).lstrip()
+        value = _unescape(line[split + 1:].lstrip(_LEADING), loc)
         if not key:
             raise MalformedLine("empty key", loc)
         if key in table:
@@ -82,10 +89,12 @@ def parse_properties(text: str, file: str = "<properties>") -> dict[str, str]:
 
 
 def render_properties(table: dict[str, str], header: str | None = None) -> str:
+    """The text `parse_properties` reads back as table."""
     lines = [f"# {header}"] if header else []
-    lines.extend(
-        f"{k.translate(_ESCAPING_KEY)}={v.translate(_ESCAPING_VALUE)}" for k, v in table.items()
-    )
+    for key, value in table.items():
+        value = value.translate(_ESCAPING_VALUE)
+        lead = "\\" if value[:1] == " " else ""
+        lines.append(f"{key.translate(_ESCAPING_KEY)}={lead}{value}")
     return "\n".join(lines) + "\n"
 
 

@@ -432,6 +432,18 @@ def test_labels_skeleton_folds_the_language_as_labels_hold_it(tmp_path, capsys):
     )
 
 
+def test_labels_skeleton_then_apply_adds_no_label_that_starts_with_a_blank(tmp_path, capsys):
+    (tmp_path / "w.ont").write_text(
+        '(defontology w :iri "http://ex.org/w#")\n(defclass A :annotation (label " Ay" "it"))\n',
+        encoding="utf-8",
+    )
+    run_cli(capsys, "labels", "skeleton", "--src", str(tmp_path), "--lang", "it")
+    path = tmp_path / "wlabel_it.properties"
+    assert path.read_text(encoding="utf-8").endswith("\nA=\\ Ay\n")
+    code, stdout, _ = run_cli(capsys, "labels", "apply", "--src", str(tmp_path), "--lang", "it")
+    assert (code, stdout) == (0, "added 0, missing 0, unknown 0\n")
+
+
 @pytest.mark.parametrize(
     "tag, message",
     [("", "language tag must not be empty"), ("a b", "not a language tag: 'a b'")],

@@ -134,6 +134,30 @@ def test_render_then_parse_round_trips():
         assert parse_properties(render_properties(table)) == table
 
 
+def test_render_then_parse_round_trips_values_that_start_with_blanks_or_hold_a_cr():
+    # a value's leading blanks, tabs and form feeds would be skipped unescaped,
+    # and a raw \r would end its line; Java's Properties.store writes "\\ "
+    rng = random.Random(12)
+    chars = "ab =\\\n\r\t\f\u00a0"
+    tables = [{"A": " Ay", "B": "x\ry", "C": "\f\t x", "D": "  ", "E": "\\ ", "F": "\u00a0a"}]
+    for _ in range(200):
+        tables.append({
+            f"k{i}": "".join(rng.choice(chars) for _ in range(rng.randint(0, 8)))
+            for i in range(rng.randint(1, 6))
+        })
+    for table in tables:
+        assert parse_properties(render_properties(table)) == table, table
+    assert render_properties(tables[0]) == (
+        "A=\\ Ay\nB=x\\ry\nC=\\f\\t x\nD=\\  \nE=\\\\ \nF=\u00a0a\n"
+    )
+
+
+def test_a_value_loses_only_the_blanks_it_starts_with_before_its_escapes_are_read():
+    assert parse_properties("a= \t\f x \nb=\\ y\nc=\\t z\nd=\u00a0w\n") == {
+        "a": "x ", "b": " y", "c": "\t z", "d": "\u00a0w"
+    }
+
+
 # --- applying labels -------------------------------------------------------------
 
 
