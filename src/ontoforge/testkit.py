@@ -3,13 +3,12 @@
 `deftest` bodies are lists of `(is ...)` assertions over the classified
 ontology, which the evaluator checks against `IS` and `ASSERTIONS` as it
 reads them. Assertions are rows of the evaluator's kind (`sexpr.Row`) in
-that one table, kept in the evaluator so `check` loads no test runner; their
-handlers are the functions below. `eval_assertion` looks a head up, checks
-the operands against its row and calls the row's handler. Probe blocks add
-throwaway entities, evaluate one
-assertion against the probed ontology, and then roll the ontology back to
-its mark from before the block, so it is structurally identical before and
-after, even on error.
+that one table, kept in the evaluator so `check` loads no test runner; a
+row's handler names one of the functions below. `eval_assertion` looks a
+head up, checks the operands against its row and calls the handler. Probe blocks add
+throwaway entities, evaluate one assertion against the probed ontology, and
+then roll the ontology back to its mark from before the block, so it is
+structurally identical before and after, even on error.
 
 `run_tests` classifies the base ontology once. A probe block extends that
 classification with its own axioms and undoes the extension on the way out.
@@ -88,6 +87,7 @@ def negation(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> boo
 
 def probe(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> bool:
     return run_probe_block(ev, classifier, args[0].children, args[1])
+
 
 # A probe binding, (name (owlclass "Name" options...)), and its owlclass form.
 _BINDING = Row(None, "identifier list", TestSyntax,

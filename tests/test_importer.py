@@ -343,6 +343,27 @@ def test_end_of_input_points_at_the_last_token():
     assert _error_at("") == ("unexpected end of input", (1, 1))
 
 
+@pytest.mark.parametrize(
+    "form, wrong",
+    [
+        ("Declaration(Class(e:A))", ":="),
+        ("SubClassOf(e:A ObjectSomeValuesFrom(e:p e:B))", ":="),
+        ('AnnotationAssertion(rdfs:label e:A "x"@en)', ":="),
+        ("Prefix(p:=<https://x.org/p#>)", '"?"'),
+    ],
+)
+def test_of_two_wrong_tokens_in_a_row_the_first_is_reported(form, wrong):
+    tokens = re.findall(r"[()]|[^\s()]+", form)
+    for j in range(len(tokens) - 1):
+        mutant = " ".join(tokens[:j] + [wrong, wrong] + tokens[j + 2:])
+        if form.startswith("Prefix"):
+            text = f"{mutant}\nOntology(<https://x.org/o>\n)\n"
+        else:
+            text = functional("Declaration(ObjectProperty(e:p))", mutant)
+        offset = text.index(mutant) + len(" ".join(tokens[:j] + [""]))
+        assert _error_at(text)[1] == _line_col(text, offset), (form, j)
+
+
 def test_reader_matches_the_golden_file_on_seeded_mutants():
     """Which error wins, and where, on every mutant, as the file records it.
 
