@@ -21,7 +21,7 @@ _EXPORTS = {
                  "memorise_save", "parse_functional"),
     "model": ("And", "AnnotationAssertion", "AnnotationValue", "Axiom", "Declaration",
               "DisjointClasses", "Entity", "EquivalentClasses", "FunctionalObjectProperty",
-              "Import", "IRI", "Kind", "Named", "Not", "NOTHING", "ObjectPropertyDomain",
+              "Import", "IRI", "Kind", "KINDS", "Named", "Not", "NOTHING", "ObjectPropertyDomain",
               "ObjectPropertyRange", "Only", "Ontology", "Or", "Some", "SubClassOf",
               "SubObjectPropertyOf", "THING", "TransitiveObjectProperty"),
     "polyglot": ("apply_labels", "emit_skeleton", "parse_properties", "render_properties"),

@@ -21,8 +21,8 @@ References go through `resolve_ref`, which checks the kind. Every axiom a
 form states, other than a declaration, enters the ontology through
 `add_axioms`. Every name rule matches the whole name. `deftest` checks each
 body form against `IS`, and each assertion in it, down through `not` and
-probe blocks, against `ASSERTIONS` when it reads it, so `check` refuses the
-shapes `test` would.
+probe blocks, against `ASSERTIONS` (a probe's bindings too) when it reads
+it, so `check` refuses the shapes `test` would.
 """
 
 from __future__ import annotations
@@ -185,9 +185,6 @@ def resolve(env: Environment, name: str, where: Located | None = None) -> Entity
     raise UnboundIdentifier(f"unbound identifier '{name}'", location)
 
 
-# Read once: an Enum member read from its class is a lookup in Python on 3.11.
-_CLASS, _OBJECT_PROPERTY = Kind.CLASS, Kind.OBJECT_PROPERTY
-
 _CLASS_OPTIONS = frozenset({"label", "comment", "annotation", "subclass", "equivalent", "disjoint"})
 _PROPERTY_OPTIONS = frozenset(
     {"label", "comment", "annotation", "domain", "range", "subproperty", "characteristic"}
@@ -202,7 +199,7 @@ KEYWORD_OPTIONS = frozenset({"characteristic", "naming"})
 _ANNOTATION = Row(None, "text text?", EvalError,
                   'annotation values look like (label "text" "lang")')
 _ANNOTATION_PROPERTIES = {"label": RDFS_LABEL, "comment": RDFS_COMMENT}
-_DEFINES = {"defclass": _CLASS, "defoproperty": _OBJECT_PROPERTY}
+_DEFINES = {"defclass": Kind.CLASS, "defoproperty": Kind.OBJECT_PROPERTY}
 _CHARACTERISTICS = {"functional": FunctionalObjectProperty, "transitive": TransitiveObjectProperty}
 
 _PREFIX_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9_.-]*")
@@ -233,13 +230,25 @@ ASSERTIONS = {
 }
 
 
+# A probe binding, (name (owlclass "Name" options...)), and its owlclass form.
+_BINDING = Row(None, "identifier list", TestSyntax,
+               'probe bindings look like (name (owlclass "Name" ...))')
+_PROBE = Row(None, "text option*", TestSyntax, "probe entities are created with (owlclass ...)")
+
+
 def assertion_row(form: Form) -> tuple[Row, tuple]:
-    """The row of assertion form and its operands, whose shape fits the row."""
+    """The row of assertion form and its operands, which fit it, as a probe's bindings do."""
     name = assertion_name(form)
     row = ASSERTIONS.get(name)
     if row is None:
         raise TestSyntax(f"unknown assertion '{name}'", form.children[0].location)
-    return row, row.check(form, form.children[1:])
+    operands = row.check(form, form.children[1:])
+    if name == "with-probe-entities":
+        for binding in operands[0].children:
+            parts = binding.children if isinstance(binding, ListForm) else ()
+            maker = _BINDING.check(binding, parts)[1]
+            _PROBE.check(maker, maker.children[1:] if head_name(maker) == "owlclass" else ())
+    return row, operands
 
 
 @dataclass
@@ -287,7 +296,7 @@ class Evaluator:
             name = name + scope.text if scope.where == "suffix" else scope.text + name
         return name
 
-    def resolve_ref(self, form: Form, kind: Kind) -> Entity:
+    def resolve_ref(self, form: Form, kind: str) -> Entity:
         """The entity form names, which must be of the given kind."""
         if not isinstance(form, Identifier):
             raise EvalError("expected an identifier", form.location)
@@ -299,12 +308,12 @@ class Evaluator:
         else:
             entity = (self.locals.get(name) or self.env.bindings.get(name)
                       or resolve(self.env, name, form))
-        if entity.kind is not kind:
-            what = "a class" if kind is _CLASS else "an object property"
+        if entity.kind != kind:
+            what = "a class" if kind == Kind.CLASS else "an object property"
             raise EvalError(f"'{form.name}' is not {what}", form.location)
         return entity
 
-    def declare(self, name: str, where: Located, kind: Kind, bind: bool = True) -> Entity:
+    def declare(self, name: str, where: Located, kind: str, bind: bool = True) -> Entity:
         """Declare name as an entity of the given kind; errors are located at where.
 
         With bind, the name takes the enclosing affixes and is bound in the
@@ -363,7 +372,7 @@ class Evaluator:
 
     def eval_ce(self, form: Form) -> ClassExpression:
         if isinstance(form, Identifier):
-            return Named(self.resolve_ref(form, _CLASS))
+            return Named(self.resolve_ref(form, Kind.CLASS))
         head = form.children[0] if isinstance(form, ListForm) and form.children else None
         if not isinstance(head, Identifier):
             raise EvalError("expected a class expression", form.location)
@@ -422,7 +431,7 @@ class Evaluator:
                 operands = (Named(entity), *(self.eval_ce(v) for v in values))
                 axioms.append(EquivalentClasses(operands))
             elif kw.name == "disjoint":
-                others = tuple(self.resolve_ref(v, _CLASS) for v in values)
+                others = tuple(self.resolve_ref(v, Kind.CLASS) for v in values)
                 try:
                     axioms.append(DisjointClasses((entity, *others)))
                 except ValueError as err:
@@ -433,7 +442,7 @@ class Evaluator:
                 axioms.extend(ObjectPropertyRange(entity, self.eval_ce(v)) for v in values)
             elif kw.name == "subproperty":
                 axioms.extend(
-                    SubObjectPropertyOf(entity, self.resolve_ref(v, _OBJECT_PROPERTY))
+                    SubObjectPropertyOf(entity, self.resolve_ref(v, Kind.OBJECT_PROPERTY))
                     for v in values
                 )
             else:
@@ -450,7 +459,7 @@ class Evaluator:
 
     def eval_owlclass(self, row: Row, form: ListForm, args) -> Entity:
         """(owlclass "Name" options...): declare a class without binding it."""
-        entity = self.declare(args[0].value, args[0], _CLASS, bind=False)
+        entity = self.declare(args[0].value, args[0], Kind.CLASS, bind=False)
         self.add_axioms(self.option_axioms(entity, args[1:], row.options), form)
         return entity
 
@@ -547,7 +556,7 @@ def _nary(cls, operands: list[ClassExpression]) -> ClassExpression:
 def _restriction(cls):
     """The handler of cls's form: the property is resolved before the filler."""
     return lambda ev, row, form, args: cls(
-        ev.resolve_ref(args[0], _OBJECT_PROPERTY), ev.eval_ce(args[1]))
+        ev.resolve_ref(args[0], Kind.OBJECT_PROPERTY), ev.eval_ce(args[1]))
 
 
 # The table of forms: each head's row gives its handler, called with the

@@ -57,6 +57,7 @@ from .model import (
     Import,
     IRI,
     Kind,
+    KINDS,
     LANG_TAG,
     Named,
     Not,
@@ -144,7 +145,7 @@ def _token_start(text: str, index: int) -> int:
 
 # --- the grammar -----------------------------------------------------------
 
-# Operand kinds. An entity operand is given by its Kind instead.
+# Operand kinds. An entity operand is given by its entity kind instead.
 CE = "class expression"
 CES = "class expressions"
 CLASSES = "named classes"
@@ -183,9 +184,8 @@ GRAMMAR: dict[type, tuple[str, tuple[tuple[str, object], ...]]] = {
     Import: ("Import", (("iri", IRIREF),)),
 }
 
-# The entity kinds a Declaration names, by the keyword that is the Kind's value.
-_DECLARATION_KINDS = {kind.value: kind for kind in Kind}
-_CLASS = Kind.CLASS
+# Each Declaration keyword's kind, as the one str of `KINDS` its entities hold.
+_DECLARATION_KINDS = {kind: kind for kind in KINDS}
 
 
 def _row(cls: type) -> tuple:
@@ -214,7 +214,7 @@ class _FunctionalParser:
         # IRI, so one text always means one IRI. `entities` lists each entity
         # the tables hold, in order of first mention.
         self.iris: dict[str, IRI] = {}
-        self.tables: dict[Kind, dict[str, Entity]] = {kind: {} for kind in Kind}
+        self.tables: dict[str, dict[str, Entity]] = {kind: {} for kind in KINDS}
         self.entities: list[Entity] = []
         self.classes: dict[str, Named] = {}
         # A bad character anywhere wins over any grammar error. Each distinct
@@ -345,7 +345,7 @@ class _FunctionalParser:
             raise ParseError(str(err), self._loc(index)) from None
         return iri
 
-    def _entity(self, kind: Kind, token: str, index: int) -> Entity:
+    def _entity(self, kind: str, token: str, index: int) -> Entity:
         """A new entity of kind, named by token, which is tokens[index]."""
         entity = self.tables[kind][token] = Entity(kind, self._iri(token, index))
         self.entities.append(entity)
@@ -425,7 +425,7 @@ class _FunctionalParser:
         token = self.tokens[i]
         kind = _kind(token)
         if kind == "iriref" or (kind == "name" and ":" in token):
-            entity = self.tables[_CLASS].get(token) or self._entity(_CLASS, token, i)
+            entity = self.tables[Kind.CLASS].get(token) or self._entity(Kind.CLASS, token, i)
             ce = self.classes[token] = Named(entity)
             return ce, i + 1
         row = _CE_ROWS.get(token)

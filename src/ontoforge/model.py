@@ -6,8 +6,9 @@ the classes owl:Thing and owl:Nothing, which are plain `Named` classes
 (`THING`, `NOTHING`), and the annotation properties rdfs:label and
 rdfs:comment.
 
-An IRI is its text: `IRI` is a str checked when it is made, so `IRI(t) == t`,
-and every table keyed by IRIs hashes them as text, in C.
+An IRI, a kind and an arrival are each their text: `IRI(t) == t`, checked
+when made; `Kind.CLASS == "Class"`, one of the OWL keywords in `KINDS`; and
+an `Arrival` is one of five words. Tables keyed by them hash text, in C.
 
 Everything except Ontology is an immutable value with structural equality, so
 axioms can live in sets and duplicate assertions collapse to no-ops. Every
@@ -34,7 +35,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import FrozenInstanceError, dataclass
-from enum import Enum
 
 from .errors import Location, OntoforgeError
 
@@ -117,26 +117,20 @@ class IRI(str):
         return self.split(":", 1)[1]
 
 
-class Kind(Enum):
+class Kind:
+    """An entity's kind: the OWL keyword that declares it."""
+
     CLASS = "Class"
     OBJECT_PROPERTY = "ObjectProperty"
     ANNOTATION_PROPERTY = "AnnotationProperty"
 
-    # Members are singletons compared by identity, so their identity is their
-    # hash; it is computed in C, where Enum's own hashes the name in Python.
-    __hash__ = object.__hash__
 
-
-# The kind checks of the constructors below read these aliases: reading a
-# member off the Enum class costs about ten times as much as a global.
-_CLASS = Kind.CLASS
-_OBJECT_PROPERTY = Kind.OBJECT_PROPERTY
-_ANNOTATION_PROPERTY = Kind.ANNOTATION_PROPERTY
+KINDS = (Kind.CLASS, Kind.OBJECT_PROPERTY, Kind.ANNOTATION_PROPERTY)
 
 
 @_value
 class Entity:
-    kind: Kind
+    kind: str  # one of KINDS
     iri: IRI
 
     def __hash__(self) -> int:
@@ -171,8 +165,8 @@ class Named(ClassExpression):
     entity: Entity
 
     def __post_init__(self) -> None:
-        if self.entity.kind is not _CLASS:
-            raise ValueError(f"named class expression needs a class entity, got {self.entity.kind.value}")
+        if self.entity.kind != Kind.CLASS:
+            raise ValueError(f"named class expression needs a class entity, got {self.entity.kind}")
 
 
 THING = Named(OWL_THING)
@@ -207,8 +201,8 @@ class Not(ClassExpression):
 
 
 def _check_object_property(entity: Entity) -> None:
-    if entity.kind is not _OBJECT_PROPERTY:
-        raise ValueError(f"restriction needs an object property, got {entity.kind.value}")
+    if entity.kind != Kind.OBJECT_PROPERTY:
+        raise ValueError(f"restriction needs an object property, got {entity.kind}")
 
 
 class _OnProperty:
@@ -295,7 +289,7 @@ class DisjointClasses(Axiom):
             raise ValueError("disjoint classes must be pairwise distinct")
         thing_or_nothing = (OWL_THING.iri, OWL_NOTHING.iri)
         for e in ops:
-            if e.kind is not _CLASS or e.iri in thing_or_nothing:
+            if e.kind != Kind.CLASS or e.iri in thing_or_nothing:
                 raise ValueError("disjointness members must be named classes")
         object.__setattr__(self, "operands", ops)
 
@@ -339,7 +333,7 @@ class AnnotationAssertion(Axiom):
     value: AnnotationValue
 
     def __post_init__(self) -> None:
-        if self.property.kind is not _ANNOTATION_PROPERTY:
+        if self.property.kind != Kind.ANNOTATION_PROPERTY:
             raise ValueError("annotation assertions need an annotation property")
 
 
@@ -405,10 +399,7 @@ def _prefix_stem(base: str) -> str:
 
 
 class Arrival:
-    """How an entity comes into an ontology, for `Ontology.admit`.
-
-    Plain strings: an Enum member reads several times slower, once per axiom.
-    """
+    """How an entity comes into an ontology, for `Ontology.admit`."""
 
     DECLARATION = "declaration"  # a stated Declaration
     REGISTRATION = "registration"  # a document's declaration, ahead of its axioms
@@ -460,7 +451,7 @@ class Ontology:
     def __contains__(self, axiom: Axiom) -> bool:
         return axiom in self._axiom_set
 
-    def declare(self, kind: Kind, iri: IRI) -> Entity:
+    def declare(self, kind: str, iri: IRI) -> Entity:
         """Register an entity, yielding the canonical one. Idempotent per kind."""
         self.add_axiom(Declaration(Entity(kind, iri)))
         return self.entities[iri]
@@ -499,11 +490,11 @@ class Ontology:
         if known is None:
             if how == Arrival.MENTION:
                 raise UndeclaredEntity(f"axiom mentions undeclared entity <{entity.iri}>")
-        elif known.kind is not entity.kind:
+        elif known.kind != entity.kind:
             where = "declared" if key in self.entities else (
                 "imported" if key in self.imported else "built in")
             message = _REFUSALS.get((where, how)) or _REFUSALS[None, how]
-            message = message.format(known.kind.value, entity.kind.value, where=where)
+            message = message.format(known.kind, entity.kind, where=where)
             raise DuplicateEntityKind(f"<{entity.iri}> {message}", entity=entity)
         elif how not in _DECLARING or key in self.entities:
             return known

@@ -39,8 +39,6 @@ from .sexpr import MAX_NESTING, BracketForm, Form, Identifier, Keyword, ListForm
 # nesting cap bounds.
 MAX_INSTANTIATIONS = 10_000
 
-# Read once: an Enum member read from its class costs a lookup in Python on 3.11.
-_CLASS = Kind.CLASS
 
 if TYPE_CHECKING:
     from .evaluator import Evaluator
@@ -99,7 +97,7 @@ VALUES = Row(None, "identifier*", PatternArity, "value-partition needs at least 
 
 def disjoint_subclasses(ev: "Evaluator", form: ListForm, args) -> list[Entity]:
     """(as-disjoint-subclasses Parent [:cover] (defclass ...)+)"""
-    parent = ev.resolve_ref(args[0], _CLASS)
+    parent = ev.resolve_ref(args[0], Kind.CLASS)
     rest = args[1:]
     cover = False
     if rest and isinstance(rest[0], Keyword):
@@ -150,8 +148,8 @@ def value_partition(ev: "Evaluator", form: ListForm, args) -> Entity:
             )
         seen.add(v.name)
     name = name_form.name
-    parent = ev.declare(name, name_form, _CLASS)
-    values = [ev.declare(v.name, v, _CLASS) for v in value_forms]
+    parent = ev.declare(name, name_form, Kind.CLASS)
+    values = [ev.declare(v.name, v, Kind.CLASS) for v in value_forms]
     prop = ev.declare("has" + name, name_form, Kind.OBJECT_PROPERTY)
     axioms = _subclass_block(parent, values, value_forms, cover=True)
     axioms += [FunctionalObjectProperty(prop), ObjectPropertyRange(prop, Named(parent))]

@@ -3,10 +3,11 @@
 Translators edit flat `identifier=label text` files, one per language, so
 they never touch ontology sources. Parsing follows the familiar
 key=value shape: lines end only at \\n, \\r or \\r\\n, '#' or '!' lines are
-comments, the first unescaped '=' splits key from value, a value loses the
-blanks, tabs and form feeds it starts with, and the escapes \\\\, \\=, \\n,
-\\t, \\r, \\f and `\\ ` (a blank) are honored: one table, `_UNESCAPE`, read
-both ways, as Java's `Properties.store` writes and `Properties.load` reads.
+comments, the first unescaped '=' splits key from value, a key loses the
+unescaped blanks, tabs and form feeds around it and a value those it starts
+with, and the escapes \\\\, \\=, \\n, \\t, \\r, \\f and `\\ ` (a blank) are
+honored: one table, `_UNESCAPE`, read both ways, as Java's `Properties.store`
+writes and `Properties.load` reads.
 """
 
 from __future__ import annotations
@@ -31,18 +32,18 @@ class DuplicateKey(OntoforgeError):
 
 
 # The escapes by the character after the backslash; `render_properties` reads
-# the table the other way, escaping `=` in keys only and a blank only where
-# it starts a value, which the reader would otherwise skip.
+# the table the other way, as Java's `Properties.store` does: it escapes `=`
+# and every blank in keys, and in a value only a blank that starts it.
 _UNESCAPE = {"\\": "\\", "=": "=", "n": "\n", "t": "\t", "r": "\r", "f": "\f", " ": " "}
 _ESCAPE_RE = re.compile(r"\\(.?)")
-_ESCAPING_KEY = str.maketrans({char: "\\" + esc for esc, char in _UNESCAPE.items()
-                               if esc != " "})
+_ESCAPING_KEY = str.maketrans({char: "\\" + esc for esc, char in _UNESCAPE.items()})
 _ESCAPING_VALUE = str.maketrans({char: "\\" + esc for esc, char in _UNESCAPE.items()
                                  if esc not in "= "})
 # What a value loses at its start, before its escapes are read.
 _LEADING = " \t\f"
-# A line's key: everything before the first '=' that no backslash escapes.
-_KEY_RE = re.compile(r"(?:[^\\=]|\\.?)*")
+# A line's key: what comes before the first '=' that no backslash escapes, less
+# the unescaped blanks, tabs and form feeds around it; then that '=', if any.
+_KEY_RE = re.compile(r"[ \t\f]*((?:[^\\= \t\f]|\\.?|[ \t\f]+(?=[^= \t\f]))*)[ \t\f]*(=|\Z)")
 
 
 def _unescape(text: str, loc: Location) -> str:
@@ -61,10 +62,10 @@ def _unescape(text: str, loc: Location) -> str:
 def parse_properties(text: str, file: str = "<properties>") -> dict[str, str]:
     """Key/value pairs in file order; a repeated key is an error.
 
-    Keys are trimmed on both sides; values keep trailing whitespace and lose
-    only the blanks, tabs and form feeds they start with, before their
-    escapes are read, as in Java properties files. An escape error is raised
-    before a missing '=', as the key holds the whole line then.
+    Keys lose the unescaped blanks, tabs and form feeds around them, and
+    values those they start with; values keep trailing whitespace, as in
+    Java properties files. An escape error is raised before a missing '=',
+    as the key holds the whole line then.
     """
     table: dict[str, str] = {}
     first_line: dict[str, int] = {}
@@ -72,11 +73,11 @@ def parse_properties(text: str, file: str = "<properties>") -> dict[str, str]:
         if not line.strip() or line[0] in "#!":
             continue
         loc = Location(file, lineno, 1)
-        split = _KEY_RE.match(line).end()
-        key = _unescape(line[:split], loc).strip()
-        if split == len(line):
+        match = _KEY_RE.match(line)
+        key = _unescape(match[1], loc)
+        if not match[2]:
             raise MalformedLine("line has no '=' separator", loc)
-        value = _unescape(line[split + 1:].lstrip(_LEADING), loc)
+        value = _unescape(line[match.end():].lstrip(_LEADING), loc)
         if not key:
             raise MalformedLine("empty key", loc)
         if key in table:
@@ -105,7 +106,7 @@ def _own_classes(env: "Environment") -> dict[str, Entity]:
     for name, entity in env.bindings.items():
         if "/" in name:
             continue
-        if entity.kind is Kind.CLASS and declared.get(entity.iri) == entity:
+        if entity.kind == Kind.CLASS and declared.get(entity.iri) == entity:
             own[name] = entity
     return own
 

@@ -203,7 +203,7 @@ class _Normalizer:
     def _axiom(self, axiom: Axiom) -> None:
         res = self.result
         if isinstance(axiom, Declaration):
-            if axiom.entity.kind is Kind.CLASS:
+            if axiom.entity.kind == Kind.CLASS:
                 res.classes.add(axiom.entity.iri)
             return
         if isinstance(axiom, SubClassOf):

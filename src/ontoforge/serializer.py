@@ -1,9 +1,10 @@
 """Deterministic text renderers for ontologies.
 
 Two formats come out of here. The Manchester-style text is the human-facing
-one: one frame per declared entity in declaration order, fixed section order
-inside each frame, eight-space entry indentation, and a trailing comma on
-every entry except the last. The frames come from one table, `_FRAMES`,
+one: one frame per declared entity in declaration order, then one per
+imported entity the axioms file items under, fixed section order inside
+each frame, eight-space entry indentation, and a trailing comma on every
+entry except the last. The frames come from one table, `_FRAMES`,
 which gives each entity kind its sections in writing order: one pass files
 every axiom's items by entity and section, and one loop writes each frame's
 sections from the table. The functional-style text is the interchange
@@ -119,8 +120,8 @@ def _omn_wrap(ce: ClassExpression, curies: CurieTable) -> str:
 
 
 # Each kind's frame sections in writing order, as the OWL 2 Manchester Syntax
-# frames name them; a frame's keyword is its kind's value.
-_FRAMES: dict[Kind, tuple[str, ...]] = {
+# frames name them; a frame's keyword is its kind.
+_FRAMES: dict[str, tuple[str, ...]] = {
     Kind.CLASS: ("Annotations", "EquivalentTo", "SubClassOf", "DisjointWith"),
     Kind.OBJECT_PROPERTY: ("Annotations", "Characteristics", "SubPropertyOf", "Domain", "Range"),
     Kind.ANNOTATION_PROPERTY: ("Annotations",),
@@ -193,8 +194,10 @@ def render_omn(ontology: Ontology, curies: CurieTable | None = None) -> str:
             header.append(f"Import: <{axiom.iri}>")
     blocks = [header]
 
-    for entity in ontology.entities.values():
-        lines = [f"{entity.kind.value}: {curies[entity.iri]}"]
+    declared, imported = ontology.entities, ontology.imported
+    others = [imported[iri] for iri in items if iri in imported and iri not in declared]
+    for entity in [*declared.values(), *others]:
+        lines = [f"{entity.kind}: {curies[entity.iri]}"]
         sections = items.get(entity.iri, {})
         for section in _FRAMES[entity.kind]:
             found = sections.get(section)
@@ -216,7 +219,7 @@ def _fun_term(term, curies: CurieTable) -> str:
     if isinstance(term, Named):
         return curies[term.entity.iri]
     if isinstance(term, Declaration):
-        return f"Declaration({term.entity.kind.value}({curies[term.entity.iri]}))"
+        return f"Declaration({term.entity.kind}({curies[term.entity.iri]}))"
     head, operands = GRAMMAR[type(term)]
     parts = []
     for name, kind in operands:

@@ -5,7 +5,8 @@ ontology, which the evaluator checks against `IS` and `ASSERTIONS` as it
 reads them. Assertions are rows of the evaluator's kind (`sexpr.Row`) in
 that one table, kept in the evaluator so `check` loads no test runner; a
 row's handler names one of the functions below. `eval_assertion` looks a
-head up, checks the operands against its row and calls the handler. Probe blocks add
+head up and checks its operands (and a probe block's bindings) through
+`evaluator.assertion_row`, then calls the handler. Probe blocks add
 throwaway entities, evaluate one assertion against the probed ontology, and
 then roll the ontology back to its mark from before the block, so it is
 structurally identical before and after, even on error.
@@ -20,9 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import Location
 from .evaluator import (
-    ASSERTIONS,
     CLASS_EXPRESSIONS,
-    IS,
     Environment,
     Evaluator,
     TestSyntax,
@@ -30,7 +29,7 @@ from .evaluator import (
 )
 from .model import Kind
 from .reasoner import Classifier, SkippedAxiom, UnknownEntity, coherence_report, inferred_superclass
-from .sexpr import Form, ListForm, Row, head_name, is_valid_identifier
+from .sexpr import Form, ListForm, is_valid_identifier
 
 
 @dataclass(frozen=True)
@@ -89,28 +88,22 @@ def probe(ev: Evaluator, classifier: Classifier, form: ListForm, args) -> bool:
     return run_probe_block(ev, classifier, args[0].children, args[1])
 
 
-# A probe binding, (name (owlclass "Name" options...)), and its owlclass form.
-_BINDING = Row(None, "identifier list", TestSyntax,
-               'probe bindings look like (name (owlclass "Name" ...))')
-_PROBE = Row(None, "text option*", TestSyntax, "probe entities are created with (owlclass ...)")
-
-
 def run_probe_block(ev: Evaluator, classifier: Classifier, bindings, body: Form) -> bool:
     """Evaluate body with probe entities present, then undo them in both stores."""
     ontology = ev.env.ontology
     mark, classifier_mark = ontology.mark(), classifier.mark()
     saved_locals = dict(ev.locals)
     try:
+        # `assertion_row` checked each binding's shape
         for binding in bindings:
-            operands = binding.children if isinstance(binding, ListForm) else ()
-            name, maker = _BINDING.check(binding, operands)
-            args = _PROBE.check(maker, maker.children[1:] if head_name(maker) == "owlclass" else ())
+            name, maker = binding.children
+            args = maker.children[1:]
             text = args[0]
             if is_valid_identifier(text.value) and ontology.lookup(ontology.iri + text.value):
                 message = f"probe '{text.value}' collides with a declared entity"
                 raise TestSyntax(message, text.location)
             entity = ev.eval_owlclass(CLASS_EXPRESSIONS["owlclass"], maker, args)
-            assert entity.kind is Kind.CLASS
+            assert entity.kind == Kind.CLASS
             ev.locals[name.name] = entity
         classifier.add(ontology.axioms[mark[0]:])
         return eval_assertion(ev, classifier, body)

@@ -134,6 +134,32 @@ def test_compile_names_an_iri_no_prefix_covers_as_classify_does(tmp_path, capsys
         assert f"Prefix({label}:=" not in ofn
 
 
+def test_compile_writes_a_frame_for_an_imported_class_the_ontology_states_about(tmp_path,
+                                                                               capsys):
+    # the covering axiom is filed under base:Pizza, which menu imports
+    (tmp_path / "base.ont").write_text(
+        '(defontology base :iri "https://example.org/base#")\n(defclass Pizza)\n',
+        encoding="utf-8",
+    )
+    (tmp_path / "menu.ont").write_text(
+        '(defontology menu :iri "https://example.org/menu#")\n(use base)\n'
+        "(as-disjoint-subclasses base/Pizza :cover (defclass Thin) (defclass Deep))\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(capsys, "compile", "--src", str(tmp_path), "--ns", "menu",
+                              "--out", str(out))
+    assert (code, stderr) == (0, "")
+    ofn = (out / "menu.ofn").read_text(encoding="utf-8")
+    assert "EquivalentClasses(base:Pizza ObjectUnionOf(menu:Thin menu:Deep))\n" in ofn
+    omn = (out / "menu.omn").read_text(encoding="utf-8")
+    assert omn.endswith(
+        "Class: menu:Deep\n    SubClassOf: \n        base:Pizza\n    DisjointWith: \n"
+        "        menu:Thin\n\n"
+        "Class: base:Pizza\n    EquivalentTo: \n        menu:Thin or menu:Deep\n"
+    )
+
+
 def test_compile_refuses_a_language_tag_its_own_reader_refuses(tmp_path, capsys):
     (tmp_path / "m.ont").write_text(
         '(defontology m :iri "https://example.org/m#")\n'
@@ -1201,10 +1227,14 @@ def test_an_ns_ending_in_a_newline_is_not_a_namespace_name(menu_tree, capsys):
          "coherent? takes no arguments"),
         ("(deftest T (is (with-probe-entities (coherent?))))", "3:16",
          "with-probe-entities takes a bracket of bindings and one assertion"),
+        ("(deftest T (is (with-probe-entities [(x)] (coherent?))))", "3:38",
+         'probe bindings look like (name (owlclass "Name" ...))'),
+        ('(deftest T (is (with-probe-entities [(x (defclass "P"))] (coherent?))))', "3:41",
+         "probe entities are created with (owlclass ...)"),
     ],
     ids=["not-is", "is-with-two", "not-a-list", "unknown-head", "assertion-shape",
          "unknown-under-not", "not-shape", "not-of-no-list", "unknown-in-probe",
-         "shape-in-probe", "probe-shape"],
+         "shape-in-probe", "probe-shape", "probe-binding-shape", "probe-binding-maker"],
 )
 def test_check_refuses_a_malformed_test_body_as_test_does(tmp_path, capsys, deftest, where,
                                                            message):

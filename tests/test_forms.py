@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from ontoforge import patterns, testkit
+from ontoforge import patterns
 from ontoforge.errors import OntoforgeError
-from ontoforge.evaluator import CLASS_EXPRESSIONS, TOP_FORMS, Loader
+from ontoforge.evaluator import ASSERTIONS, CLASS_EXPRESSIONS, IS, TOP_FORMS, Loader
 from ontoforge.sexpr import KIND_TYPES
 from ontoforge.testkit import run_tests
 
@@ -69,8 +69,8 @@ WRONG = {"identifier": '"wrong"', "text": "wrong", "bracket": "wrong", "list": "
 ROWS = (
     [("top", head, row) for head, row in TOP_FORMS.items()]
     + [("class expression", head, row) for head, row in CLASS_EXPRESSIONS.items()]
-    + [("assertion", head, row) for head, row in testkit.ASSERTIONS.items()]
-    + [("test body", "is", testkit.IS)]
+    + [("assertion", head, row) for head, row in ASSERTIONS.items()]
+    + [("test body", "is", IS)]
 )
 IDS = [f"{place}:{head}" for place, head, _ in ROWS]
 

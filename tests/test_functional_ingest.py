@@ -7,7 +7,6 @@ leading whitespace included, so the matches tile the text up to its trailing
 whitespace. Both must give the same kinds, texts and offsets.
 """
 
-import enum
 import random
 import re
 
@@ -231,22 +230,6 @@ def test_loading_a_forest_admits_each_parsed_entity_once(monkeypatch):
     assert declarations == 300 and len(entities) == 301  # rdfs:label is the 301st
     assert admissions <= declarations + len(entities)
     assert walks == 0
-
-
-def test_parsing_a_forest_hashes_no_enum_member(monkeypatch):
-    # The per-parse entity table is keyed by (Kind, text); a Kind hashes by
-    # identity in C, so Enum's Python-level hash never runs.
-    calls = 0
-    enum_hash = enum.Enum.__hash__
-
-    def counting_hash(self):
-        nonlocal calls
-        calls += 1
-        return enum_hash(self)
-
-    monkeypatch.setattr(enum.Enum, "__hash__", counting_hash)
-    parse_functional(forest_functional_text(300))
-    assert calls == 0
 
 
 def test_an_entity_text_is_one_entity_in_a_parse():

@@ -21,6 +21,7 @@ from ontoforge.model import (
     FunctionalObjectProperty,
     IRI,
     Kind,
+    KINDS,
     Named,
     Not,
     NOTHING,
@@ -88,6 +89,19 @@ def test_iri_fragment_prefers_hash_then_slash_then_scheme():
 def test_iri_equality_is_structural():
     assert IRI("http://x.com/a") == IRI("http://x.com/a")
     assert len({IRI("http://x.com/a"), IRI("http://x.com/a")}) == 1
+
+
+# --- kinds ------------------------------------------------------------------
+
+
+def test_a_kind_is_its_owl_keyword():
+    assert KINDS == ("Class", "ObjectProperty", "AnnotationProperty")
+    iri = IRI(NS + "A")
+    assert Entity("Class", iri) == Entity(Kind.CLASS, iri)
+    assert Named(Entity("Class", iri)) == Named(Entity(Kind.CLASS, iri))
+    with pytest.raises(ValueError, match="^named class expression needs a class entity, "
+                                         "got ObjectProperty$"):
+        Named(Entity("ObjectProperty", iri))
 
 
 # --- class expressions ------------------------------------------------------

@@ -152,6 +152,24 @@ def test_render_then_parse_round_trips_values_that_start_with_blanks_or_hold_a_c
     )
 
 
+def test_render_then_parse_round_trips_keys_with_blanks_at_either_end():
+    # unescaped, a blank around a key is trimmed; Java keeps an escaped one,
+    # and its Properties.store escapes every blank of a key
+    rng = random.Random(13)
+    chars = "ab =\\\t\f\u00a0"
+    tables = [{" a": "x", "b ": "y", " ": "z", "  c  ": "w", "d\\ ": "v"}]
+    for _ in range(200):
+        keys = ["".join(rng.choice(chars) for _ in range(rng.randint(1, 8)))
+                for _ in range(rng.randint(1, 6))]
+        tables.append(dict.fromkeys(keys, "v"))
+    for table in tables:
+        assert parse_properties(render_properties(table)) == table, table
+    assert render_properties(tables[0]) == (
+        "\\ a=x\nb\\ =y\n\\ =z\n\\ \\ c\\ \\ =w\nd\\\\\\ =v\n"
+    )
+    assert parse_properties(" \\ k\\  \t= v\n") == {" k ": "v"}
+
+
 def test_a_value_loses_only_the_blanks_it_starts_with_before_its_escapes_are_read():
     assert parse_properties("a= \t\f x \nb=\\ y\nc=\\t z\nd=\u00a0w\n") == {
         "a": "x ", "b": " y", "c": "\t z", "d": "\u00a0w"
@@ -215,7 +233,7 @@ def test_apply_labels_ignores_imported_and_qualified_names():
         1
         for name, e in env.bindings.items()
         if "/" not in name
-        and e.kind.value == "Class"
+        and e.kind == "Class"
         and env.ontology.entities.get(e.iri.value) == e
     )
     report = apply_labels(env, {}, "it")

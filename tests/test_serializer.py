@@ -20,6 +20,7 @@ from ontoforge.model import (
     Import,
     IRI,
     Kind,
+    KINDS,
     Named,
     Not,
     NOTHING,
@@ -281,7 +282,7 @@ def test_omn_annotation_property_frame():
 
 
 def test_omn_frames_cover_every_kind():
-    assert set(_FRAMES) == set(Kind)
+    assert set(_FRAMES) == set(KINDS)
 
 
 def test_omn_annotations_sort_within_the_section():
