@@ -272,69 +272,78 @@ def _cmd_doc(args) -> int:
 # --- argument parsing ---------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--src", default=".", help="source tree of .ont files")
-    parser.add_argument("--ns", help="namespace to load (default: the sole one)")
+# The commands: name -> (help, handler, its options after --src and --ns as
+# (flag, keywords)), or name -> (help, {subcommand name -> such a row}).
+_COMMANDS = {
+    "compile": ("emit Manchester and functional serializations", _cmd_compile, (
+        ("--format", {"choices": ["omn", "ofn", "both"], "default": "both"}),
+        ("--out", {"default": ".", "help": "output directory"}),
+    )),
+    "check": ("parse and evaluate, reporting diagnostics", _cmd_check, ()),
+    "test": ("run the namespace's deftest suite", _cmd_test, ()),
+    "classify": ("print each class with its direct superclasses", _cmd_classify, ()),
+    "labels": ("maintain translation properties files", {
+        "skeleton": ("write a fill-in label file for a language", _cmd_labels_skeleton, (
+            ("--lang", {"required": True}),
+            ("--out", {"help": "output file (default: <ns>label_<lang>.properties)"}),
+        )),
+        "apply": ("check a filled label file against the ontology", _cmd_labels_apply, (
+            ("--lang", {"required": True}),
+            ("--file", {"help": "label file (default: <ns>label_<lang>.properties)"}),
+        )),
+    }),
+    "memorise": ("persist or check external identifier mappings", {
+        "save": ("snapshot identifier-to-IRI rows", _cmd_memorise_save, (
+            ("--file", {"required": True}),
+        )),
+        "check": ("diff a snapshot against current names", _cmd_memorise_check, (
+            ("--file", {"required": True}),
+        )),
+    }),
+    "doc": ("print an entity's label and comment", _cmd_doc, (
+        ("--name", {"required": True, "help": "identifier, possibly ns-qualified"}),
+    )),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_command(commands, name: str, summary: str, handler, options=()) -> None:
+    """Register one row of `_COMMANDS` (handler is a table for subcommands)."""
+    p = commands.add_parser(name, help=summary)
+    if isinstance(handler, dict):
+        subcommands = p.add_subparsers(dest="subcommand", required=True)
+        for sub, row in handler.items():
+            _add_command(subcommands, sub, *row)
+        return
+    p.add_argument("--src", default=".", help="source tree of .ont files")
+    p.add_argument("--ns", help="namespace to load (default: the sole one)")
+    for flag, keywords in options:
+        p.add_argument(flag, **keywords)
+    p.set_defaults(handler=handler)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of command alone, or of every command when command is None.
+
+    With one command the usage still spells every command, so usage lines and
+    errors read as with all of them.
+    """
     parser = argparse.ArgumentParser(
         prog="ontoforge", description="Build, test, and serialize OWL ontologies from .ont sources."
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("compile", help="emit Manchester and functional serializations")
-    _add_common(p)
-    p.add_argument("--format", choices=["omn", "ofn", "both"], default="both")
-    p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(handler=_cmd_compile)
-
-    p = commands.add_parser("check", help="parse and evaluate, reporting diagnostics")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_check)
-
-    p = commands.add_parser("test", help="run the namespace's deftest suite")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_test)
-
-    p = commands.add_parser("classify", help="print each class with its direct superclasses")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = commands.add_parser("labels", help="maintain translation properties files")
-    labels = p.add_subparsers(dest="subcommand", required=True)
-    sk = labels.add_parser("skeleton", help="write a fill-in label file for a language")
-    _add_common(sk)
-    sk.add_argument("--lang", required=True)
-    sk.add_argument("--out", help="output file (default: <ns>label_<lang>.properties)")
-    sk.set_defaults(handler=_cmd_labels_skeleton)
-    ap = labels.add_parser("apply", help="check a filled label file against the ontology")
-    _add_common(ap)
-    ap.add_argument("--lang", required=True)
-    ap.add_argument("--file", help="label file (default: <ns>label_<lang>.properties)")
-    ap.set_defaults(handler=_cmd_labels_apply)
-
-    p = commands.add_parser("memorise", help="persist or check external identifier mappings")
-    memo = p.add_subparsers(dest="subcommand", required=True)
-    sv = memo.add_parser("save", help="snapshot identifier-to-IRI rows")
-    _add_common(sv)
-    sv.add_argument("--file", required=True)
-    sv.set_defaults(handler=_cmd_memorise_save)
-    ck = memo.add_parser("check", help="diff a snapshot against current names")
-    _add_common(ck)
-    ck.add_argument("--file", required=True)
-    ck.set_defaults(handler=_cmd_memorise_check)
-
-    p = commands.add_parser("doc", help="print an entity's label and comment")
-    _add_common(p)
-    p.add_argument("--name", required=True, help="identifier, possibly ns-qualified")
-    p.set_defaults(handler=_cmd_doc)
-
+    # an explicit metavar names the action in argparse's errors, so only the
+    # one-command parser sets it, and it raises no error about the command
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        _add_command(commands, name, *_COMMANDS[name])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command builds its parser alone; anything else (none, -h, an
+    # unknown word) every command's, for the help and errors that list them
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

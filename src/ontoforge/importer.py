@@ -496,8 +496,9 @@ class InternRecord:
 def _labels_by_subject(ontology: Ontology) -> dict[IRI, str]:
     """Each labelled subject's IRI to its least (text, language) label text."""
     found: dict[IRI, tuple[str, str]] = {}
+    label = RDFS_LABEL.iri  # an assertion's property is always an annotation property
     for axiom in ontology.axioms:
-        if isinstance(axiom, AnnotationAssertion) and axiom.property == RDFS_LABEL:
+        if isinstance(axiom, AnnotationAssertion) and axiom.property.iri == label:
             subject = axiom.subject
             key = (axiom.value.text, axiom.value.lang or "")
             if subject not in found or key < found[subject]:

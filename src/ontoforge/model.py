@@ -13,10 +13,12 @@ an `Arrival` is one of five words. Tables keyed by them hash text, in C.
 Everything except Ontology is an immutable value with structural equality, so
 axioms can live in sets and duplicate assertions collapse to no-ops. Every
 value class but `IRI` is made by `_value`: a frozen dataclass with slots, so
-a term carries no `__dict__`, and with a generated `__init__` that writes each
-field through its slot descriptor. Every command builds thousands of terms,
-and a frozen dataclass's own `__init__` spends about half of each
-construction in `object.__setattr__`.
+a term carries no `__dict__`, with a generated `__init__` that writes each
+field through its slot descriptor (a frozen dataclass's own spends half of
+each construction in `object.__setattr__`), and with a generated `__hash__`.
+A term hashes the tuple of its fields, an `Entity` field as its IRI text,
+which is what an entity hashes, so equal terms hash equal; only the entity
+tuple of `DisjointClasses` hashes through `Entity.__hash__`.
 
 An Ontology keeps its axioms in insertion order next to a set index, which is
 what makes serialization deterministic. Its `entities` and `imported` tables
@@ -25,9 +27,10 @@ map IRIs to entities. `Ontology.lookup` is the one lookup order
 the one admission method: an entity, however it arrives (`Arrival`), keeps
 the kind its IRI is known by. Stated axioms come in one at a time
 (`add_axiom`); a document's axioms come in together (`load`): its
-declarations, then the entities they mention, then the axioms. The store
-only grows; `mark` and `rollback` undo everything added since a mark, most
-recent first.
+declarations, then the entities they mention, then the axioms. Either way a
+mentioned entity that is the very object `lookup` returns for its IRI skips
+`admit`, which would return it unchanged. The store only grows; `mark` and
+`rollback` undo everything added since a mark, most recent first.
 """
 
 from __future__ import annotations
@@ -57,12 +60,14 @@ _SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:\S+")
 
 
 def _value(cls):
-    """Make cls a frozen dataclass with slots and a descriptor-writing `__init__`.
+    """Make cls a frozen dataclass with slots, a descriptor-writing `__init__` and a `__hash__`.
 
     The `__init__` takes the fields positionally or by keyword, calls each
     field's slot descriptor (bound once the slots exist), then
-    `__post_init__` if cls has one. It is made before the dataclass, so the
-    dataclass's signature docstring reads it. Instances refuse assignment
+    `__post_init__` if cls has one. The `__hash__`, unless cls defines its
+    own, hashes the tuple of the fields, each `Entity` field as its IRI
+    text. Both are made before the dataclass, so its signature docstring
+    reads the one and it keeps the other. Instances refuse assignment
     and `del` of any attribute with `FrozenInstanceError`: once the slots
     have replaced the class, the dataclass's own refusal raises TypeError
     for a name that is not a field.
@@ -73,10 +78,14 @@ def _value(cls):
     body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
     if hasattr(cls, "__post_init__"):
         body += "\n    self.__post_init__()"
-    exec(f"def __init__(self{params}):{body}", env)
+    key = "".join(f"self.{n}.iri, " if t == "Entity" else f"self.{n}, " for n, t in names.items())
+    exec(f"def __init__(self{params}):{body}\ndef __hash__(self):\n    return hash(({key}))", env)
     init = cls.__init__ = env["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__annotations__ = {**names, "return": None}
+    if "__hash__" not in vars(cls):
+        cls.__hash__ = env["__hash__"]
+        cls.__hash__.__qualname__ = f"{cls.__qualname__}.__hash__"
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     for n in names:
         env[f"_set_{n}"] = getattr(cls, n).__set__
@@ -485,7 +494,7 @@ class Ontology:
         except a stated mention, which refuses it. Returns the entity kept.
         """
         key = entity.iri
-        # `lookup`, written out: this runs once per mention of every axiom.
+        # `lookup`, written out: this runs for every entity the store does not file yet.
         known = self.entities.get(key) or self.imported.get(key) or BUILTIN_ENTITIES.get(key)
         if known is None:
             if how == Arrival.MENTION:
@@ -504,22 +513,26 @@ class Ontology:
     def add_axiom(self, axiom: Axiom) -> bool:
         """Add one stated axiom; False when it is already present (structurally).
 
-        `admit` accepts every entity the axiom mentions first; a Declaration
-        arrives as one. The axiom is hashed once: it joins the set index
-        first and leaves it again if it is refused.
+        `admit` first accepts every entity the axiom mentions that `lookup`
+        does not return; a Declaration arrives as one. The axiom is hashed
+        once: it joins the set index first and leaves it again if it is
+        refused.
         """
         index = self._axiom_set
         size = len(index)
         index.add(axiom)
         if len(index) == size:
             return False
-        admit = self.admit
+        declared, imported = self.entities, self.imported
         try:
             if isinstance(axiom, Declaration):
-                admit(axiom.entity, Arrival.DECLARATION)
+                self.admit(axiom.entity, Arrival.DECLARATION)
             else:
                 for entity in axiom_mentions(axiom):
-                    admit(entity, Arrival.MENTION)
+                    key = entity.iri
+                    known = declared.get(key) or imported.get(key) or BUILTIN_ENTITIES.get(key)
+                    if known is not entity:  # `admit` returns the entity it files unchanged
+                        self.admit(entity, Arrival.MENTION)
         except BaseException:
             index.discard(axiom)
             raise
@@ -540,16 +553,20 @@ class Ontology:
         entities lists every entity the axioms mention, in order of first
         mention, repeats allowed: a repeat can neither fail nor change what
         the store knows. Declarations are registered first, so an axiom may
-        mention an entity declared below it; then each entity is admitted as
-        loaded (an unknown one is imported); then each axiom not yet present
-        joins the store, hashed once. A refusal adds no axiom.
+        mention an entity declared below it; then each entity that `lookup`
+        does not return is admitted as loaded (an unknown one is imported);
+        then each axiom not yet present joins the store, hashed once. A
+        refusal adds no axiom.
         """
-        admit = self.admit
+        admit, declared, imported = self.admit, self.entities, self.imported
         for axiom in axioms:
             if isinstance(axiom, Declaration):
                 admit(axiom.entity, Arrival.REGISTRATION)
         for entity in entities:
-            admit(entity, Arrival.LOAD)
+            key = entity.iri
+            known = declared.get(key) or imported.get(key) or BUILTIN_ENTITIES.get(key)
+            if known is not entity:  # as in `add_axiom`
+                admit(entity, Arrival.LOAD)
         index, stored = self._axiom_set, self.axioms
         before = size = len(index)
         for axiom in axioms:

@@ -26,6 +26,7 @@ from .model import (
     Entity,
     EquivalentClasses,
     FunctionalObjectProperty,
+    IRI,
     Kind,
     Named,
     ObjectPropertyRange,
@@ -106,16 +107,16 @@ def disjoint_subclasses(ev: "Evaluator", form: ListForm, args) -> list[Entity]:
         cover = True
         rest = rest[1:]
     members: list[Entity] = []
-    seen: set[Entity] = set()
+    seen: set[IRI] = set()  # every member is a class, so its IRI tells it apart
     children = SUBCLASSES.check(form, rest)
     for child in children:
         member = ev.eval_top(SUBCLASSES.each(child))
-        if member in seen:
+        if member.iri in seen:
             raise PatternError(
                 f"'{child.children[1].name}' is listed twice; disjoint subclasses must be distinct",
                 child.location,
             )
-        seen.add(member)
+        seen.add(member.iri)
         members.append(member)
     ev.add_axioms(_subclass_block(parent, members, children, cover), form)
     return members

@@ -2,16 +2,18 @@
 
 Each mutant is a seeded edit of a valid input: the bundled pizza source, a
 random ontology rendered to functional syntax and pulled in by
-`read-external`, a label file or a memo file. Every command that reads the
-mutant runs in-process (`doc` and `labels skeleton` on the pizza mutants,
-`memorise save` on the functional ones, besides the four build commands) and
-must return a documented exit code (1 only from `test`) with nothing on
-stderr but rendered diagnostics.
+`read-external`, a label file, a memo file, or the command line itself.
+Every command that reads the mutant runs in-process (`doc` and `labels
+skeleton` on the pizza mutants, `memorise save` on the functional ones,
+besides the four build commands) and must return a documented exit code (1
+only from `test`) with nothing on stderr but rendered diagnostics, or, for a
+command line argparse refuses, its usage and one error line.
 """
 
 import random
 import re
 
+from ontoforge import cli
 from ontoforge.cli import main
 from ontoforge.serializer import render_functional
 from support import BUNDLED, random_full_ontology
@@ -22,6 +24,7 @@ COMMANDS = ("check", "classify", "test", "compile")
 PIZZA_MUTANTS = 150
 FUNCTIONAL_MUTANTS = 100
 SIDE_FILE_MUTANTS = 100
+ARGV_MUTANTS = 200
 
 # What `Diagnostic.render` writes: an optional file:line:col, then the severity.
 DIAGNOSTIC_RE = re.compile(r"(?:.+:\d+:\d+: )?(?:error|warning): .*")
@@ -176,3 +179,109 @@ def test_label_and_memo_file_mutants_end_in_diagnostics(tmp_path, capsys):
         check = ["memorise", "check", "--src", str(src), "--ns", "menu", "--file", str(memo)]
         codes.add(run_main(capsys, check, f"memo mutant {seed}"))
     assert {0, 2} <= codes
+
+
+# How a mutant edits a command line's options, each a flag with its value.
+ARGV_EDITS = ("shuffle", "scramble", "drop", "repeat", "no-value", "unknown", "ns", "out")
+UNKNOWN_OPTIONS = (["--bogus"], ["--bogus", "x"], ["-q"], ["--src=", "x"], ["--lang"], ["-"])
+BAD_NAMESPACES = ("", "no.such", "pizza.", ".pizza", "a b", "../pizza", "pizza/x", "pizza.ont")
+# What argparse writes to stderr last when it refuses a command line.
+USAGE_ERROR_RE = re.compile(r"ontoforge(?: [a-z]+)*: error: .+")
+
+
+def argv_mutant(rng: random.Random, command: list[str], options: list[list[str]], existing: str):
+    """Edit a valid command line: its options moved, lost, repeated or made invalid."""
+    options = [list(option) for option in options]
+    for _ in range(rng.randint(1, 2)):
+        edit = rng.choice(ARGV_EDITS)
+        at = rng.randrange(len(options) + 1)
+        if edit == "shuffle":
+            rng.shuffle(options)
+        elif edit == "scramble":  # every token, the command words too
+            tokens = command + [t for option in options for t in option]
+            rng.shuffle(tokens)
+            command, options = [], [[t] for t in tokens]
+        elif edit == "drop" and options:
+            del options[at - 1]
+        elif edit == "repeat" and options:
+            options.insert(at, options[at - 1])
+        elif edit == "no-value" and options:
+            options[at - 1] = options[at - 1][:1]
+        elif edit == "unknown":
+            options.insert(at, rng.choice(UNKNOWN_OPTIONS))
+        elif edit == "ns":
+            options.insert(at, ["--ns", rng.choice(BAD_NAMESPACES)])
+        elif edit == "out":  # last, so that it wins over the valid one
+            flag = "--file" if any(option[0] == "--file" for option in options) else "--out"
+            options.append([flag, existing])
+    if rng.random() < 0.1 and command:
+        del command[rng.randrange(len(command))]
+    return command + [t for option in options for t in option]
+
+
+def run_argv(capsys, argv, what):
+    """main's exit code, stdout and stderr, after the same checks as `run_main`."""
+    try:
+        code = main(argv)
+    except Exception as err:
+        raise AssertionError(f"{what}: {type(err).__name__} escaped main") from err
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), what
+    assert code != 1 or argv[0] == "test", what
+    lines = err.splitlines()
+    if err.startswith("usage: "):
+        assert code == 2 and USAGE_ERROR_RE.fullmatch(lines[-1]), f"{what}: {err!r}"
+    else:
+        for line in lines:
+            assert DIAGNOSTIC_RE.fullmatch(line), f"{what}: {line!r}"
+    return code, out, err
+
+
+def test_argv_mutants_end_in_diagnostics_and_parse_as_with_every_command(
+    tmp_path, capsys, monkeypatch
+):
+    """Each mutant also reads the same through the parser of every command."""
+    src, out = tmp_path / "src", tmp_path / "out"
+    src.mkdir()
+    (src / "pizza.ont").write_bytes(PIZZA)
+    (src / "pizzalabel_it.properties").write_bytes(LABELS)
+    (src / "ext.ofn").write_text(
+        "Prefix(e:=<https://example.org/ext#>)\n"
+        "Ontology(<https://example.org/ext>\nDeclaration(Class(e:Part)))\n",
+        encoding="utf-8",
+    )
+    (src / "menu.ont").write_text(
+        '(defontology menu :iri "https://example.org/menu#")\n(read-external "ext.ofn")\n',
+        encoding="utf-8",
+    )
+    existing = tmp_path / "existing.txt"
+    memo = str(tmp_path / "names.memo")
+    pizza = [["--src", str(src)], ["--ns", "pizza"]]
+    menu = [["--src", str(src)], ["--ns", "menu"]]
+    valid = [
+        (["check"], pizza),
+        (["classify"], pizza),
+        (["test"], pizza),
+        (["compile"], [*pizza, ["--out", str(out)], ["--format", "ofn"]]),
+        (["doc"], [*pizza, ["--name", "Pizza"]]),
+        (["labels", "skeleton"], [*pizza, ["--lang", "it"], ["--out", str(tmp_path / "sk")]]),
+        (["labels", "apply"], [*pizza, ["--lang", "IT"]]),
+        (["memorise", "save"], [*menu, ["--file", memo]]),
+        (["memorise", "check"], [*menu, ["--file", memo]]),
+    ]
+    # a relative path (a dropped --src or --out) stays inside the scratch tree
+    monkeypatch.chdir(tmp_path)
+    every_command = cli._build_parser
+    codes = set()
+    for seed in range(ARGV_MUTANTS):
+        rng = random.Random(seed)
+        command, options = valid[seed % len(valid)]
+        existing.write_text("not a directory\n", encoding="utf-8")
+        argv = argv_mutant(rng, list(command), options, str(existing))
+        what = f"argv mutant {seed}: {argv}"
+        result = run_argv(capsys, argv, what)
+        codes.add(result[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", lambda command=None: every_command())
+            assert run_argv(capsys, argv, what) == result, what
+    assert {0, 2, 3} <= codes

@@ -42,6 +42,7 @@ from ontoforge.model import (
     UndeclaredEntity,
     axiom_mentions,
 )
+from support import random_full_ontology
 
 NS = "http://example.com/test#"
 
@@ -405,6 +406,97 @@ def test_add_axioms_counts_new_ones():
     a, b = cls(onto, "A"), cls(onto, "B")
     ax = SubClassOf(Named(a), Named(b))
     assert onto.add_axioms([ax, ax, SubClassOf(Named(b), Named(a))]) == 2
+
+
+def _counting_admit(onto: Ontology, monkeypatch) -> list:
+    """Record every (entity, arrival) that reaches onto's `admit` from here on."""
+    calls = []
+    admit = onto.admit
+
+    def counted(entity, how):
+        calls.append((entity, how))
+        return admit(entity, how)
+
+    monkeypatch.setattr(onto, "admit", counted)
+    return calls
+
+
+def test_a_stated_mention_of_a_filed_entity_is_not_admitted_again(monkeypatch):
+    onto = make_ontology()
+    a, b, p = cls(onto, "A"), cls(onto, "B"), prop(onto, "p")
+    calls = _counting_admit(onto, monkeypatch)
+    assert onto.add_axiom(SubClassOf(Named(a), And((Some(p, Named(b)), THING))))
+    assert calls == []
+    fresh = Entity(Kind.CLASS, IRI(NS + "A"))
+    assert onto.add_axiom(SubClassOf(Named(fresh), Named(b)))
+    assert calls == [(fresh, Arrival.MENTION)]
+    assert onto.lookup(fresh.iri) is a
+
+
+def test_a_fresh_entity_equal_to_a_filed_one_is_accepted_and_the_filed_one_kept():
+    onto = make_ontology()
+    a, b = cls(onto, "A"), cls(onto, "B")
+    ext = Entity(Kind.CLASS, IRI("http://other.org/x#E"))
+    assert onto.load_axiom(SubClassOf(Named(ext), THING))
+    twins = [Entity(e.kind, IRI(e.iri.value)) for e in (a, b, ext, OWL_THING)]
+    assert all(t == e and t is not e for t, e in zip(twins, (a, b, ext, OWL_THING)))
+    assert onto.add_axiom(SubClassOf(Named(twins[0]), And(tuple(map(Named, twins[1:])))))
+    assert onto.load_axiom(SubClassOf(Named(twins[2]), Named(twins[0])))
+    assert onto.lookup(a.iri) is a and onto.lookup(b.iri) is b
+    assert onto.lookup(ext.iri) is ext and onto.lookup(OWL_THING.iri) is OWL_THING
+    assert list(onto.entities) == [a.iri, b.iri] and list(onto.imported) == [ext.iri]
+
+
+def test_load_still_refuses_a_declared_kind_that_a_mention_contradicts(monkeypatch):
+    onto = make_ontology()
+    declared = Entity(Kind.CLASS, IRI(NS + "X"))
+    used = Entity(Kind.OBJECT_PROPERTY, declared.iri)
+    axioms = [Declaration(declared), SubClassOf(Some(used, THING), THING)]
+    calls = _counting_admit(onto, monkeypatch)
+    with pytest.raises(DuplicateEntityKind, match="declared as Class but used as ObjectProperty"):
+        onto.load(axioms, [declared, used, OWL_THING])
+    # the declaration was registered, and only the mention that is not it was admitted
+    assert calls == [(declared, Arrival.REGISTRATION), (used, Arrival.LOAD)]
+    assert onto.axioms == []
+
+
+def _rebuilt(value):
+    """value rebuilt field by field into new objects, down to its texts."""
+    if isinstance(value, str):
+        copy_ = "".join(list(value))
+        return IRI(copy_) if isinstance(value, IRI) else copy_
+    if isinstance(value, tuple):
+        return tuple(_rebuilt(v) for v in value)
+    if value is None:
+        return None
+    names = [f.name for f in dataclasses.fields(value)]
+    return type(value)(*(_rebuilt(getattr(value, n)) for n in names))
+
+
+def test_rebuilt_terms_compare_and_hash_equal():
+    for seed in range(20):
+        for axiom in random_full_ontology(random.Random(seed)).axioms:
+            twin = _rebuilt(axiom)
+            assert twin is not axiom
+            assert twin == axiom and hash(twin) == hash(axiom), (seed, axiom)
+
+
+def test_hashing_a_term_calls_no_entity_hash(monkeypatch):
+    calls = []
+    entity_hash = Entity.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return entity_hash(self)
+
+    a, b = Entity(Kind.CLASS, IRI(NS + "A")), Entity(Kind.CLASS, IRI(NS + "B"))
+    r = Entity(Kind.OBJECT_PROPERTY, IRI(NS + "r"))
+    axiom = SubClassOf(Named(a), Some(r, Named(b)))
+    monkeypatch.setattr(Entity, "__hash__", counted)
+    assert hash(a) == hash(a.iri) and len(calls) == 1
+    calls.clear()
+    assert hash(axiom) == hash(SubClassOf(Named(a), Some(r, Named(b))))
+    assert calls == []
 
 
 def test_add_prefix_keeps_a_registered_base_and_numbers_taken_labels():
